@@ -27,7 +27,7 @@ and the same budget governs the equality checks at the ball.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.optimize import brentq
@@ -85,28 +85,7 @@ class InequalityReport:
     notes: list[str] = field(default_factory=list)
 
     def as_dict(self) -> dict:
-        return {
-            "domain": self.domain,
-            "dimension": self.dimension,
-            "curvature": self.curvature,
-            "weight": self.weight,
-            "method": self.method,
-            "volume": self.volume,
-            "matched_radius": self.matched_radius,
-            "volume_match_rel_err": self.volume_match_rel_err,
-            "eigenvalues": [float(v) for v in self.eigenvalues],
-            "mu1_ball": self.mu1_ball,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "gap": self.gap,
-            "est_rel_error": self.est_rel_error,
-            "tol_budget": self.tol_budget,
-            "passed": self.passed,
-            "mu1_domain_below_ball": self.mu1_domain_below_ball,
-            "sharper": self.sharper,
-            "conjecture": self.conjecture,
-            "notes": list(self.notes),
-        }
+        return asdict(self)
 
 
 def match_ball_radius(
@@ -151,79 +130,157 @@ def _mesh_for(domain) -> Mesh:
     raise TypeError(f"expected DomainSpec or Mesh, got {type(domain).__name__}")
 
 
-def _fem_eigenvalues(
+@dataclass
+class CaseSolution:
+    """One case solved once: the domain's low spectrum and the matched ball.
+
+    Every check of a case reads this object, so the domain is meshed once,
+    its spectrum is solved once, and the matched ball is shot once.  On the
+    FEM path ``eigenvalues`` come from the finest mesh and ``est_rel_error``
+    is the two-level Richardson estimate over all of them; on the radial
+    path the meshes are ``None`` and the estimate is a fixed floor.
+    """
+
+    space: SpaceForm
+    phi: WeightFunction
+    dimension: int
+    refinements: int
+    options: ShootingOptions
+    method: str  # "fem" or "radial"
+    describe: str
+    shell: ShellSpec | None
+    base_mesh: Mesh | None
+    mesh: Mesh | None
+    eigenvalues: np.ndarray
+    est_rel_error: float
+    volume: float
+    matched_radius: float
+    volume_match_rel_err: float
+    ball_mode: RadialSolution
+
+
+def solve_case(
     domain,
     space: SpaceForm,
     phi: WeightFunction,
-    count: int,
-    refinements: int,
-):
-    """Two-level solve: eigenvalues at the finest mesh plus a Richardson
-    relative-error estimate from the comparison with one level coarser."""
-    mesh = _mesh_for(domain)
-    for _ in range(max(0, refinements - 1)):
-        mesh = refine(mesh)
-    coarse = fem.solve_lowest(fem.assemble(mesh, space, phi), count=count)
-    mesh = refine(mesh)
-    forms = fem.assemble(mesh, space, phi)
-    fine = fem.solve_lowest(forms, count=count)
-    est = float(
-        np.max(
-            np.abs(coarse.eigenvalues - fine.eigenvalues) / (3.0 * fine.eigenvalues)
-        )
-    )
-    return fine.eigenvalues.copy(), est, forms.weighted_volume(), mesh
+    dimension: int | None = None,
+    *,
+    conjecture: bool = False,
+    refinements: int = 2,
+    options: ShootingOptions = DEFAULT_OPTIONS,
+) -> CaseSolution:
+    """Solve ``domain`` and its volume-matched centred ball.
 
-
-def _radial_eigenvalues(
-    shell: ShellSpec,
-    space: SpaceForm,
-    phi: WeightFunction,
-    dimension: int,
-    count: int,
-    options: ShootingOptions,
-):
-    modes = symmetric_spectrum(shell, dimension, space, phi, count, options=options)
-    eigs = np.array(expand_spectrum(modes, count))
-    volume = weighted_annulus_volume(
-        space, dimension, phi, shell.inner_radius, shell.outer_radius
-    )
-    # shooting residuals understate the eigenvalue error; keep a floor
-    est = RADIAL_ERROR_FLOOR
-    return eigs, est, volume
-
-
-def _solve_domain(domain, space, phi, dimension, count, refinements, options):
+    ``domain`` is a :class:`DomainSpec`, a :class:`Mesh` (both meshed, plane
+    domains), or a :class:`ShellSpec` (radially symmetric, any dimension,
+    with ``dimension`` given explicitly).  The lowest ``n - 1`` nonzero
+    eigenvalues are solved, or ``n`` with ``conjecture`` for the open
+    question's extra term.
+    """
+    shell = base_mesh = mesh = None
     if isinstance(domain, ShellSpec):
         if dimension is None:
             raise ValueError("radially symmetric domains need an explicit dimension")
-        eigs, est, volume = _radial_eigenvalues(
-            domain, space, phi, dimension, count, options
+        n = int(dimension)
+        count = n if conjecture else n - 1
+        shell = domain
+        modes = symmetric_spectrum(shell, n, space, phi, count, options=options)
+        eigs = expand_spectrum(modes, count)
+        # shooting residuals understate the eigenvalue error; keep a floor
+        est = RADIAL_ERROR_FLOOR
+        volume = weighted_annulus_volume(
+            space, n, phi, shell.inner_radius, shell.outer_radius
         )
+        method = "radial"
         describe = (
-            f"ball(radius={domain.outer_radius:g})"
-            if domain.inner_radius == 0.0
-            else f"shell({domain.inner_radius:g}, {domain.outer_radius:g})"
+            f"ball(radius={shell.outer_radius:g})"
+            if shell.inner_radius == 0.0
+            else f"shell({shell.inner_radius:g}, {shell.outer_radius:g})"
         )
-        return eigs, est, volume, describe, "radial", None
-    if dimension not in (None, 2):
-        raise ValueError("meshed domains are two-dimensional")
-    eigs, est, volume, mesh = _fem_eigenvalues(domain, space, phi, count, refinements)
-    return eigs, est, volume, mesh.domain_tag, "fem", mesh
+    else:
+        if dimension not in (None, 2):
+            raise ValueError("meshed domains are two-dimensional")
+        n = 2
+        count = n if conjecture else n - 1
+        base_mesh = mesh = _mesh_for(domain)
+        for _ in range(max(0, refinements - 1)):
+            mesh = refine(mesh)
+        coarse = fem.solve_lowest(fem.assemble(mesh, space, phi), count=count)
+        mesh = refine(mesh)
+        forms = fem.assemble(mesh, space, phi)
+        fine = fem.solve_lowest(forms, count=count)
+        eigs = fine.eigenvalues.copy()
+        est = float(np.max(np.abs(coarse.eigenvalues - eigs) / (3.0 * eigs)))
+        volume = forms.weighted_volume()
+        method = "fem"
+        describe = mesh.domain_tag
+
+    radius = match_ball_radius(space, n, phi, volume)
+    ball_vol = weighted_annulus_volume(space, n, phi, 0.0, radius)
+    return CaseSolution(
+        space=space,
+        phi=phi,
+        dimension=n,
+        refinements=refinements,
+        options=options,
+        method=method,
+        describe=describe,
+        shell=shell,
+        base_mesh=base_mesh,
+        mesh=mesh,
+        eigenvalues=eigs,
+        est_rel_error=est,
+        volume=volume,
+        matched_radius=radius,
+        volume_match_rel_err=abs(ball_vol - volume) / volume,
+        ball_mode=shoot_first_mode(BallSpec(radius, n, space), phi, options),
+    )
 
 
-def _matched_ball_mode(
-    space: SpaceForm,
-    dimension: int,
-    phi: WeightFunction,
-    volume: float,
-    options: ShootingOptions,
-) -> tuple[float, RadialSolution, float]:
-    radius = match_ball_radius(space, dimension, phi, volume)
-    ball_vol = weighted_annulus_volume(space, dimension, phi, 0.0, radius)
-    rel = abs(ball_vol - volume) / volume
-    solution = shoot_first_mode(BallSpec(radius, dimension, space), phi, options)
-    return radius, solution, rel
+def build_report(
+    sol: CaseSolution, *, sharper: bool = False, conjecture: bool = False
+) -> InequalityReport:
+    """The main comparison of a solved case, plus the sharper and the
+    open-question blocks when asked for."""
+    n = sol.dimension
+    eigs = sol.eigenvalues
+    mu_ball = sol.ball_mode.mu
+    lhs = float(np.sum(1.0 / eigs[: n - 1]))
+    rhs = (n - 1) / mu_ball
+    gap = lhs - rhs
+    budget = 3.0 * sol.est_rel_error * max(abs(lhs), abs(rhs))
+    report = InequalityReport(
+        domain=sol.describe,
+        dimension=n,
+        curvature=sol.space.curvature,
+        weight=sol.phi.describe(),
+        method=sol.method,
+        volume=sol.volume,
+        matched_radius=sol.matched_radius,
+        volume_match_rel_err=sol.volume_match_rel_err,
+        eigenvalues=[float(v) for v in eigs],
+        mu1_ball=mu_ball,
+        lhs=lhs,
+        rhs=rhs,
+        gap=gap,
+        est_rel_error=sol.est_rel_error,
+        tol_budget=budget,
+        passed=bool(gap >= -budget),
+        mu1_domain_below_ball=bool(
+            eigs[0] <= mu_ball * (1.0 + 3.0 * sol.est_rel_error)
+        ),
+        notes=[],
+    )
+    if sharper:
+        report.sharper = _sharper_block(sol, report)
+    if conjecture:
+        report.conjecture = _conjecture_block(sol)
+        if report.conjecture["escalated"]:
+            report.notes.append(
+                "negative open-question margin re-examined at higher resolution; "
+                f"final verdict {report.conjecture['verdict']}"
+            )
+    return report
 
 
 def check_theorem_main(
@@ -235,46 +292,12 @@ def check_theorem_main(
     refinements: int = 2,
     options: ShootingOptions = DEFAULT_OPTIONS,
 ) -> InequalityReport:
-    """Reciprocal-sum comparison against the volume-matched centred ball.
-
-    ``domain`` is a :class:`DomainSpec`, a :class:`Mesh` (both meshed, plane
-    domains), or a :class:`ShellSpec` (radially symmetric, any dimension,
-    with ``dimension`` given explicitly).
-    """
-    if isinstance(domain, ShellSpec) and dimension is None:
-        raise ValueError("radially symmetric domains need an explicit dimension")
-    n = 2 if not isinstance(domain, ShellSpec) else int(dimension)
-    eigs, est, volume, describe, method, _mesh = _solve_domain(
-        domain, space, phi, dimension, n - 1, refinements, options
+    """Reciprocal-sum comparison against the volume-matched centred ball;
+    ``domain`` and ``dimension`` as in :func:`solve_case`."""
+    sol = solve_case(
+        domain, space, phi, dimension, refinements=refinements, options=options
     )
-    radius, ball_mode, vol_rel = _matched_ball_mode(space, n, phi, volume, options)
-
-    lhs = float(np.sum(1.0 / eigs[: n - 1]))
-    rhs = (n - 1) / ball_mode.mu
-    gap = lhs - rhs
-    budget = 3.0 * est * max(abs(lhs), abs(rhs))
-    return InequalityReport(
-        domain=describe,
-        dimension=n,
-        curvature=space.curvature,
-        weight=phi.describe(),
-        method=method,
-        volume=volume,
-        matched_radius=radius,
-        volume_match_rel_err=vol_rel,
-        eigenvalues=[float(v) for v in eigs],
-        mu1_ball=ball_mode.mu,
-        lhs=lhs,
-        rhs=rhs,
-        gap=gap,
-        est_rel_error=est,
-        tol_budget=budget,
-        passed=bool(gap >= -budget),
-        mu1_domain_below_ball=bool(
-            eigs[0] <= ball_mode.mu * (1.0 + 3.0 * est)
-        ),
-        notes=[],
-    )
+    return build_report(sol)
 
 
 # ---------------------------------------------------------------------------
@@ -349,6 +372,69 @@ def weighted_disk_intersection(mesh: Mesh, phi: WeightFunction, radius: float):
     return inter, total
 
 
+def _sharper_block(sol: CaseSolution, report: InequalityReport) -> dict:
+    """The annulus correction of the sharper comparison (flat space only)."""
+    if sol.space.is_hyperbolic:
+        raise CheckerError("the sharper comparison is only formulated in flat space")
+    space, phi, n = sol.space, sol.phi, sol.dimension
+    radius = sol.matched_radius
+
+    if sol.shell is not None:
+        if radius <= sol.shell.inner_radius:
+            inner_vol = 0.0  # matched ball sits entirely inside the cavity
+        else:
+            inner_vol = weighted_annulus_volume(
+                space, n, phi, sol.shell.inner_radius,
+                min(radius, sol.shell.outer_radius),
+            )
+        outer_vol = sol.volume - inner_vol
+    else:
+        inner_vol, total = weighted_disk_intersection(sol.mesh, phi, radius)
+        outer_vol = total - inner_vol
+        if abs(total - sol.volume) > 1e-6 * sol.volume:
+            raise CheckerError(
+                "clip quadrature disagrees with the mass-matrix volume"
+            )
+
+    r1 = match_ball_radius(space, n, phi, inner_vol) if inner_vol > 0 else 0.0
+
+    def outer_gap(r: float) -> float:
+        return weighted_annulus_volume(space, n, phi, radius, r) - outer_vol
+
+    if outer_vol <= 0:
+        r2 = radius
+    else:
+        cap = phi.domain_cap
+        if outer_gap(cap) < 0:
+            raise CheckerError(
+                "outside-volume matching exhausts the certified weight range"
+            )
+        r2 = float(brentq(outer_gap, radius, cap, xtol=1e-15, rtol=8.9e-16))
+
+    mu_ball = sol.ball_mode.mu
+    ext = extend_profile(sol.ball_mode, domain_cap=max(r2, radius) * (1.0 + 1e-12))
+    a_in, _ = ball_rayleigh_integrals(ext, r1, radius)
+    a_out, _ = ball_rayleigh_integrals(ext, radius, r2)
+    _, b_core = ball_rayleigh_integrals(ext, 0.0, radius)
+    sharper_rhs = (a_in - a_out) / b_core
+
+    # rearranged strengthening: mu1(ball) - (n-1)/LHS >= correction >= 0
+    sharper_gap = (mu_ball - (n - 1) / report.lhs) - sharper_rhs
+    budget = report.tol_budget * max(mu_ball, 1.0)
+    nonneg_ok = bool(sharper_rhs >= -budget)
+    gap_ok = bool(sharper_gap >= -budget)
+    return {
+        "r1": r1,
+        "r2": r2,
+        "inner_volume": inner_vol,
+        "outer_volume": outer_vol,
+        "rhs": float(sharper_rhs),
+        "gap": float(sharper_gap),
+        "nonnegative_ok": nonneg_ok,
+        "passed": bool(nonneg_ok and gap_ok),
+    }
+
+
 def check_theorem_sharper(
     domain,
     space: SpaceForm,
@@ -370,75 +456,56 @@ def check_theorem_sharper(
     of the matched ball; it is nonnegative and bounded above by the slack of
     the main inequality, both of which get verified.
     """
-    if space.is_hyperbolic:
-        raise CheckerError("the sharper comparison is only formulated in flat space")
-    report = check_theorem_main(
+    sol = solve_case(
         domain, space, phi, dimension, refinements=refinements, options=options
     )
-    n = report.dimension
-    radius = report.matched_radius
-
-    if isinstance(domain, ShellSpec):
-        if radius <= domain.inner_radius:
-            inner_vol = 0.0  # matched ball sits entirely inside the cavity
-        else:
-            inner_vol = weighted_annulus_volume(
-                space, n, phi, domain.inner_radius, min(radius, domain.outer_radius)
-            )
-        outer_vol = report.volume - inner_vol
-    else:
-        mesh = _mesh_for(domain)
-        for _ in range(refinements):
-            mesh = refine(mesh)
-        inner_vol, total = weighted_disk_intersection(mesh, phi, radius)
-        outer_vol = total - inner_vol
-        if abs(total - report.volume) > 1e-6 * report.volume:
-            raise CheckerError(
-                "clip quadrature disagrees with the mass-matrix volume"
-            )
-
-    r1 = match_ball_radius(space, n, phi, inner_vol) if inner_vol > 0 else 0.0
-
-    def outer_gap(r: float) -> float:
-        return weighted_annulus_volume(space, n, phi, radius, r) - outer_vol
-
-    if outer_vol <= 0:
-        r2 = radius
-    else:
-        cap = phi.domain_cap
-        if outer_gap(cap) < 0:
-            raise CheckerError(
-                "outside-volume matching exhausts the certified weight range"
-            )
-        r2 = float(brentq(outer_gap, radius, cap, xtol=1e-15, rtol=8.9e-16))
-
-    ball_mode = shoot_first_mode(BallSpec(radius, n, space), phi, options)
-    ext = extend_profile(ball_mode, domain_cap=max(r2, radius) * (1.0 + 1e-12))
-    a_in, _ = ball_rayleigh_integrals(ext, r1, radius)
-    a_out, _ = ball_rayleigh_integrals(ext, radius, r2)
-    _, b_core = ball_rayleigh_integrals(ext, 0.0, radius)
-    sharper_rhs = (a_in - a_out) / b_core
-
-    # rearranged strengthening: mu1(ball) - (n-1)/LHS >= correction >= 0
-    sharper_gap = (ball_mode.mu - (n - 1) / report.lhs) - sharper_rhs
-    budget = report.tol_budget * max(ball_mode.mu, 1.0)
-    nonneg_ok = bool(sharper_rhs >= -budget)
-    gap_ok = bool(sharper_gap >= -budget)
-    report.sharper = {
-        "r1": r1,
-        "r2": r2,
-        "inner_volume": inner_vol,
-        "outer_volume": outer_vol,
-        "rhs": float(sharper_rhs),
-        "gap": float(sharper_gap),
-        "nonnegative_ok": nonneg_ok,
-        "passed": bool(nonneg_ok and gap_ok),
-    }
-    return report
+    return build_report(sol, sharper=True)
 
 
 # ---------------------------------------------------------------------------
 # open-question exploration
+
+
+def _conjecture_block(sol: CaseSolution) -> dict:
+    """The ``n``-term sum against ``n/mu_1(ball)``, escalated when negative.
+
+    A negative margin is re-examined once on a finer solution (two more
+    refinement levels, or shooting tolerances tightened tenfold for radial
+    domains); only a margin that stays negative is a counterexample
+    candidate.  The finer solution feeds this block alone.
+    """
+    n = sol.dimension
+    if len(sol.eigenvalues) < n:
+        raise ValueError("the open question needs a solution with conjecture=True")
+
+    def margin(s: CaseSolution):
+        lhs = float(np.sum(1.0 / s.eigenvalues[:n]))
+        rhs = n / s.ball_mode.mu
+        return lhs, rhs, lhs - rhs, 3.0 * s.est_rel_error * max(abs(lhs), abs(rhs))
+
+    lhs, rhs, gap, budget = margin(sol)
+    escalated = bool(gap < -budget)
+    if escalated:
+        if sol.shell is not None:
+            domain, refs, opts = sol.shell, sol.refinements, sol.options.tightened(10.0)
+        else:
+            domain, refs, opts = sol.base_mesh, sol.refinements + 2, sol.options
+        sol = solve_case(
+            domain, sol.space, sol.phi, n,
+            conjecture=True, refinements=refs, options=opts,
+        )
+        lhs, rhs, gap, budget = margin(sol)
+    return {
+        "eigenvalues": [float(v) for v in sol.eigenvalues],
+        "lhs": lhs,
+        "rhs": rhs,
+        "gap": gap,
+        "tol_budget": budget,
+        "verdict": (
+            "conjecture-consistent" if gap >= -budget else "counterexample-candidate"
+        ),
+        "escalated": escalated,
+    }
 
 
 def check_conjectures(
@@ -457,80 +524,11 @@ def check_conjectures(
     shooting tolerances tightened tenfold) and only a persistent negative
     margin is labelled a counterexample candidate.
     """
-    if isinstance(domain, ShellSpec) and dimension is None:
-        raise ValueError("radially symmetric domains need an explicit dimension")
-    n = 2 if not isinstance(domain, ShellSpec) else int(dimension)
-
-    def evaluate(refs: int, opts: ShootingOptions):
-        eigs, est, volume, describe, method, _ = _solve_domain(
-            domain, space, phi, dimension, n, refs, opts
-        )
-        radius, ball_mode, vol_rel = _matched_ball_mode(space, n, phi, volume, opts)
-        return eigs, est, volume, describe, method, radius, ball_mode, vol_rel
-
-    state = evaluate(refinements, options)
-    escalated = False
-
-    def conjecture_numbers(state):
-        eigs, est = state[0], state[1]
-        ball_mode = state[6]
-        lhs = float(np.sum(1.0 / eigs[:n]))
-        rhs = n / ball_mode.mu
-        budget = 3.0 * est * max(abs(lhs), abs(rhs))
-        return lhs, rhs, lhs - rhs, budget
-
-    c_lhs, c_rhs, c_gap, c_budget = conjecture_numbers(state)
-    if c_gap < -c_budget:
-        escalated = True
-        if isinstance(domain, ShellSpec):
-            state = evaluate(refinements, options.tightened(10.0))
-        else:
-            state = evaluate(refinements + 2, options)
-        c_lhs, c_rhs, c_gap, c_budget = conjecture_numbers(state)
-    verdict = (
-        "conjecture-consistent" if c_gap >= -c_budget else "counterexample-candidate"
+    sol = solve_case(
+        domain, space, phi, dimension,
+        conjecture=True, refinements=refinements, options=options,
     )
-
-    eigs, est, volume, describe, method, radius, ball_mode, vol_rel = state
-    lhs = float(np.sum(1.0 / eigs[: n - 1]))
-    rhs = (n - 1) / ball_mode.mu
-    gap = lhs - rhs
-    budget = 3.0 * est * max(abs(lhs), abs(rhs))
-    report = InequalityReport(
-        domain=describe,
-        dimension=n,
-        curvature=space.curvature,
-        weight=phi.describe(),
-        method=method,
-        volume=volume,
-        matched_radius=radius,
-        volume_match_rel_err=vol_rel,
-        eigenvalues=[float(v) for v in eigs],
-        mu1_ball=ball_mode.mu,
-        lhs=lhs,
-        rhs=rhs,
-        gap=gap,
-        est_rel_error=est,
-        tol_budget=budget,
-        passed=bool(gap >= -budget),
-        mu1_domain_below_ball=bool(eigs[0] <= ball_mode.mu * (1.0 + 3.0 * est)),
-        conjecture={
-            "eigenvalues": [float(v) for v in eigs],
-            "lhs": c_lhs,
-            "rhs": c_rhs,
-            "gap": c_gap,
-            "tol_budget": c_budget,
-            "verdict": verdict,
-            "escalated": escalated,
-        },
-        notes=[],
-    )
-    if escalated:
-        report.notes.append(
-            "negative open-question margin re-examined at higher resolution; "
-            f"final verdict {verdict}"
-        )
-    return report
+    return build_report(sol, conjecture=True)
 
 
 def check_pointwise_bound(mu, xi) -> tuple[bool, float]:

@@ -29,21 +29,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .checker import (
-    check_conjectures,
-    check_theorem_main,
-    check_theorem_sharper,
-    find_trial_center,
-)
+from .checker import build_report, find_trial_center, solve_case
 from .mesh import SUPPORTED_SHAPES, DomainSpec, load as load_mesh
-from .radial import (
-    DEFAULT_OPTIONS,
-    ShellSpec,
-    check_lemma_monotone,
-    extend_profile,
-    shoot_first_mode,
-)
-from .spaceform import BallSpec, SpaceForm
+from .radial import DEFAULT_OPTIONS, ShellSpec, check_lemma_monotone, extend_profile
+from .spaceform import SpaceForm
 from .weights import FAMILIES, make_weight, property_I_certify
 
 SCHEMA_VERSION = 1
@@ -351,30 +340,17 @@ def _run_case(case: dict) -> dict:
     space = _space_for(case["space"])
     phi = _build_weight(case["weight"], "weight")
     domain = _build_domain(case["domain"], case["mesh_size"], "domain")
-    options = _options_for(case["tolerances"])
     checks = case["checks"]
-    is_shell = isinstance(domain, ShellSpec)
-    dimension = case["dimension"] if is_shell else None
-    kwargs = {
-        "dimension": dimension,
-        "refinements": case["refinement_levels"],
-        "options": options,
-    }
-
-    if "sharper" in checks:
-        report = check_theorem_sharper(domain, space, phi, **kwargs)
-        if "conjecture" in checks:
-            report.conjecture = check_conjectures(
-                domain, space, phi, **kwargs
-            ).conjecture
-    elif "conjecture" in checks:
-        report = check_conjectures(domain, space, phi, **kwargs)
-    else:
-        report = check_theorem_main(domain, space, phi, **kwargs)
-
-    n = report.dimension
-    ball = BallSpec(report.matched_radius, n, space)
-    mode = shoot_first_mode(ball, phi, options)
+    conjecture = "conjecture" in checks
+    solution = solve_case(
+        domain, space, phi, case["dimension"],
+        conjecture=conjecture,
+        refinements=case["refinement_levels"],
+        options=_options_for(case["tolerances"]),
+    )
+    report = build_report(solution, sharper="sharper" in checks, conjecture=conjecture)
+    mode = solution.ball_mode
+    radius = solution.matched_radius
 
     record = {
         "id": case["id"],
@@ -394,7 +370,7 @@ def _run_case(case: dict) -> dict:
         failed.append("conjecture")
 
     if "lemma23" in checks:
-        ext = extend_profile(mode, domain_cap=report.matched_radius * (1 + 1e-12))
+        ext = extend_profile(mode, domain_cap=radius * (1 + 1e-12))
         monotone = check_lemma_monotone(ext)
         record["lemma23"] = {
             k: (list(v) if isinstance(v, tuple) else v)
@@ -404,9 +380,9 @@ def _run_case(case: dict) -> dict:
             failed.append("lemma23")
 
     if "center" in checks:
-        cap = 4.0 * (report.matched_radius + 1.0)
+        cap = 4.0 * (radius + 1.0)
         ext = extend_profile(mode, domain_cap=min(cap, phi.domain_cap))
-        result = find_trial_center(domain, phi, ext)
+        result = find_trial_center(solution.base_mesh, phi, ext)
         record["center"] = {
             "center": list(result.center),
             "residual": result.residual,
@@ -418,7 +394,7 @@ def _run_case(case: dict) -> dict:
         if not result.converged:
             failed.append("center")
 
-    ts = np.linspace(float(mode.ts[0]), report.matched_radius, PROFILE_SAMPLES)
+    ts = np.linspace(float(mode.ts[0]), radius, PROFILE_SAMPLES)
     values = np.asarray(mode.T(ts), dtype=float)
     derivs = np.asarray(mode.Tprime(ts), dtype=float)
     metric = ts if space.curvature == 0 else np.sinh(ts)

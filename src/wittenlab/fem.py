@@ -189,8 +189,11 @@ def solve_lowest(forms: AssembledForms, count: int = 1) -> SpectrumResult:
             f"requested {count} modes on a {dim}-node mesh; refine the mesh"
         )
     sigma = -1e-8 * K.diagonal().sum() / dim
+    # a fixed start vector makes reruns bit-identical; not the constant
+    # vector, which lies in the stiffness kernel
+    v0 = np.random.default_rng(0).standard_normal(dim)
     try:
-        vals, vecs = eigsh(K, k=count + 1, M=M, sigma=sigma, which="LM")
+        vals, vecs = eigsh(K, k=count + 1, M=M, sigma=sigma, which="LM", v0=v0)
     except Exception as exc:  # arpack failures come in several flavours
         raise EigsolveError(f"sparse eigensolve failed: {exc}") from exc
     order = np.argsort(vals)

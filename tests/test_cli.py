@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from wittenlab import cli
+from wittenlab import checker, cli
 from wittenlab.mesh import DomainSpec, generate, save
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -260,7 +260,10 @@ class TestRun:
         assert record["report"]["passed"]
 
     def test_reruns_are_byte_identical(self, tmp_path):
-        cfg = {"schema": 1, "cases": [shell_case(checks=["main", "conjecture"])]}
+        cfg = {
+            "schema": 1,
+            "cases": [shell_case(checks=["main", "conjecture"]), disk_case()],
+        }
         path = write_config(tmp_path, cfg)
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         assert cli.main(["run", path, "--out", str(out_a)]) == 0
@@ -274,6 +277,7 @@ class TestRun:
             "cases": [
                 shell_case(id="a"),
                 shell_case(id="b", weight={"family": "constant", "params": [0.0]}),
+                disk_case(id="c"),
             ],
         }
         path = write_config(tmp_path, cfg)
@@ -303,6 +307,55 @@ class TestRun:
         assert proc.returncode == 0, f"stdout:\n{proc.stdout}\nstderr:\n{proc.stderr}"
         assert "ball3: pass" in proc.stdout
         assert (out / "summary.csv").exists()
+
+
+def count_calls(monkeypatch, names):
+    """Count calls of ``names`` wherever the checker and the front end look
+    them up; the returned dict fills in as the calls happen."""
+    counts = dict.fromkeys(names, 0)
+    for module in (checker, cli):
+        for name in names:
+            if not hasattr(module, name):
+                continue
+
+            def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
+                counts[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+class TestOneSolvePerCase:
+    def test_shell_solves_domain_and_ball_once(self, monkeypatch):
+        counts = count_calls(monkeypatch, ("shoot_first_mode", "symmetric_spectrum"))
+        raw = shell_case(checks=["main", "sharper", "conjecture", "lemma23"])
+        record = cli._run_case(cli.validate_case(raw, "case", "x"))
+        assert record["status"] == "pass"
+        assert counts == {"shoot_first_mode": 1, "symmetric_spectrum": 1}
+
+    def test_disk_meshes_once_and_shoots_once(self, monkeypatch):
+        counts = count_calls(monkeypatch, ("shoot_first_mode", "generate", "refine"))
+        raw = disk_case(checks=["main", "sharper", "center"], refinement_levels=2)
+        record = cli._run_case(cli.validate_case(raw, "case", "x"))
+        assert record["status"] == "pass"
+        assert counts == {"shoot_first_mode": 1, "generate": 1, "refine": 2}
+
+    def test_escalation_note_survives_with_sharper(self):
+        # the translated exponential-weight disk of the checker's escalation
+        # test: the open-question margin stays negative after escalating
+        raw = {
+            "id": "offset",
+            "space": "euclidean",
+            "domain": {"shape": "translated-disk", "radius": 0.8, "center": [0.5, 0.0]},
+            "weight": {"family": "exponential-decay", "params": [0.0, 1.0, 0.5]},
+            "checks": ["main", "sharper", "conjecture"],
+            "mesh_size": 0.15,
+        }
+        report = cli._run_case(cli.validate_case(raw, "case", "x"))["report"]
+        assert report["conjecture"]["escalated"]
+        assert report["conjecture"]["verdict"] == "counterexample-candidate"
+        assert any("re-examined at higher resolution" in note for note in report["notes"])
 
 
 class TestSweep:
