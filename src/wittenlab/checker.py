@@ -11,11 +11,12 @@ ball, the verified statement is
 
 with equality exactly at the ball.  Two discretisation paths feed this:
 plane domains go through the mesh/FEM pipeline (either curvature), and
-radially symmetric domains in any dimension go through the shooting solver
-with the mode-degree decomposition.  On the FEM path the triangulated
-polygon is taken to *be* the domain, so its weighted volume is the exact
-mass-matrix total and the only error source is the eigenvalue itself,
-estimated by two-level Richardson comparison.
+radially symmetric domains in any dimension go through the Chebyshev
+collocation solver with the mode-degree decomposition, which also solves
+every matched ball.  On the FEM path the triangulated polygon is taken to
+*be* the domain, so its weighted volume is the exact mass-matrix total and
+the only error source is the eigenvalue itself, estimated by two-level
+Richardson comparison.
 
 Numerical pass/fail needs a convention.  Ours: a report passes when
 
@@ -50,6 +51,10 @@ from .radial import (
 from .spaceform import BallSpec, SpaceForm, weighted_annulus_volume
 from .weights import WeightFunction
 
+# Budget of radial eigenvalues.  The collocation solver resolves them to
+# ~1e-11 (its tail and Neumann residual are reported per record), but the
+# floor stays well above that so that a budget never rests on the solver's
+# own accuracy claim.
 RADIAL_ERROR_FLOOR = 1e-8
 VOLUME_MATCH_TOL = 1e-8
 CENTER_RESIDUAL_TOL = 1e-8
@@ -73,6 +78,11 @@ class InequalityReport:
     volume_match_rel_err: float
     eigenvalues: list[float]
     mu1_ball: float
+    # the matched-ball solve: Chebyshev degree per piece, trailing
+    # coefficient ratio and Neumann endpoint residual
+    mu1_ball_degree: int
+    mu1_ball_tail: float
+    mu1_ball_residual: float
     lhs: float
     rhs: float
     gap: float
@@ -135,7 +145,7 @@ class CaseSolution:
     """One case solved once: the domain's low spectrum and the matched ball.
 
     Every check of a case reads this object, so the domain is meshed once,
-    its spectrum is solved once, and the matched ball is shot once.  On the
+    its spectrum is solved once, and the matched ball is solved once.  On the
     FEM path ``eigenvalues`` come from the finest mesh and ``est_rel_error``
     is the two-level Richardson estimate over all of them; on the radial
     path the meshes are ``None`` and the estimate is a fixed floor.
@@ -186,7 +196,6 @@ def solve_case(
         shell = domain
         modes = symmetric_spectrum(shell, n, space, phi, count, options=options)
         eigs = expand_spectrum(modes, count)
-        # shooting residuals understate the eigenvalue error; keep a floor
         est = RADIAL_ERROR_FLOOR
         volume = weighted_annulus_volume(
             space, n, phi, shell.inner_radius, shell.outer_radius
@@ -260,6 +269,9 @@ def build_report(
         volume_match_rel_err=sol.volume_match_rel_err,
         eigenvalues=[float(v) for v in eigs],
         mu1_ball=mu_ball,
+        mu1_ball_degree=sol.ball_mode.degree,
+        mu1_ball_tail=sol.ball_mode.tail,
+        mu1_ball_residual=sol.ball_mode.residual,
         lhs=lhs,
         rhs=rhs,
         gap=gap,
@@ -470,8 +482,8 @@ def _conjecture_block(sol: CaseSolution) -> dict:
     """The ``n``-term sum against ``n/mu_1(ball)``, escalated when negative.
 
     A negative margin is re-examined once on a finer solution (two more
-    refinement levels, or shooting tolerances tightened tenfold for radial
-    domains); only a margin that stays negative is a counterexample
+    refinement levels, or radial solver tolerances tightened tenfold for
+    radial domains); only a margin that stays negative is a counterexample
     candidate.  The finer solution feeds this block alone.
     """
     n = sol.dimension
@@ -489,7 +501,10 @@ def _conjecture_block(sol: CaseSolution) -> dict:
         if sol.shell is not None:
             domain, refs, opts = sol.shell, sol.refinements, sol.options.tightened(10.0)
         else:
-            domain, refs, opts = sol.base_mesh, sol.refinements + 2, sol.options
+            # continue from the finest mesh, level max(r, 1), to the levels
+            # r + 1 and r + 2 that refinements + 2 would solve on
+            domain, opts = sol.mesh, sol.options
+            refs = sol.refinements + 2 - max(sol.refinements, 1)
         sol = solve_case(
             domain, sol.space, sol.phi, n,
             conjecture=True, refinements=refs, options=opts,
@@ -521,7 +536,7 @@ def check_conjectures(
 
     This inequality is open, so a negative margin is never called a
     refutation: the case is re-run on a twice-refined mesh (or with the
-    shooting tolerances tightened tenfold) and only a persistent negative
+    radial solver tolerances tightened tenfold) and only a persistent negative
     margin is labelled a counterexample candidate.
     """
     sol = solve_case(

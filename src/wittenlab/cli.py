@@ -324,6 +324,10 @@ def _space_for(name: str) -> SpaceForm:
 
 
 def _options_for(tolerances: dict):
+    """Schema-1 tolerance keys on the radial solver's contract:
+    ``shooting_rtol`` and ``shooting_atol`` bound the trailing Chebyshev
+    coefficients relative and absolute, ``residual_tol`` the Neumann
+    endpoint residual."""
     opts = DEFAULT_OPTIONS
     mapping = {
         "shooting_rtol": "rtol",
@@ -394,13 +398,15 @@ def _run_case(case: dict) -> dict:
         if not result.converged:
             failed.append("center")
 
-    ts = np.linspace(float(mode.ts[0]), radius, PROFILE_SAMPLES)
+    ts = np.linspace(0.0, radius, PROFILE_SAMPLES)
     values = np.asarray(mode.T(ts), dtype=float)
     derivs = np.asarray(mode.Tprime(ts), dtype=float)
     metric = ts if space.curvature == 0 else np.sinh(ts)
+    # at the centre f/S takes its limit T'(0)/C(0) = T'(0)
+    ratio = np.divide(values, metric, out=derivs.copy(), where=metric > 0.0)
     record["profile_data"] = [
-        (float(t), float(v), float(d), float(v / s))
-        for t, v, d, s in zip(ts, values, derivs, metric)
+        (float(t), float(v), float(d), float(r))
+        for t, v, d, r in zip(ts, values, derivs, ratio)
     ]
 
     if failed:

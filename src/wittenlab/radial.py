@@ -1,4 +1,5 @@
-"""Shooting solver for the radial Neumann modes of the weighted Laplacian.
+"""Chebyshev collocation solver for the radial Neumann modes of the weighted
+Laplacian.
 
 Separation of variables on a centred ball or shell reduces the eigenproblem
 to a one-dimensional equation per spherical-harmonic degree ``l``:
@@ -7,52 +8,66 @@ to a one-dimensional equation per spherical-harmonic degree ``l``:
 
 with a regular singular point at ``t = 0`` (indicial roots ``l`` and
 ``-(l+n-2)``) and Neumann data ``T'=0`` at the outer radius, plus ``T'=0`` at
-the inner radius for shells.  The solver starts on the regular branch with a
-three-term series, integrates outward with a high-order adaptive
-Runge-Kutta scheme, brackets eigenvalues by sign changes of ``T'(R)`` in
-``mu``, and polishes each root with Brent's method.  The wiggle count of the
-converged profile is cross-checked against oscillation theory so a missed
-bracket cannot silently shift ``which``.
+the inner radius for shells.  With ``T = t^s u`` and a factor ``t`` it reads
+
+    t u'' + p u' + q u + mu t u = 0,      p = 2s + (n-1) t C/S - phi' t,
+    q = s((n-1)(C/S - 1/t) - phi') - l(l+n-2)(t/S^2 - 1/t) + (s(s+n-2) - l(l+n-2))/t.
+
+A ball takes ``s = l``, which cancels the ``1/t`` terms: the coefficients are
+smooth, and collocation on Chebyshev points of ``[0, R]`` picks the regular
+branch by itself (Trefethen, *Spectral Methods in MATLAB*, chapters 6-7 and
+11).  A shell takes ``s = 0`` on ``[r_in, r_out]``.  The Neumann rows are
+``s u + t u' = 0``; eliminating the values they fix leaves one small dense
+eigenproblem per degree, which yields every eigenvalue of that degree.  A
+tabulated-spline weight is only C^2, so the interval is split at its knots,
+with rows for continuity of ``u`` and ``u'``.  The polynomial degree grows
+until the trailing Chebyshev coefficients of the wanted eigenvectors are
+negligible, and the zero count of each profile is checked against
+oscillation theory, so a spurious eigenvalue cannot silently shift ``which``.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 import warnings
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
-from scipy.interpolate import CubicHermiteSpline
-from scipy.optimize import brentq
+import scipy.fft
+import scipy.linalg
+from scipy.integrate import quad
 
 from .spaceform import BallSpec, SpaceForm, s_kappa, unit_sphere_area
 from .weights import UncertifiedWeightError, WeightFunction
 
-
-class BracketError(RuntimeError):
-    """The eigenvalue scan window contained too few sign changes."""
+# Chebyshev degrees per piece, tried in turn; round-off grows with the
+# degree, so the schedule starts small and stops at a cap.
+CHEBYSHEV_DEGREES = (24, 32, 48, 64, 96, 128)
+TAIL_TERMS = 3  # trailing Chebyshev coefficients that must be negligible
+_SERIES_BELOW = 0.1  # hyperbolic corrections switch to their series below
 
 
 class ShootingError(RuntimeError):
-    """The shooting iteration failed to meet its residual contract."""
+    """The radial solver failed to meet its accuracy contract."""
 
 
 @dataclass(frozen=True)
 class ShootingOptions:
-    """Integrator and root-finder knobs; the defaults meet the stated contracts."""
+    """Accuracy contract of the radial solver; the defaults meet it.
+
+    A collocation degree is accepted once, for every wanted eigenvector
+    scaled to ``max |u| = 1`` on the nodes, the last three Chebyshev
+    coefficients on every piece are at most ``rtol * max |c| + atol``.
+    The accepted profile must then satisfy its Neumann condition to
+    ``residual_tol`` relative to ``max |T'|``.  ``profile_samples`` is the
+    size of the grid on which zeros and monotonicity are checked.
+    """
 
     rtol: float = 1e-10
     atol: float = 1e-12
-    origin_fraction: float = 1e-6  # series handoff point, as a fraction of R
-    method: str = "DOP853"
     profile_samples: int = 2048
     residual_tol: float = 1e-10
-    mu_cap: float | None = None
-    scan_rtol: float = 1e-6  # loose tolerance for the bracketing sweep
-    scan_atol: float = 1e-9
 
     def tightened(self, factor: float = 10.0) -> "ShootingOptions":
         """Stricter copy used by the counterexample protocol."""
@@ -61,7 +76,6 @@ class ShootingOptions:
             rtol=self.rtol / factor,
             atol=self.atol / factor,
             residual_tol=self.residual_tol / factor,
-            origin_fraction=self.origin_fraction / 2.0,
         )
 
 
@@ -84,11 +98,16 @@ class ShellSpec:
 
 @dataclass
 class RadialSolution:
-    """Converged radial eigenfunction sample with C1 interpolants.
+    """Converged radial eigenfunction, normalized to ``max |T| = 1``.
 
-    ``ts`` holds Chebyshev-Lobatto abscissae from the series handoff point to
-    the outer radius; ``values`` and ``derivs`` are the profile and its
-    derivative there, normalized to ``max |T| = 1``.
+    ``samples`` holds ``u = T / t^s`` and ``u'`` (last axis) on the
+    Chebyshev-Lobatto ``nodes`` of each piece; :meth:`T` and :meth:`Tprime`
+    interpolate them barycentrically.
+    ``ts`` is the check grid of ``profile_samples`` Chebyshev-Lobatto points
+    with the profile ``values`` and ``derivs`` there.  ``degree`` is the
+    polynomial degree per piece, ``tail`` the trailing Chebyshev coefficients
+    against the largest, ``residual`` the Neumann residual against
+    ``max |T'|``.
     """
 
     mu: float
@@ -103,24 +122,32 @@ class RadialSolution:
     residual: float
     interior_zeros: int
     first_mode_monotone: bool
+    degree: int
+    tail: float
+    nodes: np.ndarray = field(repr=False)
+    samples: np.ndarray = field(repr=False)
     notes: list[str] = field(default_factory=list)
-    _spline: CubicHermiteSpline | None = field(default=None, repr=False)
-    _spline_d: CubicHermiteSpline | None = field(default=None, repr=False)
-
-    def __post_init__(self):
-        self._spline = CubicHermiteSpline(self.ts, self.values, self.derivs)
-        # second derivatives from the ODE give a C1 interpolant for T' too
-        second = _ode_second_derivative(
-            self.ts, self.values, self.derivs, self.mu, self.mode_degree,
-            self.ball.dimension, self.ball.space, self.phi,
-        )
-        self._spline_d = CubicHermiteSpline(self.ts, self.derivs, second)
 
     def T(self, t):
-        return self._spline(t)
+        return _profile(self.nodes, self.samples, self._power, t)[0]
 
     def Tprime(self, t):
-        return self._spline_d(t)
+        return _profile(self.nodes, self.samples, self._power, t)[1]
+
+    @property
+    def _power(self) -> int:
+        return self.mode_degree if self.inner_radius == 0.0 else 0
+
+
+def _profile(nodes, samples, s: int, t):
+    """``T = t^s u`` and ``T'`` at ``t`` from the piecewise interpolants of
+    ``samples = (u, u')`` on the last axis; other trailing axes are carried
+    along."""
+    t = np.asarray(t, dtype=float)
+    both = _piecewise(nodes, samples, t)
+    t = t.reshape(t.shape + (1,) * (samples.ndim - 3))
+    dT = t ** s * both[..., 1]
+    return t ** s * both[..., 0], dT if s == 0 else dT + s * t ** (s - 1) * both[..., 0]
 
 
 @dataclass
@@ -164,112 +191,228 @@ class MonotonicityReport:
     min_fprime_t: float
 
 
-def _curvature_series_constants(space: SpaceForm) -> tuple[float, float]:
-    # C/S = 1/t + e2*t + O(t^3); 1/S^2 = 1/t^2 + s0 + O(t^2)
-    if space.is_hyperbolic:
-        return 1.0 / 3.0, -1.0 / 3.0
-    return 0.0, 0.0
+# ---------------------------------------------------------------------------
+# Chebyshev machinery
 
 
-def _series_coefficients(
-    l: int, n: int, space: SpaceForm, phi: WeightFunction, mu: float
-) -> tuple[float, float]:
-    """Coefficients of T(t) = t^l (1 + b1 t + b2 t^2 + ...) near the origin."""
-    e2, s0 = _curvature_series_constants(space)
-    p0 = float(phi.slope(0.0))
-    p1 = float(phi.convexity(0.0))
-    nu = l * (l + n - 2)
-    b1 = p0 * l / (n - 1 + 2 * l)
-    b2 = (
-        p0 * p0 * l * (l + 1) / (n - 1 + 2 * l)
-        + l * (p1 - (n - 1) * e2)
-        - mu
-        + nu * s0
-    ) / (4 * l + 2 * n)
-    return b1, b2
+def _chebyshev(a: float, b: float, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """Chebyshev-Lobatto nodes of ``[a, b]``, ascending, and the
+    differentiation matrix on them."""
+    j = np.arange(N + 1)
+    x = np.sin(math.pi * (2 * j - N) / (2 * N))  # cos(pi (N - j) / N), ascending
+    c = np.where((j == 0) | (j == N), 2.0, 1.0) * (-1.0) ** j
+    D = np.outer(c, 1.0 / c) / (x[:, None] - x[None, :] + np.eye(N + 1))
+    D -= np.diag(D.sum(axis=1))
+    return a + 0.5 * (b - a) * (x + 1.0), D * (2.0 / (b - a))
 
 
-def _ode_second_derivative(t, T, Tp, mu, l, n, space, phi):
+def _barycentric(x: np.ndarray, values: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Interpolate samples on Chebyshev-Lobatto nodes ``x`` at points ``t``;
+    ``values`` runs along ``x`` in its first axis."""
+    w = np.ones(len(x))
+    w[1::2] = -1.0
+    w[0], w[-1] = 0.5, 0.5 * w[-1]
+    diff = t[:, None] - x
+    hit = np.flatnonzero(diff == 0.0)
+    diff.flat[hit] = 1.0
+    c = w / diff
+    flat = values.reshape(len(x), -1)
+    out = (c @ flat) / c.sum(axis=1)[:, None]
+    out[hit // len(x)] = flat[hit % len(x)]
+    return out.reshape(t.shape + values.shape[1:])
+
+
+def _piecewise(nodes: np.ndarray, values: np.ndarray, t) -> np.ndarray:
+    """Barycentric interpolant of per-piece samples ``values[piece, node, ...]``."""
     t = np.asarray(t, dtype=float)
-    s = np.asarray(s_kappa(t, space), dtype=float)
-    c = np.cosh(t) if space.is_hyperbolic else np.ones_like(t)
+    flat = t.reshape(-1)
+    if len(nodes) == 1:
+        return _barycentric(nodes[0], values[0], flat).reshape(t.shape + values.shape[2:])
+    piece = np.searchsorted(nodes[1:, 0], flat, side="right")
+    out = np.empty(flat.shape + values.shape[2:])
+    for k in range(len(nodes)):
+        mask = piece == k
+        if mask.any():
+            out[mask] = _barycentric(nodes[k], values[k], flat[mask])
+    return out.reshape(t.shape + values.shape[2:])
+
+
+def _curvature_corrections(t: np.ndarray, space: SpaceForm):
+    """``C/S - 1/t`` and ``t/S^2 - 1/t``: zero in flat space, smooth odd
+    functions in hyperbolic space, summed as series near the origin."""
+    if not space.is_hyperbolic:
+        return np.zeros_like(t), np.zeros_like(t)
+    small = t < _SERIES_BELOW
+    safe = np.where(small, 1.0, t)
+    g1 = 1.0 / np.tanh(safe) - 1.0 / safe
+    g2 = safe / np.sinh(safe) ** 2 - 1.0 / safe
+    t2 = t * t
+    g1s = t * (1 / 3 + t2 * (-1 / 45 + t2 * (2 / 945 + t2 * (-1 / 4725 + t2 * 2 / 93555))))
+    g2s = t * (-1 / 3 + t2 * (1 / 15 + t2 * (-2 / 189 + t2 * (1 / 675 - t2 * 2 / 10395))))
+    return np.where(small, g1s, g1), np.where(small, g2s, g2)
+
+
+def _collocation_system(nodes, diffs, s, l, n, space, phi):
+    """Operator rows of ``A u = mu t u`` over all pieces, and the mask of
+    the rows that are conditions (free of ``mu``) instead of equations."""
+    pieces, m = nodes.shape
+    size = pieces * m
+    t = nodes.reshape(-1)
     nu = l * (l + n - 2)
-    drift = (n - 1) * c / s - np.asarray(phi.slope(t), dtype=float)
-    return -(drift * Tp + (mu - nu / s ** 2) * T)
+    slope = np.asarray(phi.slope(t), dtype=float)
+    g1, g2 = _curvature_corrections(t, space)
+    p = 2 * s + (n - 1) * (1.0 + t * g1) - slope * t
+    q = s * ((n - 1) * g1 - slope) - nu * g2
+    singular = s * (s + n - 2) - nu  # zero on a ball, where s = l
+    if singular:
+        q = q + singular / t
+
+    A = np.zeros((size, size))
+    for k, D in enumerate(diffs):
+        block = slice(k * m, (k + 1) * m)
+        A[block, block] = -(t[block, None] * (D @ D) + p[block, None] * D + np.diag(q[block]))
+
+    def neumann(k: int, i: int) -> np.ndarray:
+        row = np.zeros(size)
+        row[k * m:(k + 1) * m] = nodes[k, i] * diffs[k][i]
+        row[k * m + i] += s
+        return row
+
+    # The origin row of a ball keeps the equation itself: at t = 0 it is free
+    # of mu and reads p(0) u'(0) + q(0) u(0) = 0.
+    condition = np.zeros(size, dtype=bool)
+    condition[[0, -1]] = True
+    if t[0] > 0.0:
+        A[0] = neumann(0, 0)
+    A[-1] = neumann(pieces - 1, m - 1)
+    for k in range(pieces - 1):
+        left, right = (k + 1) * m - 1, (k + 1) * m  # the same knot, twice
+        condition[[left, right]] = True
+        A[left] = 0.0
+        A[left, left], A[left, right] = 1.0, -1.0
+        A[right] = 0.0
+        A[right, k * m:(k + 1) * m] = diffs[k][-1]
+        A[right, (k + 1) * m:(k + 2) * m] -= diffs[k + 1][0]
+    return A, t, condition
 
 
-def _integrate_mode(
-    mu: float,
-    l: int,
-    n: int,
-    space: SpaceForm,
-    phi: WeightFunction,
-    start: float,
-    stop: float,
-    y0: tuple[float, float],
-    rtol: float,
-    atol: float,
-    method: str,
-    t_eval=None,
-):
-    nu = l * (l + n - 2)
-    hyper = space.is_hyperbolic
-    slope = phi._slope  # range-checked once by the caller, hot path skips it
-
-    def rhs(t, y):
-        if hyper:
-            s = math.sinh(t)
-            c = math.cosh(t)
-        else:
-            s = t
-            c = 1.0
-        drift = (n - 1) * c / s - float(slope(np.float64(t)))
-        return (y[1], -(drift * y[1] + (mu - nu / (s * s)) * y[0]))
-
-    sol = solve_ivp(
-        rhs,
-        (start, stop),
-        y0,
-        method=method,
-        rtol=rtol,
-        atol=atol,
-        t_eval=t_eval,
-        dense_output=False,
-    )
-    if not sol.success:
-        raise ShootingError(f"radial integration failed at mu={mu:.6g}: {sol.message}")
-    return sol
+def _eigenpairs(A, t, condition):
+    """Eigenpairs of ``A u = mu t u`` on the rows that are equations, with
+    the values at the condition nodes eliminated, so that every condition
+    holds to round-off whatever the scale of its row."""
+    free = ~condition
+    elim = -np.linalg.solve(A[np.ix_(condition, condition)], A[np.ix_(condition, free)])
+    M = (A[np.ix_(free, free)] + A[np.ix_(free, condition)] @ elim) / t[free, None]
+    w, Vf = scipy.linalg.eig(M, check_finite=False)
+    V = np.empty((len(t), len(w)), dtype=complex)
+    V[free], V[condition] = Vf, elim @ Vf
+    return w, V
 
 
-def _start_state(
-    l: int, n: int, space: SpaceForm, phi: WeightFunction,
-    mu: float, inner_radius: float, outer_radius: float, origin_fraction: float,
-) -> tuple[float, tuple[float, float]]:
-    """Initial abscissa and state; series-based at the origin, Neumann at a shell."""
-    if inner_radius > 0.0:
-        return inner_radius, (1.0, 0.0)
-    a = origin_fraction * outer_radius
-    b1, b2 = _series_coefficients(l, n, space, phi, mu)
-    u = 1.0 + b1 * a + b2 * a * a
-    du = b1 + 2.0 * b2 * a
-    # profile scaled by a^{-l}: value u(a), derivative l*u/a + u'
-    return a, (u, l * u / a + du)
+def _solve_degree(
+    l: int, inner: float, outer: float, n: int, space: SpaceForm,
+    phi: WeightFunction, count: int, options: ShootingOptions,
+) -> list[RadialSolution]:
+    """The lowest ``count`` positive eigenpairs of the degree-``l`` problem,
+    resolved to the options' tail tolerance and checked."""
+    s = l if inner == 0.0 else 0
+    length = outer - inner
+    margin = 1e-9 * length
+    cuts = [k for k in phi.knots() if inner + margin < k < outer - margin]
+    breaks = [inner, *cuts, outer]
+    zero_tol = 1e-6 / length ** 2  # the constant mode sits at round-off level
 
+    tail = size = np.ones(1)
+    for N in CHEBYSHEV_DEGREES:
+        grids = [_chebyshev(a, b, N) for a, b in zip(breaks[:-1], breaks[1:])]
+        nodes = np.stack([x for x, _ in grids])
+        diffs = np.stack([D for _, D in grids])
+        w, V = _eigenpairs(*_collocation_system(nodes, diffs, s, l, n, space, phi))
+        real = (
+            np.isfinite(w)
+            & (np.abs(w.imag) <= 1e-8 * np.maximum(np.abs(w.real), 1.0 / length ** 2))
+            & (w.real > -zero_tol)
+        )
+        order = np.flatnonzero(real)[np.argsort(w.real[real], kind="stable")]
+        if l == 0:
+            if order.size == 0 or abs(w.real[order[0]]) > zero_tol:
+                raise ShootingError("the constant mode is missing from the degree-0 spectrum")
+            order = order[1:]
+        if order.size < count:
+            continue
+        order = order[:count]
+        vecs = V[:, order].T.reshape(count, len(nodes), N + 1)
+        biggest = np.abs(vecs).reshape(count, -1).argmax(axis=1)
+        vecs = (vecs / vecs.reshape(count, -1)[np.arange(count), biggest][:, None, None]).real
+        coeffs = np.abs(scipy.fft.dct(vecs, type=1, axis=-1)) / N  # Chebyshev coefficients,
+        coeffs[..., [0, -1]] *= 0.5  # from the values on Lobatto nodes
+        size = coeffs.reshape(count, -1).max(axis=1)
+        tail = coeffs[..., -TAIL_TERMS:].reshape(count, -1).max(axis=1)
+        if np.all(tail <= options.rtol * size + options.atol):
+            break
+    else:
+        raise ShootingError(
+            f"Chebyshev tail {np.max(tail / size):.3g} of the degree-{l} modes is "
+            f"above tolerance at the degree cap {CHEBYSHEV_DEGREES[-1]}"
+        )
 
-def _default_mu_cap(
-    l: int, which: int, n: int, space: SpaceForm, phi: WeightFunction,
-    inner_radius: float, outer_radius: float,
-) -> float:
-    """Safe scan ceiling: 4x a first-eigenvalue estimate, drift-corrected."""
-    length = outer_radius - inner_radius
-    v = n / 2.0 - 1.0 + l
-    root_est = v + 2.0 * (1.0 + v) ** (1.0 / 3.0) + which * math.pi
-    est = (root_est / length) ** 2
-    if inner_radius > 0.0:
-        nu = l * (l + n - 2)
-        est += nu / float(s_kappa(inner_radius, space)) ** 2
-    drift = phi.max_abs_slope(upto=outer_radius)
-    return 4.0 * est * (1.0 + drift * outer_radius)
+    m = options.profile_samples
+    grid = inner + 0.5 * length * (1.0 - np.cos(math.pi * np.arange(m) / (m - 1)))
+    grid[0], grid[-1] = inner, outer
+    # every mode at once on the check grid; sign: positive next to the inner
+    # end; scale: max |T| = 1
+    samples = np.stack([vecs, np.einsum("pij,cpj->cpi", diffs, vecs)], axis=-1)
+    values, derivs = _profile(nodes, np.moveaxis(samples, 0, 2), s, grid)
+    factor = np.sign(vecs[:, 0, 0]) / np.max(np.abs(values), axis=0)
+    samples = samples * factor[:, None, None, None]
+    values, derivs = (values * factor).T, (derivs * factor).T
+    solutions = []
+    for k in range(count):
+        zeros = _count_interior_zeros(values[k, :-1])
+        expected = k + (1 if l == 0 else 0)
+        if zeros != expected:
+            raise ShootingError(
+                f"profile has {zeros} interior zeros, oscillation theory demands "
+                f"{expected} (l={l}, which={k + 1})"
+            )
+        ends = derivs[k, [0, -1]] if inner > 0.0 else derivs[k, -1:]
+        residual = float(np.max(np.abs(ends)) / max(float(np.max(np.abs(derivs[k]))), 1e-300))
+        if residual > options.residual_tol:
+            raise ShootingError(
+                f"Neumann residual {residual:.3g} above {options.residual_tol:.3g} "
+                f"(l={l}, which={k + 1})"
+            )
+        monotone, notes = True, []
+        if l == 1 and k == 0 and inner == 0.0:
+            monotone = bool(np.all(derivs[k, :-1] > 0.0))
+            if not monotone:
+                warnings.warn(
+                    "first-mode radial derivative changes sign inside the ball; "
+                    "result downgraded, treat downstream comparisons with care",
+                    RuntimeWarning,
+                    stacklevel=3,
+                )
+                notes.append("first-mode derivative not strictly positive")
+        solutions.append(RadialSolution(
+            mu=float(w.real[order[k]]),
+            mode_degree=l,
+            mode_index=k + 1,
+            inner_radius=inner,
+            ball=BallSpec(outer, n, space),
+            phi=phi,
+            ts=grid,
+            values=values[k],
+            derivs=derivs[k],
+            residual=residual,
+            interior_zeros=zeros,
+            first_mode_monotone=monotone,
+            degree=N,
+            tail=float(tail[k] / size[k]),
+            nodes=nodes,
+            samples=samples[k],
+            notes=notes,
+        ))
+    return solutions
 
 
 def _count_interior_zeros(values: np.ndarray) -> int:
@@ -278,6 +421,22 @@ def _count_interior_zeros(values: np.ndarray) -> int:
     if live.size < 2:
         return 0
     return int(np.sum(np.signbit(live[:-1]) != np.signbit(live[1:])))
+
+
+def _check_problem(l, which, inner_radius, outer_radius, dimension, phi):
+    if l < 0 or which < 1:
+        raise ValueError("need mode degree l >= 0 and which >= 1")
+    if dimension < 2:
+        raise ValueError("dimension must be >= 2")
+    if not (0.0 <= inner_radius < outer_radius):
+        raise ValueError("need 0 <= inner_radius < outer_radius")
+    if not phi.certified:
+        raise UncertifiedWeightError("the radial solver requires a certified weight")
+    if outer_radius > phi.domain_cap * (1.0 + 1e-12):
+        raise ValueError(
+            f"outer radius {outer_radius:.6g} exceeds the weight cap "
+            f"{phi.domain_cap:.6g}"
+        )
 
 
 def shoot_general_mode(
@@ -292,183 +451,16 @@ def shoot_general_mode(
 ) -> RadialSolution:
     """Solve for the ``which``-th positive eigenvalue of the degree-``l`` mode.
 
-    ``which`` counts sign changes of the endpoint derivative in ``mu``; for
-    ``l = 0`` the constant zero mode is excluded by construction.  Raises
-    :class:`BracketError` when the scan window (``options.mu_cap`` or its
-    default) holds fewer than ``which`` eigenvalues, and
-    :class:`ShootingError` when the endpoint residual cannot be met.
+    For ``l = 0`` the constant zero mode is excluded.  Raises
+    :class:`ShootingError` when the Chebyshev tail cannot be brought below
+    tolerance within the degree cap, when a profile's zero count disagrees
+    with oscillation theory, or when the Neumann residual exceeds
+    ``options.residual_tol``.
     """
-    if l < 0 or which < 1:
-        raise ValueError("need mode degree l >= 0 and which >= 1")
-    if dimension < 2:
-        raise ValueError("dimension must be >= 2")
-    if not (0.0 <= inner_radius < outer_radius):
-        raise ValueError("need 0 <= inner_radius < outer_radius")
-    if not phi.certified:
-        raise UncertifiedWeightError("shooting requires a certified weight")
-    if outer_radius > phi.domain_cap * (1.0 + 1e-12):
-        raise ValueError(
-            f"outer radius {outer_radius:.6g} exceeds the weight cap "
-            f"{phi.domain_cap:.6g}"
-        )
-
-    n = dimension
-    cap = options.mu_cap
-    if cap is None:
-        cap = _default_mu_cap(l, which, n, space, phi, inner_radius, outer_radius)
-    length = outer_radius - inner_radius
-    step = min(0.45 * (math.pi / length) ** 2, cap / 64.0)
-
-    def endpoint_slope(mu: float, rtol: float, atol: float) -> float:
-        start, y0 = _start_state(
-            l, n, space, phi, mu, inner_radius, outer_radius, options.origin_fraction
-        )
-        sol = _integrate_mode(
-            mu, l, n, space, phi, start, outer_radius, y0,
-            rtol, atol, options.method,
-        )
-        return float(sol.y[1, -1])
-
-    def g_loose(mu: float) -> float:
-        return endpoint_slope(mu, options.scan_rtol, options.scan_atol)
-
-    def g_tight(mu: float) -> float:
-        return endpoint_slope(mu, options.rtol, options.atol)
-
-    def scan_for_bracket(scan_step: float) -> tuple[float, float]:
-        mu_lo = scan_step * 1e-6
-        seen = 0
-        prev_mu, prev_g = mu_lo, g_loose(mu_lo)
-        mu = mu_lo
-        while mu < cap:
-            mu = min(mu + scan_step, cap)
-            g = g_loose(mu)
-            if prev_g == 0.0 or prev_g * g < 0.0:
-                seen += 1
-                if seen == which:
-                    return prev_mu, mu
-            prev_mu, prev_g = mu, g
-        raise BracketError(
-            f"found {seen} sign changes below mu_cap={cap:.6g} for mode l={l}, "
-            f"needed {which}; widen mu_cap explicitly if the window is mis-set"
-        )
-
-    def converge(scan_step: float) -> tuple[float, float]:
-        lo, hi = scan_for_bracket(scan_step)
-        glo, ghi = g_tight(lo), g_tight(hi)
-        # the loose sweep may misplace a bracket end by a hair; nudge locally
-        tries = 0
-        while glo * ghi > 0.0 and tries < 3:
-            lo = max(lo - 0.25 * scan_step, scan_step * 1e-7)
-            hi = hi + 0.25 * scan_step
-            glo, ghi = g_tight(lo), g_tight(hi)
-            tries += 1
-        if glo * ghi > 0.0:
-            raise BracketError(
-                f"bracket [{lo:.6g}, {hi:.6g}] lost its sign change at tight "
-                f"tolerance for mode l={l}, which={which}"
-            )
-        mu_hat = brentq(g_tight, lo, hi, xtol=1e-14, rtol=8.9e-16, maxiter=200)
-        return float(mu_hat), scan_step
-
-    mu_hat, used_step = converge(step)
-
-    # final profile on Chebyshev-Lobatto nodes, tight tolerances
-    def final_profile(mu: float, rtol: float, atol: float):
-        start, y0 = _start_state(
-            l, n, space, phi, mu, inner_radius, outer_radius, options.origin_fraction
-        )
-        m = options.profile_samples
-        j = np.arange(m)
-        nodes = 0.5 * (start + outer_radius) - 0.5 * (outer_radius - start) * np.cos(
-            math.pi * j / (m - 1)
-        )[::-1]
-        nodes = np.sort(nodes)
-        nodes[0], nodes[-1] = start, outer_radius
-        sol = _integrate_mode(
-            mu, l, n, space, phi, start, outer_radius, y0,
-            rtol, atol, options.method, t_eval=nodes,
-        )
-        return nodes, sol.y[0], sol.y[1]
-
-    rtol, atol = options.rtol, options.atol
-    notes: list[str] = []
-    for attempt in range(3):
-        ts, vals, ders = final_profile(mu_hat, rtol, atol)
-        scale = float(np.max(np.abs(vals)))
-        residual = abs(ders[-1]) / max(float(np.max(np.abs(ders))), 1e-300)
-        if residual <= options.residual_tol:
-            break
-        # residual dominated by integration noise: tighten and re-polish
-        rtol, atol = rtol / 100.0, atol / 100.0
-        lo = mu_hat - 1e3 * max(abs(mu_hat), 1.0) * 1e-14
-        hi = mu_hat + 1e3 * max(abs(mu_hat), 1.0) * 1e-14
-        ga = endpoint_slope(lo, rtol, atol)
-        gb = endpoint_slope(hi, rtol, atol)
-        if ga * gb < 0.0:
-            mu_hat = float(
-                brentq(
-                    lambda m_: endpoint_slope(m_, rtol, atol),
-                    lo, hi, xtol=1e-15, rtol=8.9e-16,
-                )
-            )
-        notes.append(f"residual retry {attempt + 1} at rtol={rtol:.1e}")
-    else:
-        raise ShootingError(
-            f"endpoint residual {residual:.3g} above {options.residual_tol:.3g} "
-            f"after retries (l={l}, which={which})"
-        )
-
-    vals = vals / scale
-    ders = ders / scale
-
-    zeros = _count_interior_zeros(vals[:-1])
-    expected = which - 1 + (1 if l == 0 else 0)
-    if zeros != expected:
-        # a sign change was likely skipped by the sweep; one finer retry
-        mu_hat, _ = converge(used_step / 4.0)
-        ts, vals, ders = final_profile(mu_hat, rtol, atol)
-        scale = float(np.max(np.abs(vals)))
-        vals, ders = vals / scale, ders / scale
-        residual = abs(ders[-1]) / max(float(np.max(np.abs(ders))), 1e-300)
-        zeros = _count_interior_zeros(vals[:-1])
-        if zeros != expected:
-            raise ShootingError(
-                f"profile has {zeros} interior zeros, oscillation theory "
-                f"demands {expected} (l={l}, which={which}); scan step too coarse"
-            )
-        notes.append("bracket sweep retried at quarter step")
-
-    monotone = True
-    if l == 1 and which == 1 and inner_radius == 0.0:
-        sign = 1.0 if vals[-1] > 0 else -1.0
-        vals, ders = vals * sign, ders * sign
-        interior = ders[:-1]
-        monotone = bool(np.all(interior > 0.0))
-        if not monotone:
-            warnings.warn(
-                "first-mode radial derivative changes sign inside the ball; "
-                "result downgraded, treat downstream comparisons with care",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            notes.append("first-mode derivative not strictly positive")
-
-    return RadialSolution(
-        mu=mu_hat,
-        mode_degree=l,
-        mode_index=which,
-        inner_radius=inner_radius,
-        ball=BallSpec(outer_radius, dimension, space),
-        phi=phi,
-        ts=ts,
-        values=vals,
-        derivs=ders,
-        residual=residual,
-        interior_zeros=zeros,
-        first_mode_monotone=monotone,
-        notes=notes,
-    )
+    _check_problem(l, which, inner_radius, outer_radius, dimension, phi)
+    return _solve_degree(
+        l, inner_radius, outer_radius, dimension, space, phi, which, options
+    )[which - 1]
 
 
 def shoot_first_mode(
@@ -571,42 +563,31 @@ def ball_rayleigh_integrals(
         raise ValueError("need 0 <= lower <= upper")
     if upper > ext.domain_cap * (1.0 + 1e-12):
         raise ValueError("upper limit exceeds the profile's domain_cap")
-    ball = ext.base.ball
-    n = ball.dimension
-    space = ball.space
-    phi = ext.base.phi
-    sigma = unit_sphere_area(n)
-
     if upper == lower:
         return 0.0, 0.0
-
-    def energy_density(t: float) -> float:
-        s = float(s_kappa(t, space))
-        fp = float(ext.fprime(t))
-        fv = float(ext.f(t))
-        w = math.exp(-float(phi.value(t)))
-        return (fp * fp + (n - 1) * fv * fv / (s * s)) * s ** (n - 1) * w
-
-    def mass_density(t: float) -> float:
-        s = float(s_kappa(t, space))
-        fv = float(ext.f(t))
-        w = math.exp(-float(phi.value(t)))
-        return fv * fv * s ** (n - 1) * w
-
+    n, space, phi = ext.base.ball.dimension, ext.base.ball.space, ext.base.phi
     interior = [ext.radius] if lower < ext.radius < upper else None
 
-    def integrate(fn) -> float:
+    def integrate(energy: bool) -> float:
+        def density(t: float) -> float:
+            s = float(s_kappa(t, space))
+            fv = float(ext.f(t))
+            w = math.exp(-float(phi.value(t)))
+            if energy:
+                fp = float(ext.fprime(t))
+                return (fp * fp + (n - 1) * fv * fv / (s * s)) * s ** (n - 1) * w
+            return fv * fv * s ** (n - 1) * w
+
         val, err = quad(
-            fn, lower, upper, epsabs=1e-300, epsrel=rel_tol, limit=300, points=interior
+            density, lower, upper, epsabs=1e-300, epsrel=rel_tol, limit=300, points=interior
         )
         if err > 1e4 * rel_tol * max(abs(val), 1e-300):
             raise ShootingError(
                 f"profile quadrature failed to converge on [{lower:.4g}, {upper:.4g}]"
             )
-        return val
+        return unit_sphere_area(n) / n * val
 
-    factor = sigma / n
-    return factor * integrate(energy_density), factor * integrate(mass_density)
+    return integrate(energy=True), integrate(energy=False)
 
 
 def spherical_harmonic_multiplicity(l: int, dimension: int) -> int:
@@ -630,40 +611,35 @@ def symmetric_spectrum(
     """First ``count`` nonzero eigenvalues of a centred ball or shell, ascending.
 
     Aggregates the per-degree radial problems with spherical-harmonic
-    multiplicities.  Degrees are exhausted upward until the lowest eigenvalue
-    of the next degree clears the provisional cutoff, which is safe because
-    the angular barrier grows monotonically with the degree.
+    multiplicities, one solve per degree ``l = 0, 1, ...``.  The degrees stop
+    once the lowest eigenvalue of the next degree reaches the ``count``-th
+    value collected so far, which is safe because the angular barrier grows
+    monotonically with the degree.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
+    inner, outer = shell.inner_radius, shell.outer_radius
+    _check_problem(0, 1, inner, outer, dimension, phi)
 
-    def solve(l: int, k: int) -> float:
-        return shoot_general_mode(
-            l, shell.inner_radius, shell.outer_radius, dimension, space, phi,
-            which=k, options=options,
-        ).mu
+    def lowest(found: list[ModeEigenvalue]) -> tuple[list[ModeEigenvalue], int]:
+        kept, total = [], 0
+        for mode in sorted(found, key=lambda m: (m.mu, m.degree, m.index)):
+            if total >= count:
+                break
+            kept.append(mode)
+            total += mode.multiplicity
+        return kept, total
 
-    # Lazy frontier over (degree, index).  The heap always holds the next
-    # index of every explored degree plus the first eigenvalue of the first
-    # unexplored degree; since the lowest eigenvalue grows with the degree,
-    # the heap minimum bounds everything not yet computed, so pops arrive in
-    # global ascending order.
-    heap: list[tuple[float, int, int]] = []
-    heapq.heappush(heap, (solve(0, 1), 0, 1))
-    heapq.heappush(heap, (solve(1, 1), 1, 1))
-    deepest = 1
-
-    kept: list[ModeEigenvalue] = []
-    total = 0
-    while total < count:
-        mu, l, k = heapq.heappop(heap)
-        kept.append(ModeEigenvalue(mu, l, k, spherical_harmonic_multiplicity(l, dimension)))
-        total += kept[-1].multiplicity
-        heapq.heappush(heap, (solve(l, k + 1), l, k + 1))
-        if l == deepest:
-            deepest += 1
-            heapq.heappush(heap, (solve(deepest, 1), deepest, 1))
-    return kept
+    found: list[ModeEigenvalue] = []
+    l = 0
+    while True:
+        modes = _solve_degree(l, inner, outer, dimension, space, phi, count, options)
+        kept, total = lowest(found)
+        if total >= count and modes[0].mu >= kept[-1].mu:
+            return kept
+        mult = spherical_harmonic_multiplicity(l, dimension)
+        found += [ModeEigenvalue(m.mu, l, m.mode_index, mult) for m in modes]
+        l += 1
 
 
 def expand_spectrum(modes: list[ModeEigenvalue], count: int) -> np.ndarray:

@@ -115,11 +115,10 @@ class WeightFunction:
         self._check_range(arr)
         return self._convexity(arr)
 
-    def max_abs_slope(self, upto: float | None = None, samples: int = 2001) -> float:
-        """Grid estimate of ``sup |phi'|`` on ``[0, upto]`` (default: the cap)."""
-        hi = self.domain_cap if upto is None else min(upto, self.domain_cap)
-        grid = np.linspace(0.0, hi, samples)
-        return float(np.max(np.abs(self.slope(grid))))
+    def knots(self) -> tuple[float, ...]:
+        """Abscissae where ``phi`` stops being smooth: the knots of a
+        tabulated spline, none for the closed-form families."""
+        return self.params[0::2] if self.family == "tabulated-spline" else ()
 
     def describe(self) -> dict:
         """Report-friendly summary; values are offset-normalized for readability."""

@@ -54,9 +54,10 @@ SQUARE_SUM_RHS = 2.0 / (math.pi * MU1_DISK)  # same sum for the area-matched dis
 
 SPLINE_KNOTS = (0.0, 2.0, 1.0, 0.9, 2.0, 0.35, 3.0, 0.0)
 
-# Corpus-scale runs accept a slightly looser endpoint residual: the spline
-# weight's piecewise right-hand side polishes less cleanly on the degree-2
-# shell modes while the eigenvalue itself stays rtol-accurate.
+# Corpus-scale runs bound the Neumann endpoint residual at 1e-8, as the
+# spline shell of the bundled suite does.  The collocation solver meets it
+# with a wide margin (its residuals sit near round-off); the looser bound
+# keeps the corpus independent of how many digits the endpoint row holds.
 CORPUS_OPTIONS = replace(DEFAULT_OPTIONS, residual_tol=1e-8)
 
 
@@ -229,7 +230,7 @@ def test_criterion_01_disk_first_mode(phi_const, capsys):
     criterion(
         capsys, 1, ok,
         f"unit-disk first mode: extrapolated fem rel err {fem_rel:.2e} (<= 1e-3), "
-        f"shooting rel err {shoot_rel:.2e} (<= 1e-6)",
+        f"radial solver rel err {shoot_rel:.2e} (<= 1e-6)",
     )
 
 
@@ -290,7 +291,7 @@ def test_criterion_03_radial_solver_cross_checks(weights3, phi_const, capsys):
     ok = worst_fd <= 1e-5 and worst_fem <= 5e-3
     criterion(
         capsys, 3, ok,
-        f"{len(combos)} weight/radius/curvature/dimension combos: shooting vs "
+        f"{len(combos)} weight/radius/curvature/dimension combos: radial solver vs "
         f"grid oracle worst rel {worst_fd:.2e} (<= 1e-5), vs 2d fem worst rel "
         f"{worst_fem:.2e} (<= 5e-3)",
     )

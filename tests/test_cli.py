@@ -196,6 +196,24 @@ class TestRun:
         assert ball[1] == "3"
         assert lines[1].endswith("pass")
 
+    def test_each_tolerance_key_runs_a_shell(self, tmp_path):
+        tolerances = {"shooting_rtol": 1e-11, "shooting_atol": 1e-13, "residual_tol": 1e-8}
+        cases = [
+            shell_case(id=key, tolerances={key: value}) for key, value in tolerances.items()
+        ]
+        out = tmp_path / "out"
+        code = cli.main(
+            ["run", write_config(tmp_path, {"schema": 1, "cases": cases}), "--out", str(out)]
+        )
+        assert code == 0
+        lines = (out / "reports.jsonl").read_text().splitlines()
+        reports = {r["id"]: r["report"] for r in map(json.loads, lines)}
+        assert sorted(reports) == sorted(tolerances)
+        # the matched-ball solve reports how it met its contract
+        assert reports["shooting_rtol"]["mu1_ball_tail"] <= 1e-11
+        assert reports["residual_tol"]["mu1_ball_residual"] <= 1e-8
+        assert all(r["mu1_ball_degree"] >= 24 for r in reports.values())
+
     def test_profile_files_written(self, run_dir):
         _code, out = run_dir
         for cid in ("ball3", "disk-equality"):
@@ -335,11 +353,28 @@ class TestOneSolvePerCase:
         assert counts == {"shoot_first_mode": 1, "symmetric_spectrum": 1}
 
     def test_disk_meshes_once_and_shoots_once(self, monkeypatch):
-        counts = count_calls(monkeypatch, ("shoot_first_mode", "generate", "refine"))
-        raw = disk_case(checks=["main", "sharper", "center"], refinement_levels=2)
-        record = cli._run_case(cli.validate_case(raw, "case", "x"))
-        assert record["status"] == "pass"
-        assert counts == {"shoot_first_mode": 1, "generate": 1, "refine": 2}
+        # The second disk is translated under an exponential weight, so its
+        # open-question check escalates: that solve continues from the
+        # finest level (2) to levels 3 and 4 and solves a second ball.
+        offset = {
+            "id": "offset",
+            "space": "euclidean",
+            "domain": {"shape": "translated-disk", "radius": 0.8, "center": [0.5, 0.0]},
+            "weight": {"family": "exponential-decay", "params": [0.0, 1.0, 0.5]},
+            "checks": ["main", "conjecture"],
+            "mesh_size": 0.15,
+        }
+        inputs = [
+            (disk_case(checks=["main", "sharper", "center"], refinement_levels=2),
+             "pass", {"shoot_first_mode": 1, "generate": 1, "refine": 2}),
+            (offset, "fail", {"shoot_first_mode": 2, "generate": 1, "refine": 4}),
+        ]
+        for raw, status, expected in inputs:
+            with monkeypatch.context() as patch:
+                counts = count_calls(patch, ("shoot_first_mode", "generate", "refine"))
+                record = cli._run_case(cli.validate_case(raw, "case", "x"))
+            assert record["status"] == status
+            assert counts == expected, raw["id"]
 
     def test_escalation_note_survives_with_sharper(self):
         # the translated exponential-weight disk of the checker's escalation

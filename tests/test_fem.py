@@ -2,7 +2,7 @@
 
 The single-triangle stiffness and mass matrices are checked against matrices
 multiplied out by hand.  Spectra are checked against the separable square,
-the frozen disk constant from the radial suite, and the radial shooting
+the frozen disk constant from the radial suite, and the radial collocation
 solver in the hyperbolic case, which exercises the conformal-factor handling
 end to end.
 """

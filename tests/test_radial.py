@@ -1,13 +1,14 @@
-"""Shooting solver checks against series and finite-volume oracles.
+"""Radial collocation solver checks against series and finite-volume oracles.
 
 Frozen reference values below were produced by the oracles in
 ``tests/oracles.py`` (power-series bisection for flat-ball modes, dense
 finite-volume eigensolver for everything else); the oracle calls are kept in
-the assertions so the pinned constants stay justified.
+the assertions so the pinned constants stay justified.  Two tests pin the
+solver's own contract: a Chebyshev-tail tolerance that the degree cap cannot
+meet raises, and tightened options agree with the default solve.
 """
 
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -15,10 +16,10 @@ import pytest
 import oracles
 from wittenlab import BallSpec, SpaceForm, make_weight, property_I_certify
 from wittenlab.radial import (
-    BracketError,
+    DEFAULT_OPTIONS,
     ExtendedProfile,
-    ModeEigenvalue,
     ShellSpec,
+    ShootingError,
     ShootingOptions,
     ball_rayleigh_integrals,
     check_lemma_monotone,
@@ -90,6 +91,17 @@ def test_higher_indices_strictly_increasing_and_match_oracle(phi_zero):
         2, 0, lambda t: np.zeros_like(np.asarray(t, float)), 1, 0.0, 1.0, 3
     )
     np.testing.assert_allclose(mus, fd, rtol=1e-5)
+    # every degree 0-3 and index 1-3 of the flat balls in n = 2-5, against
+    # the Bessel-series oracle
+    for n in (2, 3, 4, 5):
+        for l in (0, 1, 2, 3):
+            mus = [
+                shoot_general_mode(l, 0.0, 1.0, n, FLAT, phi_zero, which=k).mu
+                for k in (1, 2, 3)
+            ]
+            assert mus[0] < mus[1] < mus[2], (n, l)
+            expected = [oracles.flat_ball_mode_eigenvalue(n, l, which=k) for k in (1, 2, 3)]
+            np.testing.assert_allclose(mus, expected, rtol=1e-11, err_msg=f"n={n}, l={l}")
 
 
 def test_weighted_flat_disk_against_fd_oracle():
@@ -118,6 +130,15 @@ def test_hyperbolic_weighted_ball_against_fd_oracle():
         2, -1, lambda t: np.exp(-np.asarray(t, float)), 1, 0.0, 1.4, 1
     )
     assert sol.mu == pytest.approx(fd[0], rel=1e-5)
+    # a spline weight whose knots 0.4 and 0.8 both lie inside the ball
+    spline = certified(
+        "tabulated-spline", [0.0, 2.0, 0.4, 1.3, 0.8, 0.8, 1.5, 0.35, 3.0, 0.0], 3.0
+    )
+    sol = shoot_first_mode(BallSpec(1.2, 3, HYP), spline)
+    fd = oracles.fd_mode_eigenvalues(
+        3, -1, spline.value, 1, 0.0, 1.2, 1
+    )
+    assert sol.mu == pytest.approx(fd[0], rel=1e-5)
 
 
 def test_shell_neumann_mode_against_fd_oracle(phi_zero):
@@ -144,19 +165,19 @@ def test_weight_shift_leaves_eigenvalue_unchanged():
     assert b.mu == pytest.approx(a.mu, rel=1e-10)
 
 
-def test_origin_handoff_halving_stability():
+def test_tightened_options_agree_with_default():
     phi = certified("linear-decreasing", [0.0, 0.8], 10.0)
     base = shoot_first_mode(BallSpec(1.0, 2, FLAT), phi)
-    half = shoot_first_mode(
-        BallSpec(1.0, 2, FLAT), phi, ShootingOptions(origin_fraction=5e-7)
-    )
-    assert abs(base.mu - half.mu) / base.mu < 1e-9
+    tight = shoot_first_mode(BallSpec(1.0, 2, FLAT), phi, DEFAULT_OPTIONS.tightened())
+    assert abs(base.mu - tight.mu) / base.mu < 1e-11
+    assert tight.tail <= 1e-11 and tight.residual <= 1e-11
 
 
-def test_bracket_window_failure_is_surfaced(phi_zero):
-    with pytest.raises(BracketError):
+def test_unreachable_tail_tolerance_raises(phi_zero):
+    # no degree up to the cap brings the Chebyshev tail below 1e-30
+    with pytest.raises(ShootingError, match="degree cap"):
         shoot_first_mode(
-            BallSpec(1.0, 2, FLAT), phi_zero, ShootingOptions(mu_cap=1.0)
+            BallSpec(1.0, 2, FLAT), phi_zero, ShootingOptions(rtol=1e-30, atol=1e-30)
         )
 
 
