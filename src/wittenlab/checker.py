@@ -103,30 +103,35 @@ def match_ball_radius(
     dimension: int,
     phi: WeightFunction,
     target_volume: float,
+    inner: float = 0.0,
 ) -> float:
-    """Radius of the centred ball whose weighted volume equals the target.
+    """Radius ``r`` whose centred annulus ``inner <= t <= r`` has the target
+    weighted volume; with ``inner = 0`` the matched ball.
 
     The weighted volume is strictly increasing in the radius, so Brent's
-    method on ``[0, domain_cap]`` either finds the radius or proves the
-    certified range of the weight is too small.
+    method on ``[inner, domain_cap]`` either finds the radius or proves the
+    certified range of the weight is too small.  The match is checked
+    against the volume of the whole ball ``t <= r``: a target far below it
+    is met only to the round-off of the radius.
     """
     if not (target_volume > 0 and math.isfinite(target_volume)):
         raise ValueError("target_volume must be positive and finite")
     cap = phi.domain_cap
 
     def volume_gap(r: float) -> float:
-        if r <= 0:
+        if r <= inner:
             return -target_volume
-        return weighted_annulus_volume(space, dimension, phi, 0.0, r) - target_volume
+        return weighted_annulus_volume(space, dimension, phi, inner, r) - target_volume
 
     top = volume_gap(cap)
     if top < 0:
         raise CheckerError(
-            f"target volume {target_volume:.6g} exceeds the ball volume "
-            f"{top + target_volume:.6g} at the weight's certified range {cap:g}"
+            f"target volume {target_volume:.6g} exceeds the volume "
+            f"{top + target_volume:.6g} out to the weight's certified range {cap:g}"
         )
-    radius = brentq(volume_gap, 0.0, cap, xtol=1e-15, rtol=8.9e-16)
-    rel = abs(volume_gap(radius)) / target_volume
+    radius = brentq(volume_gap, inner, cap, xtol=1e-15, rtol=8.9e-16)
+    core = weighted_annulus_volume(space, dimension, phi, 0.0, inner) if inner > 0 else 0.0
+    rel = abs(volume_gap(radius)) / (core + target_volume)
     if rel > VOLUME_MATCH_TOL:
         raise CheckerError(f"volume matching stalled at relative error {rel:.3g}")
     return float(radius)
@@ -392,13 +397,10 @@ def _sharper_block(sol: CaseSolution, report: InequalityReport) -> dict:
     radius = sol.matched_radius
 
     if sol.shell is not None:
-        if radius <= sol.shell.inner_radius:
-            inner_vol = 0.0  # matched ball sits entirely inside the cavity
-        else:
-            inner_vol = weighted_annulus_volume(
-                space, n, phi, sol.shell.inner_radius,
-                min(radius, sol.shell.outer_radius),
-            )
+        # the part of the shell inside the matched ball, none when the ball
+        # sits entirely inside the cavity
+        a, b = sol.shell.inner_radius, sol.shell.outer_radius
+        inner_vol = weighted_annulus_volume(space, n, phi, a, min(max(radius, a), b))
         outer_vol = sol.volume - inner_vol
     else:
         inner_vol, total = weighted_disk_intersection(sol.mesh, phi, radius)
@@ -409,19 +411,7 @@ def _sharper_block(sol: CaseSolution, report: InequalityReport) -> dict:
             )
 
     r1 = match_ball_radius(space, n, phi, inner_vol) if inner_vol > 0 else 0.0
-
-    def outer_gap(r: float) -> float:
-        return weighted_annulus_volume(space, n, phi, radius, r) - outer_vol
-
-    if outer_vol <= 0:
-        r2 = radius
-    else:
-        cap = phi.domain_cap
-        if outer_gap(cap) < 0:
-            raise CheckerError(
-                "outside-volume matching exhausts the certified weight range"
-            )
-        r2 = float(brentq(outer_gap, radius, cap, xtol=1e-15, rtol=8.9e-16))
+    r2 = match_ball_radius(space, n, phi, outer_vol, radius) if outer_vol > 0 else radius
 
     mu_ball = sol.ball_mode.mu
     ext = extend_profile(sol.ball_mode, domain_cap=max(r2, radius) * (1.0 + 1e-12))

@@ -36,15 +36,13 @@ from typing import Callable
 import numpy as np
 import scipy.fft
 import scipy.linalg
-from scipy.integrate import quad
 
-from .spaceform import BallSpec, SpaceForm, s_kappa, unit_sphere_area
+from .spaceform import (
+    CHEBYSHEV_DEGREES, TAIL_TERMS, BallSpec, SpaceForm, _chebyshev_integrals, s_kappa,
+    unit_sphere_area,
+)
 from .weights import UncertifiedWeightError, WeightFunction
 
-# Chebyshev degrees per piece, tried in turn; round-off grows with the
-# degree, so the schedule starts small and stops at a cap.
-CHEBYSHEV_DEGREES = (24, 32, 48, 64, 96, 128)
-TAIL_TERMS = 3  # trailing Chebyshev coefficients that must be negligible
 _SERIES_BELOW = 0.1  # hyperbolic corrections switch to their series below
 
 
@@ -165,7 +163,7 @@ class ExtendedProfile:
     plateau: float
     f: Callable
     fprime: Callable
-    base: RadialSolution | None = None
+    base: RadialSolution
 
 
 @dataclass(frozen=True)
@@ -317,9 +315,7 @@ def _solve_degree(
     resolved to the options' tail tolerance and checked."""
     s = l if inner == 0.0 else 0
     length = outer - inner
-    margin = 1e-9 * length
-    cuts = [k for k in phi.knots() if inner + margin < k < outer - margin]
-    breaks = [inner, *cuts, outer]
+    breaks = phi.breaks(inner, outer)
     zero_tol = 1e-6 / length ** 2  # the constant mode sits at round-off level
 
     tail = size = np.ones(1)
@@ -541,10 +537,7 @@ def check_lemma_monotone(ext: ExtendedProfile, grid_points: int = 2000) -> Monot
 
 
 def ball_rayleigh_integrals(
-    ext: ExtendedProfile,
-    lower: float,
-    upper: float,
-    rel_tol: float = 1e-10,
+    ext: ExtendedProfile, lower: float, upper: float
 ) -> tuple[float, float]:
     """Directional energy and mass integrals of the extended profile.
 
@@ -555,10 +548,10 @@ def ball_rayleigh_integrals(
 
     the weighted Dirichlet energy and mass of one Cartesian component
     ``f(t) x_i / t`` summed over a sphere's worth of directions.  On
-    ``[0, R]`` the quotient ``A/B`` reproduces the ball eigenvalue.
+    ``[0, R]`` the quotient ``A/B`` reproduces the ball eigenvalue.  Both come
+    from the Chebyshev rule of :mod:`wittenlab.spaceform`, or it raises
+    :class:`~wittenlab.spaceform.QuadratureError`.
     """
-    if ext.base is None:
-        raise ValueError("integrals need a solver-backed profile (ext.base is None)")
     if not (0.0 <= lower <= upper):
         raise ValueError("need 0 <= lower <= upper")
     if upper > ext.domain_cap * (1.0 + 1e-12):
@@ -566,28 +559,17 @@ def ball_rayleigh_integrals(
     if upper == lower:
         return 0.0, 0.0
     n, space, phi = ext.base.ball.dimension, ext.base.ball.space, ext.base.phi
-    interior = [ext.radius] if lower < ext.radius < upper else None
+    # the pieces end at the weight's knots and at R, where f' jumps to 0
+    breaks = sorted({*phi.breaks(lower, upper), min(max(ext.radius, lower), upper)})
 
-    def integrate(energy: bool) -> float:
-        def density(t: float) -> float:
-            s = float(s_kappa(t, space))
-            fv = float(ext.f(t))
-            w = math.exp(-float(phi.value(t)))
-            if energy:
-                fp = float(ext.fprime(t))
-                return (fp * fp + (n - 1) * fv * fv / (s * s)) * s ** (n - 1) * w
-            return fv * fv * s ** (n - 1) * w
+    def densities(t: np.ndarray) -> np.ndarray:
+        s = s_kappa(t, space)
+        fv, fp = ext.f(t), ext.fprime(t)
+        measure = s ** (n - 1) * np.exp(-phi.value(t))
+        return np.stack([(fp * fp + (n - 1) * fv * fv / (s * s)) * measure, fv * fv * measure])
 
-        val, err = quad(
-            density, lower, upper, epsabs=1e-300, epsrel=rel_tol, limit=300, points=interior
-        )
-        if err > 1e4 * rel_tol * max(abs(val), 1e-300):
-            raise ShootingError(
-                f"profile quadrature failed to converge on [{lower:.4g}, {upper:.4g}]"
-            )
-        return unit_sphere_area(n) / n * val
-
-    return integrate(energy=True), integrate(energy=False)
+    energy, mass = unit_sphere_area(n) / n * _chebyshev_integrals(densities, breaks)
+    return float(energy), float(mass)
 
 
 def spherical_harmonic_multiplicity(l: int, dimension: int) -> int:

@@ -4,7 +4,9 @@ Curvature is restricted to 0 and -1.  The metric coefficient ``S(t)`` (``t``
 for flat space, ``sinh t`` for hyperbolic space) and its derivative ``C(t)``
 drive everything downstream: radial ODEs, weighted volumes, and the conformal
 mass factor of the Poincare disk model.  The spherical-cap case ``+1`` is
-rejected up front rather than half-supported.
+rejected up front rather than half-supported.  Weighted volumes and the
+Rayleigh integrals of :mod:`wittenlab.radial` share one Chebyshev quadrature
+rule, which raises :class:`QuadratureError` when it cannot converge.
 """
 
 from __future__ import annotations
@@ -13,16 +15,23 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
+import scipy.fft
 
 from .weights import UncertifiedWeightError, WeightFunction
 
 EUCLIDEAN = 0
 HYPERBOLIC = -1
 
+# Chebyshev degrees per piece, tried in turn by the radial eigensolver and the
+# quadrature rule (round-off grows with the degree), and the number of
+# trailing coefficients that must be negligible.
+CHEBYSHEV_DEGREES = (24, 32, 48, 64, 96, 128)
+TAIL_TERMS = 3
+QUADRATURE_RTOL = 1e-13  # integrand tail against its largest coefficient
+
 
 class QuadratureError(RuntimeError):
-    """Adaptive quadrature did not converge to the requested tolerance."""
+    """The Chebyshev quadrature rule did not converge within its degree cap."""
 
 
 @dataclass(frozen=True)
@@ -127,17 +136,32 @@ def unit_sphere_area(dimension: int) -> float:
     return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
 
 
-def _adaptive_integral(fn, lo: float, hi: float, rel_tol: float, points=None) -> float:
-    value, abserr = integrate.quad(
-        fn, lo, hi, epsabs=1e-300, epsrel=rel_tol, limit=200, points=points
+def _chebyshev_integrals(integrand, breaks) -> np.ndarray:
+    """Integrals over ``[breaks[0], breaks[-1]]`` of the rows of ``integrand(t)``
+    (last axis along ``t``) by Fejer's first rule on each piece between breaks:
+    the interpolant on ``N + 1`` Chebyshev points of the first kind, which never
+    touch an end, integrated exactly.  ``N`` walks ``CHEBYSHEV_DEGREES`` until the
+    last ``TAIL_TERMS`` coefficients of every row, on every piece, are at most
+    ``QUADRATURE_RTOL`` times its largest; :class:`QuadratureError` at the cap."""
+    lo = np.asarray(breaks[:-1], dtype=float)[:, None]
+    half = 0.5 * (np.asarray(breaks[1:], dtype=float)[:, None] - lo)
+    for N in CHEBYSHEV_DEGREES:
+        k = np.arange(N + 1)
+        x = np.cos(math.pi * (2 * k + 1) / (2 * N + 2))
+        t = lo + half * (1.0 + x)  # (pieces, N + 1)
+        values = np.asarray(integrand(t.reshape(-1)), dtype=float)
+        coeffs = scipy.fft.dct(values.reshape(values.shape[:-1] + t.shape), type=2) / (N + 1)
+        coeffs[..., 0] *= 0.5
+        # T_k integrates to 2 / (1 - k^2) over [-1, 1] for even k, to 0 for odd k
+        integrals = (coeffs[..., ::2] @ (2.0 / (1.0 - k[::2] ** 2))) @ half[:, 0]
+        size = np.abs(coeffs).max(axis=(-2, -1))
+        tail = np.abs(coeffs[..., -TAIL_TERMS:]).max(axis=(-2, -1))
+        if np.all(tail <= QUADRATURE_RTOL * size):
+            return integrals
+    raise QuadratureError(
+        f"Chebyshev tail {np.max(tail / np.maximum(size, 1e-300)):.3g} of the integrand "
+        f"is above {QUADRATURE_RTOL:.3g} at the degree cap {CHEBYSHEV_DEGREES[-1]}"
     )
-    scale = max(abs(value), 1e-300)
-    if abserr > 10.0 * rel_tol * scale:
-        raise QuadratureError(
-            f"quadrature error estimate {abserr:.3g} exceeds budget "
-            f"{rel_tol:.3g} * {scale:.3g}; the weight may be badly sampled"
-        )
-    return value
 
 
 def weighted_annulus_volume(
@@ -146,13 +170,14 @@ def weighted_annulus_volume(
     phi: WeightFunction,
     inner_radius: float,
     outer_radius: float,
-    rel_tol: float = 1e-10,
 ) -> float:
     """Weighted volume of the centred annulus ``inner <= t <= outer``.
 
-    Computed as ``sigma_{n-1} * int S(t)^{n-1} exp(-phi(t)) dt`` by adaptive
-    quadrature with relative tolerance ``rel_tol``.  Requires a certified
-    weight whose cap covers ``outer_radius``.
+    Computed as ``sigma_{n-1} * int S(t)^{n-1} exp(-phi(t)) dt`` by the
+    Chebyshev rule :func:`_chebyshev_integrals`, piece by piece between the
+    weight's knots.  Requires a certified weight whose cap covers
+    ``outer_radius``; raises :class:`QuadratureError` when the rule cannot
+    meet its tolerance.
     """
     if not phi.certified:
         raise UncertifiedWeightError(
@@ -167,16 +192,14 @@ def weighted_annulus_volume(
         )
     if outer_radius == inner_radius:
         return 0.0
-    n = dimension
-    sigma = unit_sphere_area(n)
 
-    def integrand(t: float) -> float:
-        s = s_kappa(t, space)
-        return s ** (n - 1) * math.exp(-float(phi.value(t)))
+    def integrand(t: np.ndarray) -> np.ndarray:
+        return s_kappa(t, space) ** (dimension - 1) * np.exp(-phi.value(t))
 
-    return sigma * _adaptive_integral(integrand, inner_radius, outer_radius, rel_tol)
+    breaks = phi.breaks(inner_radius, outer_radius)
+    return unit_sphere_area(dimension) * float(_chebyshev_integrals(integrand, breaks))
 
 
-def weighted_ball_volume(ball: BallSpec, phi: WeightFunction, rel_tol: float = 1e-10) -> float:
+def weighted_ball_volume(ball: BallSpec, phi: WeightFunction) -> float:
     """Weighted volume of a centred geodesic ball; see :func:`weighted_annulus_volume`."""
-    return weighted_annulus_volume(ball.space, ball.dimension, phi, 0.0, ball.radius, rel_tol)
+    return weighted_annulus_volume(ball.space, ball.dimension, phi, 0.0, ball.radius)

@@ -115,10 +115,13 @@ class WeightFunction:
         self._check_range(arr)
         return self._convexity(arr)
 
-    def knots(self) -> tuple[float, ...]:
-        """Abscissae where ``phi`` stops being smooth: the knots of a
-        tabulated spline, none for the closed-form families."""
-        return self.params[0::2] if self.family == "tabulated-spline" else ()
+    def breaks(self, lo: float, hi: float) -> list[float]:
+        """``[lo, ..., hi]`` cut where ``phi`` stops being smooth: at the knots of
+        a tabulated spline, none for the closed-form families.  Knots within
+        ``1e-9 (hi - lo)`` of an end are dropped, so no piece is degenerate."""
+        knots = self.params[0::2] if self.family == "tabulated-spline" else ()
+        margin = 1e-9 * (hi - lo)
+        return [lo, *(k for k in knots if lo + margin < k < hi - margin), hi]
 
     def describe(self) -> dict:
         """Report-friendly summary; values are offset-normalized for readability."""

@@ -3,8 +3,9 @@
 Everything here is deliberately written against the raw mathematics rather
 than the package under test: Bessel-type eigenvalues come from power series
 plus bisection, generic radial problems from a dense cell-centred
-finite-volume discretization, and geometric quantities from closed forms or
-brute-force grids.  None of it imports :mod:`wittenlab` internals.
+finite-volume discretization, radial integrals from adaptive Gauss-Kronrod
+quadrature told the weight's knots, and geometric quantities from closed
+forms or brute-force grids.  None of it imports :mod:`wittenlab` internals.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.integrate import quad
 from scipy.linalg import eigh_tridiagonal
 
 
@@ -172,6 +174,54 @@ def grid_weighted_area(inside_fn, phi_fn, box, resolution: int = 2000) -> float:
     dens = np.exp(-np.asarray(phi_fn(r), dtype=float))
     cell = (xmax - xmin) * (ymax - ymin) / resolution ** 2
     return float(np.sum(dens * mask) * cell)
+
+
+def _metric(curvature: int):
+    if curvature == 0:
+        return lambda t: t
+    if curvature == -1:
+        return math.sinh
+    raise ValueError("curvature must be 0 or -1")
+
+
+def _sphere_area(n: int) -> float:
+    return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
+
+
+def _adaptive(fn, lo: float, hi: float, knots) -> float:
+    """Adaptive Gauss-Kronrod integral at ``epsrel`` 1e-13, told the knots
+    inside ``(lo, hi)`` where ``fn`` is only finitely smooth."""
+    points = [k for k in knots if lo < k < hi] or None
+    return quad(fn, lo, hi, epsabs=0.0, epsrel=1e-13, limit=500, points=points)[0]
+
+
+def weighted_annulus_volume_quad(n, curvature, phi_fn, inner, outer, knots=()) -> float:
+    """``sigma_{n-1} int_inner^outer S^{n-1} exp(-phi) dt`` by adaptive quadrature."""
+    S = _metric(curvature)
+    return _sphere_area(n) * _adaptive(
+        lambda t: S(t) ** (n - 1) * math.exp(-float(phi_fn(t))), inner, outer, knots
+    )
+
+
+def rayleigh_integrals_quad(n, curvature, phi_fn, f, fprime, lower, upper, knots=()):
+    """Energy and mass integrals of a radial profile ``f`` (see
+    ``radial.ball_rayleigh_integrals``) by adaptive quadrature, one scalar
+    integrand evaluation per node."""
+    S = _metric(curvature)
+
+    def energy(t):
+        s, fv, fp = S(t), float(f(t)), float(fprime(t))
+        w = math.exp(-float(phi_fn(t)))
+        return (fp * fp + (n - 1) * fv * fv / (s * s)) * s ** (n - 1) * w
+
+    def mass(t):
+        return float(f(t)) ** 2 * S(t) ** (n - 1) * math.exp(-float(phi_fn(t)))
+
+    scale = _sphere_area(n) / n
+    return (
+        scale * _adaptive(energy, lower, upper, knots),
+        scale * _adaptive(mass, lower, upper, knots),
+    )
 
 
 def hyperbolic_ball_area(R: float) -> float:

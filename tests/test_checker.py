@@ -99,6 +99,14 @@ class TestMatchBallRadius:
         with pytest.raises(CheckerError, match="certified range"):
             match_ball_radius(FLAT, 2, phi, 10.0)
 
+    def test_annulus_from_an_inner_radius(self, phi_zero):
+        # flat annulus 1 <= t <= 2 has area 3 pi; a round-off target stays at
+        # the inner radius instead of failing the match check
+        assert abs(match_ball_radius(FLAT, 2, phi_zero, 3.0 * math.pi, 1.0) - 2.0) < 1e-10
+        assert abs(match_ball_radius(FLAT, 2, phi_zero, 1e-16, 1.0) - 1.0) < 1e-14
+        with pytest.raises(CheckerError, match="certified range"):
+            match_ball_radius(FLAT, 2, certified("constant", (0.0,), cap=2.0), 10.0, 1.0)
+
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
     def test_rejects_bad_targets(self, phi_zero, bad):
         with pytest.raises(ValueError):

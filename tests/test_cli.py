@@ -2,10 +2,11 @@
 
 Configs are built as dicts and dumped to temp files; the entry point is
 exercised in-process through ``cli.main`` so exit codes and stderr are
-observable without subprocesses.  One test drives ``python -m`` for real;
-it runs the child from a temporary directory, with the repository's
-absolute ``src`` on ``PYTHONPATH``, so it passes from any checkout location
-whether or not the package is installed.
+observable without subprocesses.  One test drives ``python -m`` for real
+from a temporary directory, and one imports the front end in a fresh
+interpreter; both give the child the repository's absolute ``src`` on
+``PYTHONPATH``, so they pass from any checkout location whether or not the
+package is installed.
 """
 
 import json
@@ -20,6 +21,15 @@ from wittenlab import checker, cli
 from wittenlab.mesh import DomainSpec, generate, save
 
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def src_env() -> dict:
+    """``os.environ`` with the repository's absolute ``src`` first on ``PYTHONPATH``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    return env
 
 
 def write_config(tmp_path: Path, payload: dict, name: str = "config.json") -> str:
@@ -310,21 +320,29 @@ class TestRun:
         cfg = {"schema": 1, "cases": [shell_case()]}
         path = write_config(tmp_path, cfg)
         out = tmp_path / "out"
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
-        )
         proc = subprocess.run(
             [sys.executable, "-m", "wittenlab", "run", path, "--out", str(out), "--verbose"],
             capture_output=True,
             text=True,
             cwd=tmp_path,
-            env=env,
+            env=src_env(),
             timeout=300,
         )
         assert proc.returncode == 0, f"stdout:\n{proc.stdout}\nstderr:\n{proc.stderr}"
         assert "ball3: pass" in proc.stdout
         assert (out / "summary.csv").exists()
+
+
+def test_cli_import_leaves_scipy_integrate_unloaded():
+    # every radial integral goes through the package's own Chebyshev rule;
+    # an adaptive scipy.integrate path would load the module on import
+    code = "import sys, wittenlab.cli; print('scipy.integrate' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, env=src_env(), timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def count_calls(monkeypatch, names):

@@ -228,11 +228,25 @@ def test_rayleigh_degenerate_interval(phi_zero, disk_solution):
 
 
 def test_rayleigh_identity_weighted_hyperbolic():
-    phi = certified("exponential-decay", [0.1, 0.8, 1.2], 8.0)
-    sol = shoot_first_mode(BallSpec(1.2, 3, HYP), phi)
-    ext = extend_profile(sol, 4.0)
-    A, B = ball_rayleigh_integrals(ext, 0.0, 1.2)
-    assert A / B == pytest.approx(sol.mu, rel=1e-8)
+    # the spline ball of radius 1.2 crosses the knots 0.4 and 0.8, and
+    # [r1, R], [R, r2] cross 0.8 and 1.5 (and R, where f' jumps to 0)
+    spline = [0.0, 1.0, 0.4, 0.7, 0.8, 0.45, 1.5, 0.2, 3.0, 0.05, 6.5, 0.0]
+    weights = [
+        certified("exponential-decay", [0.1, 0.8, 1.2], 8.0),
+        certified("tabulated-spline", spline, 6.0),
+    ]
+    for phi in weights:
+        sol = shoot_first_mode(BallSpec(1.2, 3, HYP), phi)
+        ext = extend_profile(sol, 4.0)
+        A, B = ball_rayleigh_integrals(ext, 0.0, 1.2)
+        assert A / B == pytest.approx(sol.mu, rel=1e-8)
+        for lower, upper in [(0.0, 1.2), (0.3, 1.2), (1.2, 2.5), (0.3, 2.5)]:
+            ours = ball_rayleigh_integrals(ext, lower, upper)
+            ref = oracles.rayleigh_integrals_quad(
+                3, -1, phi.value, ext.f, ext.fprime, lower, upper,
+                knots=[*spline[0::2], 1.2],
+            )
+            np.testing.assert_allclose(ours, ref, rtol=1e-10, err_msg=f"{phi.family}")
 
 
 def test_monotonicity_check_passes_on_real_profiles():

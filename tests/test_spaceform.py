@@ -21,6 +21,7 @@ from wittenlab import (
     weighted_annulus_volume,
     weighted_ball_volume,
 )
+from wittenlab.spaceform import CHEBYSHEV_DEGREES, QuadratureError, _chebyshev_integrals
 
 FLAT = SpaceForm(0)
 HYP = SpaceForm(-1)
@@ -133,6 +134,37 @@ def test_annulus_volume_is_difference_of_balls():
     inner = weighted_ball_volume(BallSpec(0.75, 3, FLAT), phi)
     ann = weighted_annulus_volume(FLAT, 3, phi, 0.75, 2.0)
     assert ann == pytest.approx(full - inner, rel=1e-10)
+
+
+SPLINE = [0.0, 1.0, 0.4, 0.7, 0.8, 0.45, 1.5, 0.2, 3.0, 0.05, 6.5, 0.0]
+
+
+@pytest.mark.parametrize("space", [FLAT, HYP], ids=["flat", "hyperbolic"])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_spline_annulus_volumes_across_knots_match_oracle(space, n):
+    # the natural spline is only C^2 at its knots 0.4, 0.8, 1.5 and 3.0;
+    # the annuli cross none, one and several of them
+    phi = certified("tabulated-spline", SPLINE, 6.0)
+    for inner, outer in [(0.0, 0.3), (0.0, 1.2), (0.35, 1.6), (0.9, 6.0), (0.0, 6.0)]:
+        ours = weighted_annulus_volume(space, n, phi, inner, outer)
+        ref = oracles.weighted_annulus_volume_quad(
+            n, space.curvature, phi.value, inner, outer, knots=SPLINE[0::2]
+        )
+        assert ours == pytest.approx(ref, rel=1e-12), (inner, outer)
+
+
+def test_quadrature_converges_on_smooth_pieces():
+    # |t - 0.3| is a polynomial on each side of the break
+    val = _chebyshev_integrals(lambda t: np.abs(t - 0.3), [0.0, 0.3, 1.0])
+    assert val == pytest.approx(0.29, rel=1e-14)
+    rows = _chebyshev_integrals(lambda t: np.stack([np.exp(t), t * t]), [0.0, 1.0])
+    np.testing.assert_allclose(rows, [math.e - 1.0, 1.0 / 3.0], rtol=1e-14)
+
+
+def test_quadrature_raises_at_degree_cap_on_a_kink():
+    # without the break the kink keeps the Chebyshev tail at O(N^-2)
+    with pytest.raises(QuadratureError, match=f"degree cap {CHEBYSHEV_DEGREES[-1]}"):
+        _chebyshev_integrals(lambda t: np.abs(t - 0.3), [0.0, 1.0])
 
 
 def test_uncertified_weight_rejected():
