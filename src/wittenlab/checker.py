@@ -104,9 +104,10 @@ def match_ball_radius(
     phi: WeightFunction,
     target_volume: float,
     inner: float = 0.0,
-) -> float:
+) -> tuple[float, float]:
     """Radius ``r`` whose centred annulus ``inner <= t <= r`` has the target
-    weighted volume; with ``inner = 0`` the matched ball.
+    weighted volume (with ``inner = 0`` the matched ball), and the signed
+    volume mismatch ``volume(inner, r) - target`` left at that radius.
 
     The weighted volume is strictly increasing in the radius, so Brent's
     method on ``[inner, domain_cap]`` either finds the radius or proves the
@@ -130,11 +131,12 @@ def match_ball_radius(
             f"{top + target_volume:.6g} out to the weight's certified range {cap:g}"
         )
     radius = brentq(volume_gap, inner, cap, xtol=1e-15, rtol=8.9e-16)
+    mismatch = volume_gap(radius)
     core = weighted_annulus_volume(space, dimension, phi, 0.0, inner) if inner > 0 else 0.0
-    rel = abs(volume_gap(radius)) / (core + target_volume)
+    rel = abs(mismatch) / (core + target_volume)
     if rel > VOLUME_MATCH_TOL:
         raise CheckerError(f"volume matching stalled at relative error {rel:.3g}")
-    return float(radius)
+    return float(radius), mismatch
 
 
 def _mesh_for(domain) -> Mesh:
@@ -229,8 +231,7 @@ def solve_case(
         method = "fem"
         describe = mesh.domain_tag
 
-    radius = match_ball_radius(space, n, phi, volume)
-    ball_vol = weighted_annulus_volume(space, n, phi, 0.0, radius)
+    radius, mismatch = match_ball_radius(space, n, phi, volume)
     return CaseSolution(
         space=space,
         phi=phi,
@@ -246,7 +247,7 @@ def solve_case(
         est_rel_error=est,
         volume=volume,
         matched_radius=radius,
-        volume_match_rel_err=abs(ball_vol - volume) / volume,
+        volume_match_rel_err=abs(mismatch) / volume,
         ball_mode=shoot_first_mode(BallSpec(radius, n, space), phi, options),
     )
 
@@ -321,56 +322,30 @@ def check_theorem_main(
 # sharper bound (flat space only)
 
 
-def _segment_circle_params(p: np.ndarray, q: np.ndarray, radius: float) -> list[float]:
-    d = q - p
-    a = float(d @ d)
-    if a == 0.0:
-        return []
-    b = 2.0 * float(p @ d)
-    c = float(p @ p) - radius * radius
-    disc = b * b - 4.0 * a * c
-    if disc <= 0.0:
-        return []
-    root = math.sqrt(disc)
-    return sorted(s for s in ((-b - root) / (2 * a), (-b + root) / (2 * a)) if 0.0 < s < 1.0)
-
-
-def _clip_triangle_to_disk(pts: np.ndarray, radius: float) -> np.ndarray:
-    """Triangle cut against the origin-centred disk, arcs replaced by chords."""
-    out: list[np.ndarray] = []
-    inside = [float(v @ v) <= radius * radius for v in pts]
-    if all(inside):
-        return pts
-    for i in range(3):
-        p, q = pts[i], pts[(i + 1) % 3]
-        if inside[i]:
-            out.append(p)
-        crossings = _segment_circle_params(p, q, radius)
-        for s in crossings:
-            out.append(p + s * (q - p))
-    return np.asarray(out) if len(out) >= 3 else np.empty((0, 2))
-
-
-def _polygon_weighted_integral(poly: np.ndarray, phi: WeightFunction) -> float:
-    """Integral of exp(-phi(|x|)) over a convex polygon, fanned from vertex 0."""
-    total = 0.0
-    for i in range(1, len(poly) - 1):
-        tri = np.stack([poly[0], poly[i], poly[i + 1]])
-        d1, d2 = tri[1] - tri[0], tri[2] - tri[0]
-        area = 0.5 * (d1[0] * d2[1] - d1[1] * d2[0])
-        if abs(area) < 1e-300:
-            continue
-        xq = fem.QUAD_BARY @ tri
-        vals = np.exp(-phi.value(np.hypot(xq[:, 0], xq[:, 1])))
-        total += area * float(fem.QUAD_WEIGHTS @ vals)
-    return total
+def _rule_integrals(corners: np.ndarray, phi: WeightFunction) -> np.ndarray:
+    """Integral of exp(-phi(|x|)) over each triangle ``corners[..., 3, 2]``
+    by the six-point assembly rule, signed by orientation."""
+    d1 = corners[..., 1, :] - corners[..., 0, :]
+    d2 = corners[..., 2, :] - corners[..., 0, :]
+    area = 0.5 * (d1[..., 0] * d2[..., 1] - d1[..., 1] * d2[..., 0])
+    xq = np.einsum("qi,...id->...qd", fem.QUAD_BARY, corners)
+    vals = np.exp(-phi.value(np.hypot(xq[..., 0], xq[..., 1])))
+    return area * (vals @ fem.QUAD_WEIGHTS)
 
 
 def weighted_disk_intersection(mesh: Mesh, phi: WeightFunction, radius: float):
     """Weighted areas of ``mesh ∩ B_radius`` and of the whole mesh (flat 2D).
 
-    Triangles straddling the circle are clipped with straight chords, an
-    O(h^3) replacement of the arc per cut element.  Triangles must be small
+    One vectorised pass over the mesh.  Every triangle is integrated by the
+    six-point assembly rule, and the sum is the whole-mesh total.  A triangle
+    with all three vertices in the closed disk adds its integral whole.  A
+    triangle with an edge crossing the circle is cut: its clipped polygon is
+    laid out in 9 slots, per edge the start vertex if inside and then the
+    edge's crossings in order along it, the vertex order of clipping one
+    triangle at a time.  The used slots are moved to the front and the rest
+    repeat slot 0, so fanning all 9 from slot 0 through the same rule adds
+    only triangles of exactly zero area for the padding.  Arcs are replaced
+    with chords, an O(h^3) error per cut element.  Triangles must be small
     against the disk, which every generated mesh satisfies by construction.
     """
     if np.max(mesh.edge_lengths()) >= 2.0 * radius:
@@ -378,15 +353,44 @@ def weighted_disk_intersection(mesh: Mesh, phi: WeightFunction, radius: float):
             "triangle edges comparable to the matching radius; the chord "
             "clipping assumes a fine mesh"
         )
-    inter = 0.0
-    total = 0.0
-    for tri in mesh.triangles:
-        pts = mesh.nodes[tri]
-        total += _polygon_weighted_integral(pts, phi)
-        clipped = _clip_triangle_to_disk(pts, radius)
-        if len(clipped) >= 3:
-            inter += _polygon_weighted_integral(clipped, phi)
-    return inter, total
+    p = mesh.nodes[mesh.triangles]  # (T, 3, 2); edge i runs p_i -> p_{i+1}
+    whole = _rule_integrals(p, phi)
+    d = np.roll(p, -1, axis=1) - p
+    a = np.einsum("tid,tid->ti", d, d)
+    b = 2.0 * np.einsum("tid,tid->ti", p, d)
+    c = np.einsum("tid,tid->ti", p, p) - radius * radius
+    inside = c <= 0.0
+    full = inside.all(axis=1)
+
+    # Roots s1 <= s2 of |p + s d|^2 = radius^2.  An edge that enters or
+    # leaves the disk crosses once, at s1 or s2 (clamped to the edge, so a
+    # vertex within round-off of the circle still gets its crossing); an edge
+    # with both ends outside crosses at every root strictly inside it.
+    disc = b * b - 4.0 * a * c
+    root = np.sqrt(np.maximum(disc, 0.0))
+    s = np.stack([(-b - root) / (2 * a), (-b + root) / (2 * a)], axis=-1)
+    out_p, out_q = ~inside, ~np.roll(inside, -1, axis=1)
+    crosses = np.where(
+        (out_p & out_q)[..., None],
+        (disc > 0.0)[..., None] & (s > 0.0) & (s < 1.0),
+        np.stack([out_p & ~out_q, ~out_p & out_q], axis=-1),
+    )  # (T, 3, 2)
+
+    cut = ~full & crosses.any(axis=(1, 2))
+    p, d, s = p[cut, :, None], d[cut, :, None], np.clip(s[cut], 0.0, 1.0)[..., None]
+    slots = np.concatenate([p, p + s * d], axis=2).reshape(-1, 9, 2)
+    used = np.concatenate([inside[cut][..., None], crosses[cut]], axis=2).reshape(-1, 9)
+    front = np.argsort(~used, axis=1, kind="stable")
+    poly = np.take_along_axis(slots, front[..., None], axis=1)
+    padding = np.arange(9) >= used.sum(axis=1, keepdims=True)
+    poly = np.where(padding[..., None], poly[:, :1], poly)
+    apex = np.broadcast_to(poly[:, :1], poly[:, 1:-1].shape)
+    fan = np.stack([apex, poly[:, 1:-1], poly[:, 2:]], axis=2)  # (C, 7, 3, 2)
+
+    inter = float(np.sum(whole[full]))
+    if len(fan):
+        inter += float(np.sum(_rule_integrals(fan, phi)))
+    return inter, float(np.sum(whole))
 
 
 def _sharper_block(sol: CaseSolution, report: InequalityReport) -> dict:
@@ -410,8 +414,8 @@ def _sharper_block(sol: CaseSolution, report: InequalityReport) -> dict:
                 "clip quadrature disagrees with the mass-matrix volume"
             )
 
-    r1 = match_ball_radius(space, n, phi, inner_vol) if inner_vol > 0 else 0.0
-    r2 = match_ball_radius(space, n, phi, outer_vol, radius) if outer_vol > 0 else radius
+    r1 = match_ball_radius(space, n, phi, inner_vol)[0] if inner_vol > 0 else 0.0
+    r2 = match_ball_radius(space, n, phi, outer_vol, radius)[0] if outer_vol > 0 else radius
 
     mu_ball = sol.ball_mode.mu
     ext = extend_profile(sol.ball_mode, domain_cap=max(r2, radius) * (1.0 + 1e-12))

@@ -177,13 +177,23 @@ class Mesh:
         return float(np.sum(self.signed_areas()))
 
 
-def _edge_counts(triangles: np.ndarray) -> dict[tuple[int, int], int]:
-    counts: dict[tuple[int, int], int] = {}
-    for a, b, c in triangles:
-        for u, v in ((a, b), (b, c), (c, a)):
-            key = (u, v) if u < v else (v, u)
-            counts[key] = counts.get(key, 0) + 1
-    return counts
+def _edges(triangles: np.ndarray):
+    """Unique edges of a triangulation, numbered in first-appearance order.
+
+    Returns ``(edges, counts, side)``: the ``(E, 2)`` sorted node pairs in the
+    order a walk over the sides ``ab, bc, ca`` of each triangle first meets
+    them, the number of triangles sharing each edge, and ``side[t, k]``, the
+    edge number of side ``k`` of triangle ``t``.
+    """
+    pairs = np.sort(triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+    keys = pairs[:, 0] * (int(triangles.max()) + 1) + pairs[:, 1]
+    _, first, inverse, counts = np.unique(
+        keys, return_index=True, return_inverse=True, return_counts=True
+    )
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return pairs[first[order]], counts[order], rank[inverse].reshape(-1, 3)
 
 
 def validate(mesh: Mesh) -> None:
@@ -197,17 +207,16 @@ def validate(mesh: Mesh) -> None:
             f"{MIN_TRIANGLE_AREA:g}; orientation or degeneracy problem"
         )
 
-    counts = _edge_counts(mesh.triangles)
-    if any(c > 2 for c in counts.values()):
+    edges, counts, _ = _edges(mesh.triangles)
+    if np.max(counts) > 2:
         raise MeshInvariantError("an edge is shared by more than two triangles")
-    boundary_edges = [e for e, c in counts.items() if c == 1]
-    expected_boundary = np.unique(np.asarray(boundary_edges, dtype=int).ravel())
+    expected_boundary = np.unique(edges[counts == 1])
     if not np.array_equal(np.sort(mesh.boundary_nodes), expected_boundary):
         raise MeshInvariantError("boundary node list disagrees with edge incidence")
 
     # disk-like or annulus-like topology only
     V, F = len(mesh.nodes), len(mesh.triangles)
-    E = len(counts)
+    E = len(edges)
     euler = V - E + F
     if euler not in (0, 1):
         raise MeshInvariantError(f"unexpected Euler characteristic {euler}")
@@ -388,7 +397,8 @@ def _polygon_mesh(spec: DomainSpec) -> Mesh:
         verts = verts[::-1]
 
     tris = np.asarray(_ear_clip(verts), dtype=int)
-    boundary = _boundary_from_edges(tris)
+    edges, counts, _ = _edges(tris)
+    boundary = np.unique(edges[counts == 1])
     mesh = Mesh(
         nodes=verts.copy(),
         triangles=_orient_ccw(verts, tris),
@@ -402,12 +412,6 @@ def _polygon_mesh(spec: DomainSpec) -> Mesh:
         mesh = refine(mesh)
     validate(mesh)
     return mesh
-
-
-def _boundary_from_edges(triangles: np.ndarray) -> np.ndarray:
-    counts = _edge_counts(triangles)
-    edges = [e for e, c in counts.items() if c == 1]
-    return np.unique(np.asarray(edges, dtype=int).ravel())
 
 
 def _orient_ccw(nodes: np.ndarray, triangles: np.ndarray) -> np.ndarray:
@@ -458,46 +462,31 @@ def refine(mesh: Mesh) -> Mesh:
     mesh still knows its generating shape (polygons and externally loaded
     meshes refine without projection).  Conformity and orientation are
     preserved; node count grows by the edge count.
+
+    Node order: the coarse nodes come first, unchanged, followed by one
+    midpoint per edge, numbered by the edge's first appearance in a walk
+    over the triangles' sides ``ab, bc, ca``.  Triangle ``t`` becomes
+    triangles ``4t .. 4t + 3``, the three corner triangles and then the
+    middle one.
     """
-    counts = _edge_counts(mesh.triangles)
-    boundary_edges = {e for e, c in counts.items() if c == 1}
+    edges, counts, side = _edges(mesh.triangles)
+    n = len(mesh.nodes)
+    mids = 0.5 * (mesh.nodes[edges[:, 0]] + mesh.nodes[edges[:, 1]])
+    boundary = np.flatnonzero(counts == 1)
+    if len(boundary) and mesh.spec is not None and mesh.spec.shape != "polygon":
+        mids[boundary] = _project_to_boundary(mesh.spec, mids[boundary])
+    nodes = np.concatenate([mesh.nodes, mids])
 
-    nodes = [tuple(p) for p in mesh.nodes]
-    midpoint_index: dict[tuple[int, int], int] = {}
-    boundary_new: list[int] = []
-
-    boundary_keys = []
-    boundary_mids = []
-    for edge in counts:
-        a, b = edge
-        mid = 0.5 * (mesh.nodes[a] + mesh.nodes[b])
-        midpoint_index[edge] = len(nodes)
-        nodes.append(tuple(mid))
-        if edge in boundary_edges:
-            boundary_keys.append(midpoint_index[edge])
-            boundary_mids.append(mid)
-
-    nodes_arr = np.asarray(nodes, dtype=float)
-    if boundary_mids and mesh.spec is not None and mesh.spec.shape != "polygon":
-        projected = _project_to_boundary(mesh.spec, np.asarray(boundary_mids))
-        nodes_arr[np.asarray(boundary_keys, dtype=int)] = projected
-    boundary_new = boundary_keys
-
-    tris = []
-    for a, b, c in mesh.triangles:
-        mab = midpoint_index[(a, b) if a < b else (b, a)]
-        mbc = midpoint_index[(b, c) if b < c else (c, b)]
-        mca = midpoint_index[(c, a) if c < a else (a, c)]
-        tris.extend([(a, mab, mca), (b, mbc, mab), (c, mca, mbc), (mab, mbc, mca)])
-
-    new_boundary = np.sort(
-        np.concatenate([mesh.boundary_nodes, np.asarray(boundary_new, dtype=int)])
-    ) if boundary_new else mesh.boundary_nodes.copy()
+    a, b, c = mesh.triangles.T
+    mab, mbc, mca = (n + side).T
+    tris = np.stack(
+        [a, mab, mca, b, mbc, mab, c, mca, mbc, mab, mbc, mca], axis=1
+    ).reshape(-1, 3)
 
     out = Mesh(
-        nodes=nodes_arr,
-        triangles=_orient_ccw(nodes_arr, np.asarray(tris, dtype=int)),
-        boundary_nodes=new_boundary,
+        nodes=nodes,
+        triangles=_orient_ccw(nodes, tris),
+        boundary_nodes=np.sort(np.concatenate([mesh.boundary_nodes, n + boundary])),
         domain_tag=mesh.domain_tag,
         spec=mesh.spec,
     )

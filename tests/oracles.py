@@ -4,8 +4,10 @@ Everything here is deliberately written against the raw mathematics rather
 than the package under test: Bessel-type eigenvalues come from power series
 plus bisection, generic radial problems from a dense cell-centred
 finite-volume discretization, radial integrals from adaptive Gauss-Kronrod
-quadrature told the weight's knots, and geometric quantities from closed
-forms or brute-force grids.  None of it imports :mod:`wittenlab` internals.
+quadrature told the weight's knots, geometric quantities from closed
+forms or brute-force grids, and the mesh kernels (disk clipping, uniform
+refinement) one triangle at a time in plain Python.  None of it imports
+:mod:`wittenlab` internals.
 """
 
 from __future__ import annotations
@@ -174,6 +176,117 @@ def grid_weighted_area(inside_fn, phi_fn, box, resolution: int = 2000) -> float:
     dens = np.exp(-np.asarray(phi_fn(r), dtype=float))
     cell = (xmax - xmin) * (ymax - ymin) / resolution ** 2
     return float(np.sum(dens * mask) * cell)
+
+
+# ----------------------------------------------------------------------
+# Reference mesh kernels: one triangle at a time, in plain Python.
+# ----------------------------------------------------------------------
+
+def _segment_circle_params(p: np.ndarray, q: np.ndarray, radius: float) -> list[float]:
+    d = q - p
+    a = float(d @ d)
+    if a == 0.0:
+        return []
+    b = 2.0 * float(p @ d)
+    c = float(p @ p) - radius * radius
+    disc = b * b - 4.0 * a * c
+    if disc <= 0.0:
+        return []
+    root = math.sqrt(disc)
+    return sorted(s for s in ((-b - root) / (2 * a), (-b + root) / (2 * a)) if 0.0 < s < 1.0)
+
+
+def _clip_triangle_to_disk(pts: np.ndarray, radius: float) -> np.ndarray:
+    """Triangle cut against the origin-centred disk, arcs replaced by chords."""
+    out: list[np.ndarray] = []
+    inside = [float(v @ v) <= radius * radius for v in pts]
+    if all(inside):
+        return pts
+    for i in range(3):
+        p, q = pts[i], pts[(i + 1) % 3]
+        if inside[i]:
+            out.append(p)
+        for s in _segment_circle_params(p, q, radius):
+            out.append(p + s * (q - p))
+    return np.asarray(out) if len(out) >= 3 else np.empty((0, 2))
+
+
+def _polygon_weighted_integral(poly, density, bary, weights) -> float:
+    """Integral of ``density(|x|)`` over a convex polygon, fanned from vertex 0."""
+    total = 0.0
+    for i in range(1, len(poly) - 1):
+        tri = np.stack([poly[0], poly[i], poly[i + 1]])
+        d1, d2 = tri[1] - tri[0], tri[2] - tri[0]
+        area = 0.5 * (d1[0] * d2[1] - d1[1] * d2[0])
+        if abs(area) < 1e-300:
+            continue
+        xq = bary @ tri
+        total += area * float(weights @ density(np.hypot(xq[:, 0], xq[:, 1])))
+    return total
+
+
+def disk_intersection_by_triangle(nodes, triangles, density, radius, bary, weights):
+    """Weighted areas of ``mesh ∩ B_radius`` and of the whole mesh, clipping
+    one triangle at a time with chords and fanning each clipped polygon from
+    its first vertex through the quadrature rule ``(bary, weights)``."""
+    inter = total = 0.0
+    for tri in triangles:
+        pts = nodes[tri]
+        total += _polygon_weighted_integral(pts, density, bary, weights)
+        clipped = _clip_triangle_to_disk(pts, radius)
+        if len(clipped) >= 3:
+            inter += _polygon_weighted_integral(clipped, density, bary, weights)
+    return inter, total
+
+
+def refine_by_dict(nodes, triangles, boundary_nodes, project=None):
+    """Split every triangle into four with dict-based edge bookkeeping.
+
+    Edges are numbered in the order a walk over the sides ``ab, bc, ca`` of
+    each triangle first meets them; boundary midpoints (edges of one
+    triangle) go through ``project`` when given.  Returns the refined
+    ``(nodes, triangles, boundary_nodes)``, triangles oriented
+    counter-clockwise.
+    """
+    counts: dict[tuple[int, int], int] = {}
+    for a, b, c in triangles:
+        for u, v in ((a, b), (b, c), (c, a)):
+            key = (u, v) if u < v else (v, u)
+            counts[key] = counts.get(key, 0) + 1
+
+    out_nodes = [tuple(p) for p in nodes]
+    midpoint_index: dict[tuple[int, int], int] = {}
+    boundary_keys, boundary_mids = [], []
+    for (a, b), count in counts.items():
+        mid = 0.5 * (nodes[a] + nodes[b])
+        midpoint_index[(a, b)] = len(out_nodes)
+        out_nodes.append(tuple(mid))
+        if count == 1:
+            boundary_keys.append(midpoint_index[(a, b)])
+            boundary_mids.append(mid)
+    out_nodes = np.asarray(out_nodes, dtype=float)
+    if boundary_mids and project is not None:
+        out_nodes[np.asarray(boundary_keys, dtype=int)] = project(np.asarray(boundary_mids))
+
+    tris = []
+    for a, b, c in triangles:
+        mab = midpoint_index[(a, b) if a < b else (b, a)]
+        mbc = midpoint_index[(b, c) if b < c else (c, b)]
+        mca = midpoint_index[(c, a) if c < a else (a, c)]
+        tris.extend([(a, mab, mca), (b, mbc, mab), (c, mca, mbc), (mab, mbc, mca)])
+    tris = np.asarray(tris, dtype=int)
+    p = out_nodes[tris]
+    area = (p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1]) - (
+        p[:, 2, 0] - p[:, 0, 0]
+    ) * (p[:, 1, 1] - p[:, 0, 1])
+    tris[area < 0] = tris[area < 0][:, [0, 2, 1]]
+
+    new_boundary = (
+        np.sort(np.concatenate([boundary_nodes, np.asarray(boundary_keys, dtype=int)]))
+        if boundary_keys
+        else boundary_nodes.copy()
+    )
+    return out_nodes, tris, new_boundary
 
 
 def _metric(curvature: int):

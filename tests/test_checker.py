@@ -21,7 +21,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from oracles import grid_weighted_area, square_neumann_eigenvalues
+from oracles import (
+    disk_intersection_by_triangle,
+    grid_weighted_area,
+    square_neumann_eigenvalues,
+)
+from wittenlab import fem
 from wittenlab.checker import (
     CheckerError,
     check_conjectures,
@@ -32,7 +37,7 @@ from wittenlab.checker import (
     match_ball_radius,
     weighted_disk_intersection,
 )
-from wittenlab.mesh import DomainSpec, generate, refine
+from wittenlab.mesh import DomainSpec, Mesh, generate, refine
 from wittenlab.radial import ShellSpec, extend_profile, shoot_first_mode
 from wittenlab.spaceform import BallSpec, SpaceForm
 from wittenlab.weights import make_weight, property_I_certify
@@ -68,15 +73,18 @@ def phi_exp():
 
 class TestMatchBallRadius:
     def test_flat_disk_area_inverts_to_unit_radius(self, phi_zero):
-        assert abs(match_ball_radius(FLAT, 2, phi_zero, math.pi) - 1.0) < 1e-10
+        radius, mismatch = match_ball_radius(FLAT, 2, phi_zero, math.pi)
+        assert abs(radius - 1.0) < 1e-10
+        # the mismatch is the matched disk's area minus the target
+        assert abs(mismatch - (radius * radius - 1.0) * math.pi) < 1e-14
 
     def test_flat_ball_3d(self, phi_zero):
         vol = 4.0 * math.pi / 3.0 * 8.0
-        assert abs(match_ball_radius(FLAT, 3, phi_zero, vol) - 2.0) < 1e-10
+        assert abs(match_ball_radius(FLAT, 3, phi_zero, vol)[0] - 2.0) < 1e-10
 
     def test_hyperbolic_disk_area_closed_form(self, phi_zero):
         area = 2.0 * math.pi * (math.cosh(1.0) - 1.0)
-        assert abs(match_ball_radius(HYP, 2, phi_zero, area) - 1.0) < 1e-10
+        assert abs(match_ball_radius(HYP, 2, phi_zero, area)[0] - 1.0) < 1e-10
 
     def test_weighted_radius_against_independent_inversion(self):
         # phi(t) = -0.5 t makes the measure heavier outward, so the matched
@@ -90,7 +98,8 @@ class TestMatchBallRadius:
             return 2.0 * math.pi * ((r / a - 1.0 / a**2) * math.exp(a * r) + 1.0 / a**2)
 
         oracle = brentq(lambda r: volume(r) - math.pi, 1e-6, 2.0, xtol=1e-14)
-        ours = match_ball_radius(FLAT, 2, phi, math.pi)
+        ours, mismatch = match_ball_radius(FLAT, 2, phi, math.pi)
+        assert abs(mismatch) <= 1e-12 * math.pi
         assert ours < 1.0
         assert abs(ours - oracle) < 1e-9
 
@@ -102,8 +111,8 @@ class TestMatchBallRadius:
     def test_annulus_from_an_inner_radius(self, phi_zero):
         # flat annulus 1 <= t <= 2 has area 3 pi; a round-off target stays at
         # the inner radius instead of failing the match check
-        assert abs(match_ball_radius(FLAT, 2, phi_zero, 3.0 * math.pi, 1.0) - 2.0) < 1e-10
-        assert abs(match_ball_radius(FLAT, 2, phi_zero, 1e-16, 1.0) - 1.0) < 1e-14
+        assert abs(match_ball_radius(FLAT, 2, phi_zero, 3.0 * math.pi, 1.0)[0] - 2.0) < 1e-10
+        assert abs(match_ball_radius(FLAT, 2, phi_zero, 1e-16, 1.0)[0] - 1.0) < 1e-14
         with pytest.raises(CheckerError, match="certified range"):
             match_ball_radius(FLAT, 2, certified("constant", (0.0,), cap=2.0), 10.0, 1.0)
 
@@ -255,7 +264,7 @@ class TestOffCenterAnchoredWeight:
             box=(-0.4, 1.4, -0.9, 0.9),
             resolution=1200,
         )
-        radius = match_ball_radius(FLAT, 2, phi_exp, volume)
+        radius, _ = match_ball_radius(FLAT, 2, phi_exp, volume)
         mode = shoot_first_mode(BallSpec(radius, 2, FLAT), phi_exp)
         ext = extend_profile(mode, domain_cap=4.0)
         at_anchor = find_trial_center(spec, phi_exp, ext, start=(0.0, 0.0),
@@ -325,6 +334,14 @@ class TestSharper:
             check_theorem_sharper(ShellSpec(0.0, 1.0), HYP, phi_zero, dimension=3)
 
 
+CLIP_MESHES = [
+    DomainSpec(shape="translated-disk", radius=0.8, center=(0.3, 0.1), target_edge_length=0.15),
+    DomainSpec(shape="translated-disk", radius=0.5, center=(-0.6, 0.4), target_edge_length=0.1),
+    DomainSpec(shape="ellipse", aspect=1.4, target_edge_length=0.15),
+    DomainSpec(shape="annulus", inner_radius=0.4, outer_radius=1.2, target_edge_length=0.15),
+]
+
+
 class TestDiskIntersection:
     def test_against_grid_oracle(self, phi_exp):
         spec = DomainSpec(
@@ -364,6 +381,70 @@ class TestDiskIntersection:
         mesh = generate(DomainSpec(shape="disk", radius=1.0, target_edge_length=0.3))
         with pytest.raises(CheckerError, match="chord"):
             weighted_disk_intersection(mesh, phi_zero, 0.05)
+
+    @staticmethod
+    def reference(mesh, phi, radius):
+        return disk_intersection_by_triangle(
+            mesh.nodes, mesh.triangles, lambda t: np.exp(-phi.value(t)), radius,
+            fem.QUAD_BARY, fem.QUAD_WEIGHTS,
+        )
+
+    @pytest.mark.parametrize("spec", CLIP_MESHES, ids=lambda s: s.describe())
+    @pytest.mark.parametrize("weight", ["phi_zero", "phi_exp"])
+    def test_matches_per_triangle_reference(self, spec, weight, request):
+        phi = request.getfixturevalue(weight)
+        mesh = refine(generate(spec))
+        for radius in (0.55, 0.75, 1.1):
+            ours = weighted_disk_intersection(mesh, phi, radius)
+            ref = self.reference(mesh, phi, radius)
+            assert 0.0 < ref[0] < ref[1]
+            for x, y in zip(ours, ref):
+                assert abs(x - y) <= 1e-12 * y
+
+    @pytest.mark.parametrize("weight", ["phi_zero", "phi_exp"])
+    def test_crossings_only_polygons(self, weight, request):
+        # Triangles with all three vertices outside the disk but an edge
+        # crossing it.  Just inside the annulus ring t = 0.8 each chord of
+        # the ring is crossed twice (a polygon of zero area); the middle
+        # triangles of a refined equilateral triangle centred on the origin
+        # have every edge crossed twice (a hexagon).
+        phi = request.getfixturevalue(weight)
+        corners = np.array([[1.0, 0.0], [-0.5, 0.75**0.5], [-0.5, -(0.75**0.5)]])
+        equilateral = Mesh(nodes=corners, triangles=np.array([[0, 1, 2]]),
+                           boundary_nodes=np.arange(3), domain_tag="equilateral")
+        cases = [
+            (generate(CLIP_MESHES[3]), 0.7995),
+            (refine(equilateral), 0.47),
+            (refine(refine(equilateral)), 0.24),
+        ]
+        for mesh, radius in cases:
+            p = mesh.nodes[mesh.triangles]
+            d = np.roll(p, -1, axis=1) - p
+            s = np.clip(-np.sum(p * d, axis=-1) / np.sum(d * d, axis=-1), 0.0, 1.0)
+            closest = np.linalg.norm(p + s[..., None] * d, axis=-1)
+            outside = np.all(np.linalg.norm(p, axis=-1) > radius, axis=1)
+            assert np.any(outside & np.any(closest < radius, axis=1))
+            ours = weighted_disk_intersection(mesh, phi, radius)
+            ref = self.reference(mesh, phi, radius)
+            assert ref[0] > 0.0
+            for x, y in zip(ours, ref):
+                assert abs(x - y) <= 1e-12 * y
+
+    @pytest.mark.parametrize("spec", CLIP_MESHES, ids=lambda s: s.describe())
+    def test_radius_through_a_node(self, spec, phi_exp):
+        # With a node on the circle the per-triangle reference can drop a whole
+        # triangle (its crossings round to the ends of the edges), so the clip
+        # is held between the reference just inside and just outside.
+        mesh = refine(generate(spec))
+        radii = np.hypot(mesh.nodes[:, 0], mesh.nodes[:, 1])
+        candidates = np.flatnonzero((radii > 0.3) & (radii < 1.1))
+        for node in candidates[:: len(candidates) // 6]:
+            radius = float(radii[node])
+            inter, total = weighted_disk_intersection(mesh, phi_exp, radius)
+            lo = self.reference(mesh, phi_exp, radius * (1.0 - 1e-12))
+            hi = self.reference(mesh, phi_exp, radius * (1.0 + 1e-12))
+            assert lo[0] * (1.0 - 1e-12) <= inter <= hi[0] * (1.0 + 1e-12)
+            assert abs(total - lo[1]) <= 1e-12 * lo[1]
 
 
 class TestConjectures:
@@ -525,7 +606,7 @@ class TestTrialCenter:
                 resolution=1500,
             )
         )
-        radius = match_ball_radius(FLAT, 2, phi, volume)
+        radius, _ = match_ball_radius(FLAT, 2, phi, volume)
         mode = shoot_first_mode(BallSpec(radius, 2, FLAT), phi)
         ext = extend_profile(mode, domain_cap=6.0)
         result = find_trial_center(mesh, phi, ext)

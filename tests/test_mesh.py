@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
+from oracles import refine_by_dict
 from wittenlab import mesh as msh
 from wittenlab.mesh import (
     DomainSpec,
@@ -115,8 +116,8 @@ class TestAnnulus:
             )
         )
         validate(m)
-        counts = msh._edge_counts(m.triangles)
-        V, E, F = len(m.nodes), len(counts), len(m.triangles)
+        edges, counts, _ = msh._edges(m.triangles)
+        V, E, F = len(m.nodes), len(edges), len(m.triangles)
         assert V - E + F == 0  # one hole
         r = np.hypot(*m.nodes[m.boundary_nodes].T)
         near_in = np.isclose(r, 0.5, atol=1e-12)
@@ -249,7 +250,7 @@ class TestPolygon:
 class TestRefine:
     def test_counts_and_conformity(self):
         m = generate(DomainSpec(shape="disk", radius=1.0, target_edge_length=0.2))
-        E = len(msh._edge_counts(m.triangles))
+        E = len(msh._edges(m.triangles)[0])
         r = refine(m)
         assert len(r.nodes) == len(m.nodes) + E
         assert len(r.triangles) == 4 * len(m.triangles)
@@ -289,6 +290,49 @@ class TestRefine:
             | np.isclose(pts[:, 1], 0) | np.isclose(pts[:, 1], 1)
         )
         assert np.all(on_outline)
+
+
+REFINE_SPECS = [
+    DomainSpec(shape="disk", radius=1.0, target_edge_length=0.2),
+    DomainSpec(shape="translated-disk", radius=0.8, center=(0.3, 0.1), target_edge_length=0.2),
+    DomainSpec(shape="ellipse", aspect=1.4, target_edge_length=0.2),
+    DomainSpec(shape="annulus", inner_radius=0.4, outer_radius=1.2, target_edge_length=0.2),
+    DomainSpec(
+        shape="polygon",
+        vertices=((0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)),
+        target_edge_length=0.3,
+    ),
+]
+
+
+class TestRefineAgainstReference:
+    """``refine`` reproduces the dict-based reference bit for bit."""
+
+    @staticmethod
+    def assert_levels_match(m, project):
+        for _ in range(3):
+            nodes, tris, boundary = refine_by_dict(
+                m.nodes, m.triangles, m.boundary_nodes, project
+            )
+            m = refine(m)
+            assert np.array_equal(m.nodes, nodes)
+            assert np.array_equal(m.triangles, tris)
+            assert np.array_equal(m.boundary_nodes, boundary)
+
+    @pytest.mark.parametrize("spec", REFINE_SPECS, ids=lambda s: s.shape)
+    def test_generated_meshes(self, spec):
+        project = (
+            None if spec.shape == "polygon"
+            else lambda pts: msh._project_to_boundary(spec, pts)
+        )
+        self.assert_levels_match(generate(spec), project)
+
+    def test_loaded_mesh(self, tmp_path):
+        p = tmp_path / "m.wslmesh"
+        save(generate(REFINE_SPECS[2]), p)
+        m = load(p)
+        assert m.spec is None
+        self.assert_levels_match(m, None)
 
 
 class TestFileFormat:
@@ -369,5 +413,13 @@ class TestValidate:
     def test_rejects_out_of_range_index(self):
         m = self.unit_triangle()
         m.triangles = np.array([[0, 1, 7]])
-        with pytest.raises(MeshInvariantError):
+        with pytest.raises(MeshInvariantError, match="out of node range"):
+            validate(m)
+
+    def test_rejects_unexpected_topology(self):
+        nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0],
+                          [3.0, 0.0], [4.0, 0.0], [3.0, 1.0]])
+        m = Mesh(nodes=nodes, triangles=np.array([[0, 1, 2], [3, 4, 5]]),
+                 boundary_nodes=np.arange(6), domain_tag="t")
+        with pytest.raises(MeshInvariantError, match="Euler characteristic 2"):
             validate(m)
