@@ -19,7 +19,9 @@ with sorted keys, and CSV floats are printed with ``%.17g``.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import copy
+import ctypes
 import json
 import math
 import sys
@@ -427,12 +429,52 @@ def _execute_case(case: dict) -> dict:
         }
 
 
+# thread-count getters of the OpenBLAS builds that numpy (64-bit ints) and
+# scipy ship, and of a plain OpenBLAS; each setter is named with "_set_"
+_OPENBLAS_GETTERS = (
+    "scipy_openblas_get_num_threads64_",
+    "scipy_openblas_get_num_threads",
+    "openblas_get_num_threads",
+)
+
+
+@contextlib.contextmanager
+def _single_threaded_blas():
+    """Run the body with every loaded OpenBLAS set to one thread.
+
+    The solves call BLAS on blocks far too small to gain from threads, and
+    an idle OpenBLAS thread spin-waits between calls, so with more than one
+    solving process the spinning threads take the pool's CPUs.  Forked pool
+    workers inherit the setting; each old thread count comes back on exit.
+    Without OpenBLAS (or without ``/proc``) this does nothing.
+    """
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({ln.split()[-1] for ln in fh if "openblas" in ln.lower()})
+    except OSError:
+        paths = []
+    restore = []
+    try:
+        for path in paths:
+            lib = ctypes.CDLL(path)
+            name = next((n for n in _OPENBLAS_GETTERS if hasattr(lib, n)), None)
+            if name is not None:
+                setter = getattr(lib, name.replace("_get_", "_set_"))
+                restore.append((setter, getattr(lib, name)()))
+                setter(1)
+        yield
+    finally:
+        for setter, threads in reversed(restore):
+            setter(threads)
+
+
 def _execute_batch(cases: list[dict], jobs: int) -> list[dict]:
-    if jobs <= 1 or len(cases) == 1:
-        records = [_execute_case(case) for case in cases]
-    else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(_execute_case, cases))
+    with _single_threaded_blas():
+        if jobs <= 1 or len(cases) == 1:
+            records = [_execute_case(case) for case in cases]
+        else:
+            with ProcessPoolExecutor(max_workers=jobs) as pool:
+                records = list(pool.map(_execute_case, cases))
     return sorted(records, key=lambda r: r["id"])
 
 

@@ -49,6 +49,10 @@ QUAD_BARY = np.array(
     ]
 )
 QUAD_WEIGHTS = np.array([_W1, _W1, _W1, _W2, _W2, _W2])
+# _MASS_TABLE[q, 3 i + j] = w_q bary_q[i] bary_q[j]
+_MASS_TABLE = (
+    QUAD_WEIGHTS[:, None, None] * QUAD_BARY[:, :, None] * QUAD_BARY[:, None, :]
+).reshape(6, 9)
 
 RESIDUAL_TOL = 1e-8
 ZERO_MODE_REL_TOL = 1e-6
@@ -136,12 +140,10 @@ def assemble(mesh: Mesh, space: SpaceForm, weight: WeightFunction) -> AssembledF
         mass_density = density * lam * lam
 
     stiff_coeff = area * np.einsum("q,qm->m", QUAD_WEIGHTS, density)
-    k_local = np.einsum("mid,mjd,m->mij", b, b, stiff_coeff)
+    k_local = (b @ b.transpose(0, 2, 1)) * stiff_coeff[:, None, None]
 
     # Mloc[i, j] = area * sum_q w_q bary_q[i] bary_q[j] rho(x_q)
-    m_local = np.einsum(
-        "q,qi,qj,qm,m->mij", QUAD_WEIGHTS, QUAD_BARY, QUAD_BARY, mass_density, area
-    )
+    m_local = (mass_density * area).T @ _MASS_TABLE
 
     rows = np.repeat(mesh.triangles, 3, axis=1).ravel()
     cols = np.tile(mesh.triangles, (1, 3)).ravel()
@@ -235,10 +237,3 @@ def solve_lowest(forms: AssembledForms, count: int = 1) -> SpectrumResult:
         residuals=residuals,
         dimension=dim,
     )
-
-
-def lowest_nonzero(
-    mesh: Mesh, space: SpaceForm, weight: WeightFunction, count: int = 1
-) -> SpectrumResult:
-    """Assemble and solve in one call."""
-    return solve_lowest(assemble(mesh, space, weight), count=count)

@@ -6,8 +6,10 @@ plus bisection, generic radial problems from a dense cell-centred
 finite-volume discretization, radial integrals from adaptive Gauss-Kronrod
 quadrature told the weight's knots, geometric quantities from closed
 forms or brute-force grids, and the mesh kernels (disk clipping, uniform
-refinement) one triangle at a time in plain Python.  None of it imports
-:mod:`wittenlab` internals.
+refinement) one triangle at a time in plain Python, and P1 assembly in
+the five-operand einsum form.  None of it imports :mod:`wittenlab`
+internals, except :func:`lowest_nonzero`, a shorthand that chains the
+package's own assembly and eigensolve.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy import sparse
 from scipy.integrate import quad
 from scipy.linalg import eigh_tridiagonal
 
@@ -287,6 +290,40 @@ def refine_by_dict(nodes, triangles, boundary_nodes, project=None):
         else boundary_nodes.copy()
     )
     return out_nodes, tris, new_boundary
+
+
+def assemble_by_einsum(nodes, triangles, stiff_density, mass_density, bary, weights):
+    """P1 stiffness and mass matrices from one einsum per local block.
+
+    ``stiff_density`` and ``mass_density`` map the quadrature points, an
+    array of shape ``(len(bary), len(triangles), 2)``, to the integrand
+    factors there.  Returns ``(K, M)`` as CSR matrices.
+    """
+    p = nodes[triangles]
+    d1, d2 = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
+    two_area = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
+    area = 0.5 * two_area
+    # the hat gradients: the opposite edge rotated by -90 degrees over 2|T|
+    b = np.stack([p[:, (i + 1) % 3] - p[:, (i + 2) % 3] for i in range(3)], axis=1)
+    b = np.stack([b[..., 1], -b[..., 0]], axis=-1) / two_area[:, None, None]
+    xq = np.einsum("qi,mid->qmd", bary, p)
+    stiff_coeff = area * np.einsum("q,qm->m", weights, stiff_density(xq))
+    k_local = np.einsum("mid,mjd,m->mij", b, b, stiff_coeff)
+    m_local = np.einsum("q,qi,qj,qm,m->mij", weights, bary, bary, mass_density(xq), area)
+    rows = np.repeat(triangles, 3, axis=1).ravel()
+    cols = np.tile(triangles, (1, 3)).ravel()
+    n = len(nodes)
+    return tuple(
+        sparse.coo_matrix((local.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+        for local in (k_local, m_local)
+    )
+
+
+def lowest_nonzero(mesh, space, weight, count: int = 1):
+    """Assemble and solve in one call, through the package under test."""
+    from wittenlab.fem import assemble, solve_lowest
+
+    return solve_lowest(assemble(mesh, space, weight), count=count)
 
 
 def _metric(curvature: int):

@@ -6,13 +6,16 @@ observable without subprocesses.  One test drives ``python -m`` for real
 from a temporary directory, and one imports the front end in a fresh
 interpreter; both give the child the repository's absolute ``src`` on
 ``PYTHONPATH``, so they pass from any checkout location whether or not the
-package is installed.
+package is installed.  The BLAS pin is read back through each loaded
+OpenBLAS's own thread-count getter.
 """
 
+import ctypes
 import json
 import os
 import subprocess
 import sys
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -343,6 +346,78 @@ def test_cli_import_leaves_scipy_integrate_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+OPENBLAS_GETTERS = (
+    "scipy_openblas_get_num_threads64_",
+    "scipy_openblas_get_num_threads",
+    "openblas_get_num_threads",
+)
+
+
+def openblas_api() -> list:
+    """``(getter, setter)`` of every loaded OpenBLAS that exports a getter."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({ln.split()[-1] for ln in fh if "openblas" in ln.lower()})
+    except OSError:
+        return []
+    api = []
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        for name in OPENBLAS_GETTERS:
+            if hasattr(lib, name):
+                api.append((getattr(lib, name), getattr(lib, name.replace("_get_", "_set_"))))
+                break
+    return api
+
+
+def openblas_threads() -> list[int]:
+    return [get() for get, _set in openblas_api()]
+
+
+def report_threads(case: dict) -> dict:
+    return {"id": case["id"], "threads": openblas_threads()}
+
+
+class TestSingleThreadedBlas:
+    @pytest.fixture
+    def two_threads(self):
+        """Every loaded OpenBLAS at 2 threads, so a restore is visible."""
+        api = openblas_api()
+        if not api:
+            pytest.skip("no loaded OpenBLAS exports a thread-count getter")
+        before = [get() for get, _set in api]
+        for _get, set_ in api:
+            set_(2)
+        yield len(api)
+        for (_get, set_), threads in zip(api, before):
+            set_(threads)
+
+    def test_pinned_inside_and_restored_after(self, two_threads):
+        with cli._single_threaded_blas():
+            assert openblas_threads() == [1] * two_threads
+        assert openblas_threads() == [2] * two_threads
+
+    def test_restored_when_the_body_raises(self, two_threads):
+        with pytest.raises(RuntimeError, match="boom"):
+            with cli._single_threaded_blas():
+                raise RuntimeError("boom")
+        assert openblas_threads() == [2] * two_threads
+
+    def test_pool_worker_inherits_the_pin(self, two_threads):
+        with cli._single_threaded_blas():
+            with ProcessPoolExecutor(max_workers=1) as pool:
+                assert pool.submit(openblas_threads).result() == [1] * two_threads
+
+    def test_batch_runs_pinned(self, two_threads, monkeypatch):
+        monkeypatch.setattr(cli, "_execute_case", report_threads)
+        records = cli._execute_batch([{"id": "b"}, {"id": "a"}], jobs=1)
+        assert records == [
+            {"id": "a", "threads": [1] * two_threads},
+            {"id": "b", "threads": [1] * two_threads},
+        ]
+        assert openblas_threads() == [2] * two_threads
 
 
 def count_calls(monkeypatch, names):

@@ -12,8 +12,9 @@ import math
 import numpy as np
 import pytest
 
+from oracles import assemble_by_einsum, lowest_nonzero
 from wittenlab import fem
-from wittenlab.fem import AssemblyError, EigsolveError, assemble, lowest_nonzero, solve_lowest
+from wittenlab.fem import AssemblyError, EigsolveError, assemble, solve_lowest
 from wittenlab.mesh import DomainSpec, Mesh, generate, refine
 from wittenlab.radial import shoot_first_mode
 from wittenlab.spaceform import BallSpec, SpaceForm, poincare_radius
@@ -94,6 +95,32 @@ class TestAssembly:
         mesh = generate(DomainSpec(shape="disk", radius=1.2, target_edge_length=0.3))
         with pytest.raises(AssemblyError, match="Poincare"):
             assemble(mesh, HYP, phi_zero)
+
+    @pytest.mark.parametrize("curvature", [0, -1])
+    def test_matches_einsum_assembly(self, curvature):
+        space = SpaceForm(curvature=curvature)
+        radius = 1.0 if curvature == 0 else poincare_radius(1.0)
+        spec = DomainSpec(shape="ellipse", semi_axis_x=1.4 * radius,
+                          semi_axis_y=radius / 1.4, target_edge_length=0.1 * radius)
+        mesh = refine(generate(spec))
+        weight = certified("exponential-decay", (0.0, 1.0, 0.7))
+
+        def stiff_density(xq):
+            r = np.hypot(xq[..., 0], xq[..., 1])
+            return np.exp(-weight.value(r if curvature == 0 else 2.0 * np.arctanh(r)))
+
+        def mass_density(xq):
+            if curvature == 0:
+                return stiff_density(xq)
+            r2 = xq[..., 0] ** 2 + xq[..., 1] ** 2
+            return stiff_density(xq) * (2.0 / (1.0 - r2)) ** 2
+
+        forms = assemble(mesh, space, weight)
+        expected = assemble_by_einsum(mesh.nodes, mesh.triangles, stiff_density,
+                                      mass_density, fem.QUAD_BARY, fem.QUAD_WEIGHTS)
+        for got, want in zip((forms.stiffness, forms.mass), expected):
+            scale = abs(want).max()
+            assert abs(got - want).max() <= 1e-14 * scale
 
 
 class TestSpectra:
