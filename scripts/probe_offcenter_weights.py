@@ -19,7 +19,7 @@ that at least one combination failed, same convention as the CLI.
 import argparse
 import sys
 
-from wittenlab.checker import check_theorem_main
+from wittenlab.checker import build_report, solve_case
 from wittenlab.mesh import DomainSpec
 from wittenlab.spaceform import SpaceForm
 from wittenlab.weights import make_weight, property_I_certify
@@ -65,8 +65,8 @@ def main() -> int:
         for label, (family, params) in WEIGHTS:
             phi = make_weight(family, params, domain_cap=20.0)
             assert property_I_certify(phi).passed
-            report = check_theorem_main(
-                domain, flat, phi, refinements=args.refinements
+            report = build_report(
+                solve_case(domain, flat, phi, refinements=args.refinements)
             )
             verdict = "pass" if report.passed else "FAIL"
             any_failed = any_failed or not report.passed

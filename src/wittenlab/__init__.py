@@ -15,8 +15,6 @@ from .spaceform import (
     QuadratureError,
     SpaceForm,
     c_kappa,
-    geodesic_distance_poincare,
-    poincare_radius,
     s_kappa,
     unit_sphere_area,
     weighted_annulus_volume,
@@ -42,9 +40,7 @@ __all__ = [
     "UncertifiedWeightError",
     "WeightFunction",
     "c_kappa",
-    "geodesic_distance_poincare",
     "make_weight",
-    "poincare_radius",
     "property_I_certify",
     "s_kappa",
     "unit_sphere_area",

@@ -38,13 +38,11 @@ from . import fem
 from .mesh import DomainSpec, Mesh, generate, refine
 from .radial import (
     DEFAULT_OPTIONS,
-    ExtendedProfile,
     RadialSolution,
     ShellSpec,
     ShootingOptions,
     ball_rayleigh_integrals,
     expand_spectrum,
-    extend_profile,
     shoot_first_mode,
     symmetric_spectrum,
 )
@@ -255,8 +253,10 @@ def solve_case(
 def build_report(
     sol: CaseSolution, *, sharper: bool = False, conjecture: bool = False
 ) -> InequalityReport:
-    """The main comparison of a solved case, plus the sharper and the
-    open-question blocks when asked for."""
+    """The report of a solved case: the reciprocal-sum comparison against
+    the volume-matched centred ball, plus the sharper and the open-question
+    blocks when asked for.  ``build_report(solve_case(...), ...)`` is the
+    one way to a verdict."""
     n = sol.dimension
     eigs = sol.eigenvalues
     mu_ball = sol.ball_mode.mu
@@ -299,23 +299,6 @@ def build_report(
                 f"final verdict {report.conjecture['verdict']}"
             )
     return report
-
-
-def check_theorem_main(
-    domain,
-    space: SpaceForm,
-    phi: WeightFunction,
-    dimension: int | None = None,
-    *,
-    refinements: int = 2,
-    options: ShootingOptions = DEFAULT_OPTIONS,
-) -> InequalityReport:
-    """Reciprocal-sum comparison against the volume-matched centred ball;
-    ``domain`` and ``dimension`` as in :func:`solve_case`."""
-    sol = solve_case(
-        domain, space, phi, dimension, refinements=refinements, options=options
-    )
-    return build_report(sol)
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +377,18 @@ def weighted_disk_intersection(mesh: Mesh, phi: WeightFunction, radius: float):
 
 
 def _sharper_block(sol: CaseSolution, report: InequalityReport) -> dict:
-    """The annulus correction of the sharper comparison (flat space only)."""
+    """The annulus correction that strengthens the main comparison.
+
+    Flat space only.  Two more radii are matched: ``r1`` captures the
+    weighted volume of the part of the domain inside the matched ball, and
+    ``r2`` the part outside, through ``|B_{r2} \\ B_R|``.  The correction
+
+        [A(r1, R) - A(R, r2)] / B(0, R)
+
+    is formed from the Rayleigh integrals of the extended first-mode profile
+    of the matched ball; it is nonnegative and bounded above by the slack of
+    the main inequality, both of which get verified.
+    """
     if sol.space.is_hyperbolic:
         raise CheckerError("the sharper comparison is only formulated in flat space")
     space, phi, n = sol.space, sol.phi, sol.dimension
@@ -417,11 +411,11 @@ def _sharper_block(sol: CaseSolution, report: InequalityReport) -> dict:
     r1 = match_ball_radius(space, n, phi, inner_vol)[0] if inner_vol > 0 else 0.0
     r2 = match_ball_radius(space, n, phi, outer_vol, radius)[0] if outer_vol > 0 else radius
 
-    mu_ball = sol.ball_mode.mu
-    ext = extend_profile(sol.ball_mode, domain_cap=max(r2, radius) * (1.0 + 1e-12))
-    a_in, _ = ball_rayleigh_integrals(ext, r1, radius)
-    a_out, _ = ball_rayleigh_integrals(ext, radius, r2)
-    _, b_core = ball_rayleigh_integrals(ext, 0.0, radius)
+    mode = sol.ball_mode
+    mu_ball = mode.mu
+    a_in, _ = ball_rayleigh_integrals(mode, r1, radius)
+    a_out, _ = ball_rayleigh_integrals(mode, radius, r2)
+    _, b_core = ball_rayleigh_integrals(mode, 0.0, radius)
     sharper_rhs = (a_in - a_out) / b_core
 
     # rearranged strengthening: mu1(ball) - (n-1)/LHS >= correction >= 0
@@ -441,33 +435,6 @@ def _sharper_block(sol: CaseSolution, report: InequalityReport) -> dict:
     }
 
 
-def check_theorem_sharper(
-    domain,
-    space: SpaceForm,
-    phi: WeightFunction,
-    dimension: int | None = None,
-    *,
-    refinements: int = 2,
-    options: ShootingOptions = DEFAULT_OPTIONS,
-) -> InequalityReport:
-    """Main comparison plus the annulus correction that strengthens it.
-
-    Flat space only.  Two more radii are matched: ``r1`` captures the
-    weighted volume of the part of the domain inside the matched ball, and
-    ``r2`` the part outside, through ``|B_{r2} \\ B_R|``.  The correction
-
-        [A(r1, R) - A(R, r2)] / B(0, R)
-
-    is formed from the Rayleigh integrals of the extended first-mode profile
-    of the matched ball; it is nonnegative and bounded above by the slack of
-    the main inequality, both of which get verified.
-    """
-    sol = solve_case(
-        domain, space, phi, dimension, refinements=refinements, options=options
-    )
-    return build_report(sol, sharper=True)
-
-
 # ---------------------------------------------------------------------------
 # open-question exploration
 
@@ -475,10 +442,11 @@ def check_theorem_sharper(
 def _conjecture_block(sol: CaseSolution) -> dict:
     """The ``n``-term sum against ``n/mu_1(ball)``, escalated when negative.
 
-    A negative margin is re-examined once on a finer solution (two more
+    This inequality is open, so a negative margin is never called a
+    refutation: it is re-examined once on a finer solution (two more
     refinement levels, or radial solver tolerances tightened tenfold for
-    radial domains); only a margin that stays negative is a counterexample
-    candidate.  The finer solution feeds this block alone.
+    radial domains), and only a margin that stays negative is labelled a
+    counterexample candidate.  The finer solution feeds this block alone.
     """
     n = sol.dimension
     if len(sol.eigenvalues) < n:
@@ -515,29 +483,6 @@ def _conjecture_block(sol: CaseSolution) -> dict:
         ),
         "escalated": escalated,
     }
-
-
-def check_conjectures(
-    domain,
-    space: SpaceForm,
-    phi: WeightFunction,
-    dimension: int | None = None,
-    *,
-    refinements: int = 2,
-    options: ShootingOptions = DEFAULT_OPTIONS,
-) -> InequalityReport:
-    """Extend the reciprocal sum to ``n`` terms and compare with ``n/mu_1(ball)``.
-
-    This inequality is open, so a negative margin is never called a
-    refutation: the case is re-run on a twice-refined mesh (or with the
-    radial solver tolerances tightened tenfold) and only a persistent negative
-    margin is labelled a counterexample candidate.
-    """
-    sol = solve_case(
-        domain, space, phi, dimension,
-        conjecture=True, refinements=refinements, options=options,
-    )
-    return build_report(sol, conjecture=True)
 
 
 def check_pointwise_bound(mu, xi) -> tuple[bool, float]:
@@ -581,7 +526,7 @@ class TrialCenterResult:
 def find_trial_center(
     domain,
     phi: WeightFunction,
-    ext: ExtendedProfile,
+    mode: RadialSolution,
     start: tuple[float, float] | None = None,
     max_iterations: int = 100,
 ) -> TrialCenterResult:
@@ -591,11 +536,16 @@ def find_trial_center(
 
         V(o) = integral over the domain of f(|x-o|) (x-o)/|x-o| dm(x)
 
-    vanishes, ``dm`` the weighted area element.  The weight stays radial
-    about the ambient origin throughout; only the trial center moves.  A
-    damped Newton iteration with finite-difference Jacobian runs until
-    ``|V|`` drops below 1e-8 of the field's natural scale.  Wandering
-    outside the hull is clamped and reported, not fatal.
+    vanishes, ``dm`` the weighted area element and ``f = mode.f`` the
+    extended first-mode profile of the matched ball.  The weight stays
+    radial about the ambient origin throughout; only the trial center moves.
+    A damped Newton iteration runs until ``|V|`` drops below 1e-8 of the
+    field's natural scale, with the Jacobian evaluated in the same pass as
+    the field: with ``e = (x-o)/r``,
+
+        dV/do = -integral of [f'(r) e e^T + f(r)/r (I - e e^T)] dm(x).
+
+    Wandering outside the hull is clamped and reported, not fatal.
     """
     mesh = _mesh_for(domain)
     p = mesh.nodes[mesh.triangles]
@@ -622,24 +572,26 @@ def find_trial_center(
                 hi = mid
         return frm + lo * (to - frm)
 
-    def field(o: np.ndarray) -> tuple[np.ndarray, float]:
+    def field(o: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
         rel = xq - o
         r = np.hypot(rel[:, 0], rel[:, 1])
         r = np.maximum(r, 1e-300)
-        fr = ext.f(np.minimum(r, ext.domain_cap))
+        fr = mode.f(r)
         coeff = density * fr / r
         v = np.array([coeff @ rel[:, 0], coeff @ rel[:, 1]])
         scale = float(np.abs(density) @ np.abs(fr))
-        return v, scale
+        e = rel / r[:, None]
+        radial = density * mode.fprime(r) - coeff
+        jac = -(e.T @ (radial[:, None] * e) + np.sum(coeff) * np.eye(2))
+        return v, scale, jac
 
     o = np.asarray(start if start is not None else mesh.nodes.mean(axis=0), dtype=float)
     if not inside_hull(o):
         o = mesh.nodes.mean(axis=0)
     escaped = False
     diam = float(np.max(mesh.nodes.max(axis=0) - mesh.nodes.min(axis=0)))
-    step_h = 1e-6 * diam
 
-    v, scale = field(o)
+    v, scale, jac = field(o)
     for iteration in range(1, max_iterations + 1):
         if np.linalg.norm(v) <= CENTER_RESIDUAL_TOL * scale:
             return TrialCenterResult(
@@ -651,13 +603,6 @@ def find_trial_center(
                 escaped_hull=escaped,
                 note="weight held radial about the ambient origin",
             )
-        jac = np.empty((2, 2))
-        for k in range(2):
-            dv = np.zeros(2)
-            dv[k] = step_h
-            vp, _ = field(o + dv)
-            vm, _ = field(o - dv)
-            jac[:, k] = (vp - vm) / (2.0 * step_h)
         try:
             full_step = np.linalg.solve(jac, -v)
         except np.linalg.LinAlgError:
@@ -668,9 +613,9 @@ def find_trial_center(
             if not inside_hull(cand):
                 escaped = True
                 cand = clamp_to_hull(o, cand)
-            v_new, scale_new = field(cand)
+            v_new, scale_new, jac_new = field(cand)
             if np.linalg.norm(v_new) < np.linalg.norm(v):
-                o, v, scale = cand, v_new, scale_new
+                o, v, scale, jac = cand, v_new, scale_new, jac_new
                 break
             damping *= 0.5
         else:

@@ -33,7 +33,7 @@ import numpy as np
 
 from .checker import build_report, find_trial_center, solve_case
 from .mesh import SUPPORTED_SHAPES, DomainSpec, load as load_mesh
-from .radial import DEFAULT_OPTIONS, ShellSpec, check_lemma_monotone, extend_profile
+from .radial import DEFAULT_OPTIONS, ShellSpec, check_lemma_monotone
 from .spaceform import SpaceForm
 from .weights import FAMILIES, make_weight, property_I_certify
 
@@ -376,8 +376,7 @@ def _run_case(case: dict) -> dict:
         failed.append("conjecture")
 
     if "lemma23" in checks:
-        ext = extend_profile(mode, domain_cap=radius * (1 + 1e-12))
-        monotone = check_lemma_monotone(ext)
+        monotone = check_lemma_monotone(mode)
         record["lemma23"] = {
             k: (list(v) if isinstance(v, tuple) else v)
             for k, v in asdict(monotone).items()
@@ -386,9 +385,7 @@ def _run_case(case: dict) -> dict:
             failed.append("lemma23")
 
     if "center" in checks:
-        cap = 4.0 * (radius + 1.0)
-        ext = extend_profile(mode, domain_cap=min(cap, phi.domain_cap))
-        result = find_trial_center(solution.base_mesh, phi, ext)
+        result = find_trial_center(solution.base_mesh, phi, mode)
         record["center"] = {
             "center": list(result.center),
             "residual": result.residual,

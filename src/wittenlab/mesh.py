@@ -173,9 +173,6 @@ class Mesh:
         )
         return np.hypot(e[:, 0], e[:, 1])
 
-    def area(self) -> float:
-        return float(np.sum(self.signed_areas()))
-
 
 def _edges(triangles: np.ndarray):
     """Unique edges of a triangulation, numbered in first-appearance order.
@@ -304,11 +301,7 @@ def _annulus_mesh(spec: DomainSpec) -> Mesh:
 
     tris: list[tuple[int, int, int]] = []
     for i in range(rings):
-        inner, outer = ring_indices[i], ring_indices[i + 1]
-        for j in range(count):
-            jn = (j + 1) % count
-            tris.append((inner[j], outer[j], outer[jn]))
-            tris.append((inner[j], outer[jn], inner[jn]))
+        tris.extend(_band_triangles(ring_indices[i], ring_indices[i + 1]))
 
     nodes_arr = np.asarray(nodes, dtype=float)
     mesh = Mesh(

@@ -31,7 +31,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field, replace
-from typing import Callable
 
 import numpy as np
 import scipy.fft
@@ -132,6 +131,17 @@ class RadialSolution:
     def Tprime(self, t):
         return _profile(self.nodes, self.samples, self._power, t)[1]
 
+    def f(self, t):
+        """The profile extended past the ball by its boundary value:
+        ``T(min(t, R))``, the trial field of the comparison argument."""
+        return self.T(np.minimum(t, self.ball.radius))
+
+    def fprime(self, t):
+        """Derivative of :meth:`f`: ``T'(t)`` for ``t <= R``, else 0."""
+        t = np.asarray(t, dtype=float)
+        R = self.ball.radius
+        return np.where(t <= R, self.Tprime(np.minimum(t, R)), 0.0)
+
     @property
     def _power(self) -> int:
         return self.mode_degree if self.inner_radius == 0.0 else 0
@@ -146,24 +156,6 @@ def _profile(nodes, samples, s: int, t):
     t = t.reshape(t.shape + (1,) * (samples.ndim - 3))
     dT = t ** s * both[..., 1]
     return t ** s * both[..., 0], dT if s == 0 else dT + s * t ** (s - 1) * both[..., 0]
-
-
-@dataclass
-class ExtendedProfile:
-    """First-mode profile extended past the ball radius by its boundary value.
-
-    ``f(t) = T(t)`` for ``t <= R`` and ``f(t) = T(R)`` beyond; ``fprime``
-    follows suit with 0 beyond the radius.  ``f`` and ``fprime`` accept
-    scalars or arrays on ``[0, domain_cap]``.
-    """
-
-    radius: float
-    space: SpaceForm
-    domain_cap: float
-    plateau: float
-    f: Callable
-    fprime: Callable
-    base: RadialSolution
 
 
 @dataclass(frozen=True)
@@ -473,55 +465,29 @@ def shoot_first_mode(
     )
 
 
-def extend_profile(solution: RadialSolution, domain_cap: float) -> ExtendedProfile:
-    """Extend a radial profile past its ball by the constant boundary value."""
-    R = solution.ball.radius
-    if domain_cap < R:
-        raise ValueError("domain_cap must be at least the ball radius")
-    plateau = float(solution.T(R))
-
-    def f(t):
-        arr = np.asarray(t, dtype=float)
-        out = np.where(arr <= R, solution.T(np.minimum(arr, R)), plateau)
-        return out if out.ndim else float(out)
-
-    def fprime(t):
-        arr = np.asarray(t, dtype=float)
-        out = np.where(arr <= R, solution.Tprime(np.minimum(arr, R)), 0.0)
-        return out if out.ndim else float(out)
-
-    return ExtendedProfile(
-        radius=R,
-        space=solution.ball.space,
-        domain_cap=float(domain_cap),
-        plateau=plateau,
-        f=f,
-        fprime=fprime,
-        base=solution,
-    )
-
-
-def check_lemma_monotone(ext: ExtendedProfile, grid_points: int = 2000) -> MonotonicityReport:
+def check_lemma_monotone(mode: RadialSolution, grid_points: int = 2000) -> MonotonicityReport:
     """Verify the two structural facts the comparison argument rests on.
 
-    The ratio ``f(t)/S(t)`` must be non-increasing on ``(0, domain_cap]`` and
+    The ratio ``f(t)/S(t)`` must be non-increasing on ``(0, R]`` and
     ``fprime`` must be nonnegative on ``[0, R]``, both within
-    ``tol = 1e-8 * max |f|`` on a grid of ``grid_points`` samples.  Failures
+    ``tol = 1e-8 * max |f|`` on a grid of ``grid_points`` samples.  Past
+    ``R`` the ratio ``T(R)/S(t)`` decreases by construction.  Failures
     report the worst violating interval.
     """
     if grid_points < 100:
         raise ValueError("grid_points must be >= 100")
-    ts = np.linspace(ext.domain_cap / grid_points, ext.domain_cap, grid_points)
-    fvals = np.asarray(ext.f(ts), dtype=float)
+    R = mode.ball.radius
+    ts = np.linspace(R / grid_points, R, grid_points)
+    fvals = np.asarray(mode.f(ts), dtype=float)
     tol = 1e-8 * float(np.max(np.abs(fvals)))
 
-    ratio = fvals / np.asarray(s_kappa(ts, ext.space), dtype=float)
+    ratio = fvals / np.asarray(s_kappa(ts, mode.ball.space), dtype=float)
     increments = np.diff(ratio)
     worst_idx = int(np.argmax(increments))
     worst = float(increments[worst_idx])
 
-    inside = np.linspace(0.0, ext.radius, grid_points)
-    fp = np.asarray(ext.fprime(inside), dtype=float)
+    inside = np.linspace(0.0, R, grid_points)
+    fp = np.asarray(mode.fprime(inside), dtype=float)
     fp_idx = int(np.argmin(fp))
 
     passed = bool(worst <= tol and fp[fp_idx] >= -tol)
@@ -537,9 +503,10 @@ def check_lemma_monotone(ext: ExtendedProfile, grid_points: int = 2000) -> Monot
 
 
 def ball_rayleigh_integrals(
-    ext: ExtendedProfile, lower: float, upper: float
+    mode: RadialSolution, lower: float, upper: float
 ) -> tuple[float, float]:
-    """Directional energy and mass integrals of the extended profile.
+    """Directional energy and mass integrals of the extended profile
+    ``f = mode.f``.
 
     Returns the pair
 
@@ -554,17 +521,15 @@ def ball_rayleigh_integrals(
     """
     if not (0.0 <= lower <= upper):
         raise ValueError("need 0 <= lower <= upper")
-    if upper > ext.domain_cap * (1.0 + 1e-12):
-        raise ValueError("upper limit exceeds the profile's domain_cap")
     if upper == lower:
         return 0.0, 0.0
-    n, space, phi = ext.base.ball.dimension, ext.base.ball.space, ext.base.phi
+    n, space, phi = mode.ball.dimension, mode.ball.space, mode.phi
     # the pieces end at the weight's knots and at R, where f' jumps to 0
-    breaks = sorted({*phi.breaks(lower, upper), min(max(ext.radius, lower), upper)})
+    breaks = sorted({*phi.breaks(lower, upper), min(max(mode.ball.radius, lower), upper)})
 
     def densities(t: np.ndarray) -> np.ndarray:
         s = s_kappa(t, space)
-        fv, fp = ext.f(t), ext.fprime(t)
+        fv, fp = mode.f(t), mode.fprime(t)
         measure = s ** (n - 1) * np.exp(-phi.value(t))
         return np.stack([(fp * fp + (n - 1) * fv * fv / (s * s)) * measure, fv * fv * measure])
 

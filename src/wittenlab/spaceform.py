@@ -54,13 +54,6 @@ class SpaceForm:
     def s(self, t):
         return s_kappa(t, self)
 
-    def c(self, t):
-        return c_kappa(t, self)
-
-
-FLAT = SpaceForm(EUCLIDEAN)
-HYPERBOLIC_SPACE = SpaceForm(HYPERBOLIC)
-
 
 @dataclass(frozen=True)
 class BallSpec:
@@ -102,26 +95,6 @@ def c_kappa(t, space: SpaceForm):
     else:
         out = np.ones_like(arr)
     return out if out.ndim else float(out)
-
-
-def geodesic_distance_poincare(x) -> float:
-    """Geodesic distance from the origin of a point of the Poincare unit disk.
-
-    ``x`` is a point in disk coordinates with ``|x| < 1``; the distance is
-    ``2 artanh |x|``.
-    """
-    v = np.asarray(x, dtype=float)
-    r = float(np.linalg.norm(v))
-    if r >= 1.0:
-        raise ValueError(f"point with |x| = {r:.6g} lies outside the Poincare unit disk")
-    return 2.0 * math.atanh(r)
-
-
-def poincare_radius(geodesic_radius: float) -> float:
-    """Disk-model radius corresponding to a geodesic radius: ``tanh(R/2)``."""
-    if geodesic_radius <= 0:
-        raise ValueError("geodesic radius must be positive")
-    return math.tanh(0.5 * geodesic_radius)
 
 
 def unit_sphere_area(dimension: int) -> float:

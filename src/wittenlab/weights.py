@@ -12,7 +12,7 @@ certified on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -55,21 +55,7 @@ class CertificationReport:
     )
 
     def as_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "family": self.family,
-            "domain_cap": self.domain_cap,
-            "grid_points": self.grid_points,
-            "tol": self.tol,
-            "worst_slope": self.worst_slope,
-            "worst_slope_t": self.worst_slope_t,
-            "worst_convexity": self.worst_convexity,
-            "worst_convexity_t": self.worst_convexity_t,
-            "first_violation_t": self.first_violation_t,
-            "first_violation_kind": self.first_violation_kind,
-            "value_at_origin": self.value_at_origin,
-            "note": self.note,
-        }
+        return asdict(self)
 
 
 @dataclass

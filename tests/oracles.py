@@ -163,6 +163,13 @@ def polar_area(rho_fn, samples: int = 8192) -> float:
     return float(0.5 * np.mean(rho ** 2) * 2.0 * math.pi)
 
 
+def mesh_area(mesh) -> float:
+    """Total signed area of a triangulation, one cross product per triangle."""
+    p = mesh.nodes[mesh.triangles]
+    d1, d2 = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
+    return float(0.5 * np.sum(d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]))
+
+
 def grid_weighted_area(inside_fn, phi_fn, box, resolution: int = 2000) -> float:
     """Brute-force weighted area of ``{inside}`` with density ``exp(-phi(|x|))``.
 
@@ -372,6 +379,22 @@ def rayleigh_integrals_quad(n, curvature, phi_fn, f, fprime, lower, upper, knots
         scale * _adaptive(energy, lower, upper, knots),
         scale * _adaptive(mass, lower, upper, knots),
     )
+
+
+def geodesic_distance_poincare(x) -> float:
+    """Geodesic distance from the origin of a point ``x`` of the Poincare unit
+    disk, ``2 artanh |x|``; raises for ``|x| >= 1``."""
+    r = float(np.linalg.norm(np.asarray(x, dtype=float)))
+    if r >= 1.0:
+        raise ValueError(f"point with |x| = {r:.6g} lies outside the Poincare unit disk")
+    return 2.0 * math.atanh(r)
+
+
+def poincare_radius(geodesic_radius: float) -> float:
+    """Disk-model radius of a geodesic radius: ``tanh(R/2)``."""
+    if geodesic_radius <= 0:
+        raise ValueError("geodesic radius must be positive")
+    return math.tanh(0.5 * geodesic_radius)
 
 
 def hyperbolic_ball_area(R: float) -> float:

@@ -23,22 +23,16 @@ import numpy as np
 import pytest
 
 import oracles
-from wittenlab.checker import (
-    check_conjectures,
-    check_pointwise_bound,
-    check_theorem_main,
-    check_theorem_sharper,
-)
+from wittenlab.checker import build_report, check_pointwise_bound, solve_case
 from wittenlab.fem import assemble, solve_lowest
 from wittenlab.mesh import DomainSpec, generate, refine
 from wittenlab.radial import (
     DEFAULT_OPTIONS,
     ShellSpec,
     check_lemma_monotone,
-    extend_profile,
     shoot_first_mode,
 )
-from wittenlab.spaceform import BallSpec, SpaceForm, poincare_radius
+from wittenlab.spaceform import BallSpec, SpaceForm
 from wittenlab.weights import make_weight, property_I_certify
 
 FLAT = SpaceForm(curvature=0)
@@ -186,9 +180,9 @@ def flat_reports(weights3):
     reports = []
     for label, domain, dim in flat_corpus_domains():
         for wlabel, phi in weights3:
-            rep = check_theorem_main(
+            rep = build_report(solve_case(
                 domain, FLAT, phi, dimension=dim, refinements=2, options=CORPUS_OPTIONS
-            )
+            ))
             reports.append((f"{label}/{wlabel}", rep, phi))
     return reports
 
@@ -199,9 +193,9 @@ def hyper_reports(weights3):
     reports = []
     for label, domain, dim in hyper_corpus_domains():
         for wlabel, phi in pair:
-            rep = check_theorem_main(
+            rep = build_report(solve_case(
                 domain, HYPER, phi, dimension=dim, refinements=2, options=CORPUS_OPTIONS
-            )
+            ))
             reports.append((f"{label}/{wlabel}", rep, phi))
     return reports
 
@@ -276,7 +270,7 @@ def test_criterion_03_radial_solver_cross_checks(weights3, phi_const, capsys):
         )[0]
         worst_fd = max(worst_fd, abs(mu - oracle) / oracle)
         if with_fem:
-            model_r = radius if space.curvature == 0 else poincare_radius(radius)
+            model_r = radius if space.curvature == 0 else oracles.poincare_radius(radius)
             mesh = refine(
                 generate(
                     DomainSpec(
@@ -303,9 +297,9 @@ def test_criterion_04_main_inequality_centred_corpus(flat_reports, weights3, phi
 
     ball_ok = True
     for _wlabel, phi in weights3:
-        rep = check_theorem_main(
+        rep = build_report(solve_case(
             ShellSpec(0.0, 1.0), FLAT, phi, dimension=3, refinements=2, options=CORPUS_OPTIONS
-        )
+        ))
         ball_ok = ball_ok and abs(rep.gap) <= rep.tol_budget
 
     translated_ok = True
@@ -314,7 +308,7 @@ def test_criterion_04_main_inequality_centred_corpus(flat_reports, weights3, phi
             shape="translated-disk", radius=0.8, center=(offset, 0.0),
             target_edge_length=0.1,
         )
-        rep = check_theorem_main(dom, FLAT, phi_const, refinements=2)
+        rep = build_report(solve_case(dom, FLAT, phi_const, refinements=2))
         translated_ok = translated_ok and rep.passed
 
     ok = not failures and ball_ok and translated_ok
@@ -334,7 +328,7 @@ def test_criterion_04_offcentre_violation_is_resolved(weights3, capsys):
     dom = DomainSpec(
         shape="translated-disk", radius=0.8, center=(0.5, 0.0), target_edge_length=0.1
     )
-    rep = check_theorem_main(dom, FLAT, phi, refinements=2)
+    rep = build_report(solve_case(dom, FLAT, phi, refinements=2))
     ok = rep.gap < -10.0 * rep.tol_budget
     criterion(
         capsys, "4-note", ok,
@@ -362,7 +356,7 @@ def test_criterion_04_translated_disks_nonconstant_weights(weights3, capsys):
             target_edge_length=0.1,
         )
         for _wlabel, phi in weights3:
-            rep = check_theorem_main(dom, FLAT, phi, refinements=2)
+            rep = build_report(solve_case(dom, FLAT, phi, refinements=2))
             ok = ok and rep.passed
             worst = min(worst, rep.gap)
     with capsys.disabled():
@@ -429,17 +423,17 @@ def test_criterion_06_refined_flat_bound(weights3, capsys):
     ]
     failures = []
     for label, domain, phi, dim in cases:
-        rep = check_theorem_sharper(
+        rep = build_report(solve_case(
             domain, FLAT, phi, dimension=dim, refinements=2, options=CORPUS_OPTIONS
-        )
+        ), sharper=True)
         sharp = rep.sharper
         if not (sharp["nonnegative_ok"] and sharp["passed"] and rep.passed):
             failures.append(label)
 
-    ball = check_theorem_sharper(
+    ball = build_report(solve_case(
         ShellSpec(0.0, 1.0), FLAT, wl["linear"], dimension=3, refinements=2,
         options=CORPUS_OPTIONS,
-    )
+    ), sharper=True)
     ball_ok = ball.sharper["rhs"] <= 1e-9 and abs(ball.sharper["gap"]) <= max(
         ball.tol_budget, 1e-6
     )
@@ -460,8 +454,7 @@ def test_criterion_07_profile_monotone_on_corpus(flat_reports, hyper_reports, ca
     for label, rep, phi in list(flat_reports) + list(hyper_reports):
         space = FLAT if rep.curvature == 0 else HYPER
         mode = shoot_first_mode(BallSpec(rep.matched_radius, rep.dimension, space), phi)
-        ext = extend_profile(mode, domain_cap=rep.matched_radius * (1 + 1e-12))
-        mono = check_lemma_monotone(ext, grid_points=2000)
+        mono = check_lemma_monotone(mode, grid_points=2000)
         worst = max(worst, mono.worst_increase)
         if not mono.passed:
             failures.append(label)
@@ -547,7 +540,8 @@ def test_criterion_10_square_sum_and_sweeps(phi_const, capsys):
         vertices=((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)),
         target_edge_length=0.08,
     )
-    rep = check_conjectures(square, FLAT, phi_const, refinements=2)
+    sol = solve_case(square, FLAT, phi_const, conjecture=True, refinements=2)
+    rep = build_report(sol, conjecture=True)
     conj = rep.conjecture
     lhs_rel = abs(conj["lhs"] - SQUARE_SUM_LHS) / SQUARE_SUM_LHS
     rhs_rel = abs(conj["rhs"] - SQUARE_SUM_RHS) / SQUARE_SUM_RHS
@@ -557,7 +551,8 @@ def test_criterion_10_square_sum_and_sweeps(phi_const, capsys):
     candidates = []
     for aspect in np.linspace(1.0, 2.0, 11):
         dom = DomainSpec(shape="ellipse", aspect=float(aspect), target_edge_length=0.12)
-        r = check_conjectures(dom, FLAT, phi_const, refinements=2)
+        sol = solve_case(dom, FLAT, phi_const, conjecture=True, refinements=2)
+        r = build_report(sol, conjecture=True)
         margins.append(r.conjecture["gap"])
         if r.conjecture["verdict"] != "conjecture-consistent":
             candidates.append(f"aspect={aspect:g}")
@@ -567,7 +562,8 @@ def test_criterion_10_square_sum_and_sweeps(phi_const, capsys):
     for slope in np.linspace(0.0, 1.0, 6):
         phi = certified("linear-decreasing", (0.0, float(slope)))
         dom = DomainSpec(shape="ellipse", aspect=1.4, target_edge_length=0.12)
-        r = check_conjectures(dom, FLAT, phi, refinements=2)
+        sol = solve_case(dom, FLAT, phi, conjecture=True, refinements=2)
+        r = build_report(sol, conjecture=True)
         if r.conjecture["verdict"] != "conjecture-consistent":
             slope_ok = False
             candidates.append(f"slope={slope:g}")

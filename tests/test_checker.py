@@ -24,21 +24,21 @@ from scipy.optimize import brentq
 from oracles import (
     disk_intersection_by_triangle,
     grid_weighted_area,
+    mesh_area,
     square_neumann_eigenvalues,
 )
 from wittenlab import fem
 from wittenlab.checker import (
     CheckerError,
-    check_conjectures,
+    build_report,
     check_pointwise_bound,
-    check_theorem_main,
-    check_theorem_sharper,
     find_trial_center,
     match_ball_radius,
+    solve_case,
     weighted_disk_intersection,
 )
 from wittenlab.mesh import DomainSpec, Mesh, generate, refine
-from wittenlab.radial import ShellSpec, extend_profile, shoot_first_mode
+from wittenlab.radial import ShellSpec, shoot_first_mode
 from wittenlab.spaceform import BallSpec, SpaceForm
 from wittenlab.weights import make_weight, property_I_certify
 
@@ -125,7 +125,7 @@ class TestMatchBallRadius:
 class TestTheoremMain:
     def test_ball_equality_fem(self, phi_zero):
         spec = DomainSpec(shape="disk", radius=1.0, target_edge_length=0.1)
-        report = check_theorem_main(spec, FLAT, phi_zero)
+        report = build_report(solve_case(spec, FLAT, phi_zero))
         assert report.method == "fem"
         assert report.passed
         assert abs(report.gap) <= report.tol_budget
@@ -133,9 +133,9 @@ class TestTheoremMain:
         assert report.volume_match_rel_err <= 1e-8
 
     def test_ball_equality_radial_weighted(self, phi_lin):
-        report = check_theorem_main(
+        report = build_report(solve_case(
             ShellSpec(0.0, 1.0), FLAT, phi_lin, dimension=3
-        )
+        ))
         assert report.method == "radial"
         assert report.passed
         assert abs(report.gap) <= report.tol_budget
@@ -143,7 +143,7 @@ class TestTheoremMain:
 
     def test_ellipse_reproduces_classical_gap(self, phi_zero):
         spec = DomainSpec(shape="ellipse", aspect=1.2, target_edge_length=0.1)
-        report = check_theorem_main(spec, FLAT, phi_zero)
+        report = build_report(solve_case(spec, FLAT, phi_zero))
         assert report.passed
         assert report.gap > report.tol_budget  # strictly inside for a non-ball
         assert report.mu1_domain_below_ball
@@ -156,7 +156,7 @@ class TestTheoremMain:
             vertices=((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)),
             target_edge_length=0.08,
         )
-        report = check_theorem_main(square, FLAT, phi_zero)
+        report = build_report(solve_case(square, FLAT, phi_zero))
         assert report.passed
         mu_square = math.pi**2
         mu_ball = MU1_DISK * math.pi  # unit-area disk: mu scales by 1/R^2
@@ -166,9 +166,9 @@ class TestTheoremMain:
 
     def test_shell_three_dimensional(self, phi_zero):
         outer = (1.0 + 0.6**3) ** (1.0 / 3.0)
-        report = check_theorem_main(
+        report = build_report(solve_case(
             ShellSpec(0.6, outer), FLAT, phi_zero, dimension=3
-        )
+        ))
         assert report.passed
         assert report.gap > report.tol_budget
         assert abs(report.matched_radius - 1.0) < 1e-9
@@ -178,33 +178,33 @@ class TestTheoremMain:
         spec = DomainSpec(
             shape="ellipse", semi_axis_x=0.5, semi_axis_y=0.38, target_edge_length=0.05
         )
-        report = check_theorem_main(spec, HYP, phi_zero)
+        report = build_report(solve_case(spec, HYP, phi_zero))
         assert report.curvature == -1
         assert report.passed
         assert report.gap > 0
 
     def test_hyperbolic_weighted_ball_equality(self, phi_lin):
-        report = check_theorem_main(ShellSpec(0.0, 0.8), HYP, phi_lin, dimension=3)
+        report = build_report(solve_case(ShellSpec(0.0, 0.8), HYP, phi_lin, dimension=3))
         assert report.passed
         assert abs(report.gap) <= report.tol_budget
 
     def test_centred_weighted_disk_passes(self, phi_exp):
         spec = DomainSpec(shape="disk", radius=0.8, target_edge_length=0.1)
-        report = check_theorem_main(spec, FLAT, phi_exp)
+        report = build_report(solve_case(spec, FLAT, phi_exp))
         assert report.passed
         assert abs(report.gap) <= report.tol_budget  # equality case again
 
     def test_shell_requires_dimension(self, phi_zero):
         with pytest.raises(ValueError, match="dimension"):
-            check_theorem_main(ShellSpec(0.0, 1.0), FLAT, phi_zero)
+            build_report(solve_case(ShellSpec(0.0, 1.0), FLAT, phi_zero))
 
     def test_meshed_domain_rejects_other_dimensions(self, phi_zero):
         spec = DomainSpec(shape="disk", radius=1.0)
         with pytest.raises(ValueError, match="two-dimensional"):
-            check_theorem_main(spec, FLAT, phi_zero, dimension=3)
+            build_report(solve_case(spec, FLAT, phi_zero, dimension=3))
 
     def test_report_serialises(self, phi_zero):
-        report = check_theorem_main(ShellSpec(0.0, 1.0), FLAT, phi_zero, dimension=4)
+        report = build_report(solve_case(ShellSpec(0.0, 1.0), FLAT, phi_zero, dimension=4))
         blob = json.dumps(report.as_dict(), sort_keys=True)
         back = json.loads(blob)
         assert back["dimension"] == 4
@@ -218,7 +218,7 @@ def offset_report(phi_exp):
         shape="translated-disk", radius=0.8, center=(0.5, 0.0),
         target_edge_length=0.1,
     )
-    return check_theorem_main(spec, FLAT, phi_exp)
+    return build_report(solve_case(spec, FLAT, phi_exp))
 
 
 class TestOffCenterAnchoredWeight:
@@ -241,7 +241,7 @@ class TestOffCenterAnchoredWeight:
 
     def test_same_disk_centred_is_equality(self, phi_exp):
         spec = DomainSpec(shape="disk", radius=0.8, target_edge_length=0.1)
-        report = check_theorem_main(spec, FLAT, phi_exp)
+        report = build_report(solve_case(spec, FLAT, phi_exp))
         assert report.passed
 
     def test_unweighted_translation_is_equality(self, phi_zero):
@@ -249,7 +249,7 @@ class TestOffCenterAnchoredWeight:
             shape="translated-disk", radius=0.8, center=(0.5, 0.0),
             target_edge_length=0.1,
         )
-        report = check_theorem_main(spec, FLAT, phi_zero)
+        report = build_report(solve_case(spec, FLAT, phi_zero))
         assert report.passed
         assert abs(report.gap) <= report.tol_budget
 
@@ -266,12 +266,12 @@ class TestOffCenterAnchoredWeight:
         )
         radius, _ = match_ball_radius(FLAT, 2, phi_exp, volume)
         mode = shoot_first_mode(BallSpec(radius, 2, FLAT), phi_exp)
-        ext = extend_profile(mode, domain_cap=4.0)
-        at_anchor = find_trial_center(spec, phi_exp, ext, start=(0.0, 0.0),
+        at_anchor = find_trial_center(spec, phi_exp, mode, start=(0.0, 0.0),
                                       max_iterations=0)
         assert at_anchor.residual > 1e-3  # orthogonality premise fails here
-        solved = find_trial_center(spec, phi_exp, ext)
+        solved = find_trial_center(spec, phi_exp, mode)
         assert solved.converged
+        assert solved.iterations <= 3  # Newton with the exact Jacobian
         # a non-increasing weight puts more mass on the side far from the
         # anchor, so the field's zero lands past the disk center, not at it
         assert 0.5 < solved.center[0] < 0.65
@@ -280,7 +280,8 @@ class TestOffCenterAnchoredWeight:
 
 class TestSharper:
     def test_ball_itself_all_corrections_vanish(self, phi_lin):
-        report = check_theorem_sharper(ShellSpec(0.0, 1.0), FLAT, phi_lin, dimension=3)
+        sol = solve_case(ShellSpec(0.0, 1.0), FLAT, phi_lin, dimension=3)
+        report = build_report(sol, sharper=True)
         s = report.sharper
         assert s["passed"] and s["nonnegative_ok"]
         assert abs(s["r1"] - report.matched_radius) < 1e-9
@@ -290,9 +291,9 @@ class TestSharper:
 
     def test_shell_outer_radius_is_r2(self, phi_zero):
         outer = (1.0 + 0.6**3) ** (1.0 / 3.0)
-        report = check_theorem_sharper(
+        report = build_report(solve_case(
             ShellSpec(0.6, outer), FLAT, phi_zero, dimension=3
-        )
+        ), sharper=True)
         s = report.sharper
         assert s["passed"]
         assert s["rhs"] > 0  # strictly, since the shell is not the ball
@@ -301,7 +302,7 @@ class TestSharper:
 
     def test_centred_ellipse_passes(self, phi_zero):
         spec = DomainSpec(shape="ellipse", aspect=1.3, target_edge_length=0.1)
-        report = check_theorem_sharper(spec, FLAT, phi_zero)
+        report = build_report(solve_case(spec, FLAT, phi_zero), sharper=True)
         s = report.sharper
         assert s["passed"]
         assert s["rhs"] > 0
@@ -309,7 +310,7 @@ class TestSharper:
 
     def test_centred_ellipse_weighted_passes(self, phi_lin):
         spec = DomainSpec(shape="ellipse", aspect=1.3, target_edge_length=0.1)
-        report = check_theorem_sharper(spec, FLAT, phi_lin)
+        report = build_report(solve_case(spec, FLAT, phi_lin), sharper=True)
         assert report.sharper["passed"]
 
     def test_offset_disk_unweighted_fails_strengthened_form(self, phi_zero):
@@ -321,7 +322,7 @@ class TestSharper:
             shape="translated-disk", radius=1.0, center=(0.3, 0.0),
             target_edge_length=0.1,
         )
-        report = check_theorem_sharper(spec, FLAT, phi_zero)
+        report = build_report(solve_case(spec, FLAT, phi_zero), sharper=True)
         assert report.passed  # plain reciprocal-sum comparison: equality
         s = report.sharper
         assert s["nonnegative_ok"]
@@ -331,7 +332,7 @@ class TestSharper:
 
     def test_hyperbolic_rejected(self, phi_zero):
         with pytest.raises(CheckerError, match="flat"):
-            check_theorem_sharper(ShellSpec(0.0, 1.0), HYP, phi_zero, dimension=3)
+            build_report(solve_case(ShellSpec(0.0, 1.0), HYP, phi_zero, dimension=3), sharper=True)
 
 
 CLIP_MESHES = [
@@ -375,7 +376,7 @@ class TestDiskIntersection:
         mesh = generate(DomainSpec(shape="disk", radius=0.5, target_edge_length=0.1))
         inter, total = weighted_disk_intersection(mesh, phi_zero, 2.0)
         assert abs(inter - total) < 1e-14
-        assert abs(total - mesh.area()) < 1e-12
+        assert abs(total - mesh_area(mesh)) < 1e-12
 
     def test_coarse_mesh_rejected(self, phi_zero):
         mesh = generate(DomainSpec(shape="disk", radius=1.0, target_edge_length=0.3))
@@ -454,7 +455,7 @@ class TestConjectures:
             vertices=((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)),
             target_edge_length=0.08,
         )
-        report = check_conjectures(square, FLAT, phi_zero)
+        report = build_report(solve_case(square, FLAT, phi_zero, conjecture=True), conjecture=True)
         c = report.conjecture
         assert c["verdict"] == "conjecture-consistent"
         assert not c["escalated"]
@@ -466,7 +467,8 @@ class TestConjectures:
         assert abs(sum(1.0 / m for m in mu) - SQUARE_SUM_LHS) < 1e-12
 
     def test_ball_equality_n_terms(self, phi_zero):
-        report = check_conjectures(ShellSpec(0.0, 1.0), FLAT, phi_zero, dimension=3)
+        sol = solve_case(ShellSpec(0.0, 1.0), FLAT, phi_zero, dimension=3, conjecture=True)
+        report = build_report(sol, conjecture=True)
         c = report.conjecture
         assert c["verdict"] == "conjecture-consistent"
         assert abs(c["gap"]) <= c["tol_budget"]
@@ -479,7 +481,7 @@ class TestConjectures:
             shape="translated-disk", radius=0.8, center=(0.5, 0.0),
             target_edge_length=0.15,
         )
-        report = check_conjectures(spec, FLAT, phi_exp)
+        report = build_report(solve_case(spec, FLAT, phi_exp, conjecture=True), conjecture=True)
         c = report.conjecture
         assert c["escalated"]
         assert c["verdict"] == "counterexample-candidate"
@@ -487,7 +489,7 @@ class TestConjectures:
 
     def test_ellipse_margin_positive(self, phi_zero):
         spec = DomainSpec(shape="ellipse", aspect=1.4, target_edge_length=0.12)
-        report = check_conjectures(spec, FLAT, phi_zero)
+        report = build_report(solve_case(spec, FLAT, phi_zero, conjecture=True), conjecture=True)
         c = report.conjecture
         assert c["verdict"] == "conjecture-consistent"
         assert c["gap"] > c["tol_budget"]
@@ -567,16 +569,14 @@ class TestPointwiseBound:
 
 @pytest.fixture(scope="module")
 def flat_profile(phi_zero):
-    mode = shoot_first_mode(BallSpec(1.0, 2, FLAT), phi_zero)
-    return extend_profile(mode, domain_cap=6.0)
+    return shoot_first_mode(BallSpec(1.0, 2, FLAT), phi_zero)
 
 
 class TestTrialCenter:
     def test_centred_symmetric_domain_keeps_origin(self, phi_lin):
         spec = DomainSpec(shape="ellipse", aspect=1.3, target_edge_length=0.12)
         mode = shoot_first_mode(BallSpec(1.0, 2, FLAT), phi_lin)
-        ext = extend_profile(mode, domain_cap=6.0)
-        result = find_trial_center(spec, phi_lin, ext)
+        result = find_trial_center(spec, phi_lin, mode)
         assert result.converged
         assert math.hypot(*result.center) < 1e-8  # twofold symmetry pins it
 
@@ -608,9 +608,9 @@ class TestTrialCenter:
         )
         radius, _ = match_ball_radius(FLAT, 2, phi, volume)
         mode = shoot_first_mode(BallSpec(radius, 2, FLAT), phi)
-        ext = extend_profile(mode, domain_cap=6.0)
-        result = find_trial_center(mesh, phi, ext)
+        result = find_trial_center(mesh, phi, mode)
         assert result.converged
+        assert result.iterations <= 3
 
         # independent coarse search: centroid-rule field on the same mesh
         pts = mesh.nodes[mesh.triangles]
@@ -623,7 +623,7 @@ class TestTrialCenter:
         def field_norm(ox, oy):
             rel = cent - (ox, oy)
             r = np.maximum(np.hypot(rel[:, 0], rel[:, 1]), 1e-12)
-            coeff = dens * ext.f(np.minimum(r, ext.domain_cap)) / r
+            coeff = dens * mode.f(r) / r
             return math.hypot(coeff @ rel[:, 0], coeff @ rel[:, 1])
 
         grid = np.linspace(0.1, 0.7, 61)

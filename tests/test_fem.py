@@ -12,12 +12,12 @@ import math
 import numpy as np
 import pytest
 
-from oracles import assemble_by_einsum, lowest_nonzero
+from oracles import assemble_by_einsum, lowest_nonzero, poincare_radius
 from wittenlab import fem
 from wittenlab.fem import AssemblyError, EigsolveError, assemble, solve_lowest
 from wittenlab.mesh import DomainSpec, Mesh, generate, refine
 from wittenlab.radial import shoot_first_mode
-from wittenlab.spaceform import BallSpec, SpaceForm, poincare_radius
+from wittenlab.spaceform import BallSpec, SpaceForm
 from wittenlab.weights import make_weight, property_I_certify
 
 MU1_DISK = 3.389957716671889  # frozen in test_radial.py

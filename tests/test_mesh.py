@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
-from oracles import refine_by_dict
+from oracles import mesh_area, refine_by_dict
 from wittenlab import mesh as msh
 from wittenlab.mesh import (
     DomainSpec,
@@ -44,8 +44,8 @@ class TestDisk:
 
     def test_area_converges_quadratically(self):
         m = generate(DomainSpec(shape="disk", radius=1.0, target_edge_length=0.1))
-        e0 = math.pi - m.area()
-        e1 = math.pi - refine(m).area()
+        e0 = math.pi - mesh_area(m)
+        e1 = math.pi - mesh_area(refine(m))
         assert e0 > e1 > 0
         assert abs(e0 / e1 - 4.0) < 0.1
 
@@ -88,7 +88,7 @@ class TestEllipse:
     def test_aspect_parameterisation_keeps_area(self):
         # aspect a with semi-axes (a, 1/a) always encloses area pi
         m = generate(DomainSpec(shape="ellipse", aspect=1.4, target_edge_length=0.05))
-        assert abs(m.area() - math.pi) < 5e-3
+        assert abs(mesh_area(m) - math.pi) < 5e-3
 
     def test_boundary_on_curve(self):
         m = generate(
@@ -125,13 +125,31 @@ class TestAnnulus:
         assert np.all(near_in | near_out)
         assert near_in.any() and near_out.any()
 
+    @pytest.mark.parametrize("h", [0.15, 0.1, 0.07])
+    def test_bands_are_split_quads(self, h):
+        # every ring has the same node count, so each band is a ring of quads
+        # (inner j, outer j, outer j+1, inner j+1), split along the diagonal
+        # from inner j, band by band and quad by quad
+        m = generate(
+            DomainSpec(shape="annulus", inner_radius=0.5, outer_radius=1.5, target_edge_length=h)
+        )
+        count = int(np.sum(np.isclose(np.hypot(*m.nodes.T), 0.5, atol=1e-12)))
+        j = np.arange(count)
+        bands = []
+        for i in range(len(m.nodes) // count - 1):
+            a, b = i * count + j, (i + 1) * count + j
+            an, bn = np.roll(a, -1), np.roll(b, -1)
+            bands.append(np.stack([a, b, bn, a, bn, an], axis=1).reshape(-1, 3))
+        expected = msh._orient_ccw(m.nodes, np.concatenate(bands))
+        assert np.array_equal(m.triangles, expected)
+
     def test_area(self):
         m = generate(
             DomainSpec(
                 shape="annulus", inner_radius=0.5, outer_radius=1.5, target_edge_length=0.05
             )
         )
-        assert abs(m.area() - math.pi * (1.5**2 - 0.5**2)) < 4e-3
+        assert abs(mesh_area(m) - math.pi * (1.5**2 - 0.5**2)) < 4e-3
 
     def test_bad_radii(self):
         with pytest.raises(ValueError):
@@ -173,13 +191,13 @@ class TestPolygon:
             )
         )
         validate(m)
-        assert abs(m.area() - 1.0) < 1e-12
+        assert abs(mesh_area(m) - 1.0) < 1e-12
         assert m.edge_lengths().max() <= 1.9 * 0.1
 
     def test_nonconvex(self):
         verts = ((0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2))
         m = generate(DomainSpec(shape="polygon", vertices=verts, target_edge_length=0.2))
-        assert abs(m.area() - 3.0) < 1e-12
+        assert abs(mesh_area(m) - 3.0) < 1e-12
 
     def test_clockwise_input_reoriented(self):
         cw = ((0, 0), (0, 1), (1, 1), (1, 0))
@@ -244,7 +262,7 @@ class TestPolygon:
             return
         m = generate(spec)
         validate(m)
-        assert abs(m.area() - abs(shoelace)) < 1e-10
+        assert abs(mesh_area(m) - abs(shoelace)) < 1e-10
 
 
 class TestRefine:

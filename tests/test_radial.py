@@ -17,14 +17,12 @@ import oracles
 from wittenlab import BallSpec, SpaceForm, make_weight, property_I_certify
 from wittenlab.radial import (
     DEFAULT_OPTIONS,
-    ExtendedProfile,
     ShellSpec,
     ShootingError,
     ShootingOptions,
     ball_rayleigh_integrals,
     check_lemma_monotone,
     expand_spectrum,
-    extend_profile,
     shoot_first_mode,
     shoot_general_mode,
     spherical_harmonic_multiplicity,
@@ -196,35 +194,39 @@ def test_radius_beyond_weight_cap_rejected():
 
 
 def test_extension_values(phi_zero, disk_solution):
-    ext = extend_profile(disk_solution, 3.0)
-    assert float(ext.f(0.5)) == pytest.approx(float(disk_solution.T(0.5)), rel=1e-12)
-    assert float(ext.f(1.2)) == pytest.approx(float(disk_solution.T(1.0)), rel=1e-12)
-    assert float(ext.fprime(1.2)) == 0.0
-    assert float(ext.fprime(0.7)) == pytest.approx(
-        float(disk_solution.Tprime(0.7)), rel=1e-10
-    )
-    with pytest.raises(ValueError):
-        extend_profile(disk_solution, 0.5)
+    sol = disk_solution
+    assert float(sol.f(0.5)) == pytest.approx(float(sol.T(0.5)), rel=1e-12)
+    assert float(sol.f(1.2)) == pytest.approx(float(sol.T(1.0)), rel=1e-12)
+    assert float(sol.fprime(1.2)) == 0.0
+    assert float(sol.fprime(0.7)) == pytest.approx(float(sol.Tprime(0.7)), rel=1e-10)
+    # flat past the radius, to the last bit
+    ts = np.array([1.0, 1.5, 4.0])
+    assert np.all(sol.f(ts) == sol.f(1.0))
+    assert np.array_equal(sol.fprime(ts), [sol.Tprime(1.0), 0.0, 0.0])
 
 
 def test_rayleigh_quotient_identity(phi_zero, disk_solution):
-    ext = extend_profile(disk_solution, 3.0)
-    A, B = ball_rayleigh_integrals(ext, 0.0, 1.0)
+    A, B = ball_rayleigh_integrals(disk_solution, 0.0, 1.0)
     assert A / B == pytest.approx(disk_solution.mu, rel=1e-8)
 
 
 def test_rayleigh_outside_closed_form(phi_zero, disk_solution):
     # beyond the ball f is constant, so for n=2 and no weight
     # A([R, 2R]) = pi f(R)^2 ln 2 and B = (pi/2) f(R)^2 * (4R^2 - R^2)/... via t dt
-    ext = extend_profile(disk_solution, 3.0)
-    A, B = ball_rayleigh_integrals(ext, 1.0, 2.0)
-    assert A == pytest.approx(math.pi * ext.plateau ** 2 * math.log(2.0), rel=1e-10)
-    assert B == pytest.approx(math.pi * ext.plateau ** 2 * 1.5, rel=1e-10)
+    A, B = ball_rayleigh_integrals(disk_solution, 1.0, 2.0)
+    plateau = float(disk_solution.T(1.0))
+    assert A == pytest.approx(math.pi * plateau ** 2 * math.log(2.0), rel=1e-10)
+    assert B == pytest.approx(math.pi * plateau ** 2 * 1.5, rel=1e-10)
 
 
 def test_rayleigh_degenerate_interval(phi_zero, disk_solution):
-    ext = extend_profile(disk_solution, 3.0)
-    assert ball_rayleigh_integrals(ext, 0.7, 0.7) == (0.0, 0.0)
+    assert ball_rayleigh_integrals(disk_solution, 0.7, 0.7) == (0.0, 0.0)
+
+
+def test_rayleigh_beyond_weight_cap_rejected(disk_solution):
+    # the weight's own range check bounds the integrals
+    with pytest.raises(ValueError, match="enlarge domain_cap"):
+        ball_rayleigh_integrals(disk_solution, 1.0, 1e3)
 
 
 def test_rayleigh_identity_weighted_hyperbolic():
@@ -237,13 +239,12 @@ def test_rayleigh_identity_weighted_hyperbolic():
     ]
     for phi in weights:
         sol = shoot_first_mode(BallSpec(1.2, 3, HYP), phi)
-        ext = extend_profile(sol, 4.0)
-        A, B = ball_rayleigh_integrals(ext, 0.0, 1.2)
+        A, B = ball_rayleigh_integrals(sol, 0.0, 1.2)
         assert A / B == pytest.approx(sol.mu, rel=1e-8)
         for lower, upper in [(0.0, 1.2), (0.3, 1.2), (1.2, 2.5), (0.3, 2.5)]:
-            ours = ball_rayleigh_integrals(ext, lower, upper)
+            ours = ball_rayleigh_integrals(sol, lower, upper)
             ref = oracles.rayleigh_integrals_quad(
-                3, -1, phi.value, ext.f, ext.fprime, lower, upper,
+                3, -1, phi.value, sol.f, sol.fprime, lower, upper,
                 knots=[*spline[0::2], 1.2],
             )
             np.testing.assert_allclose(ours, ref, rtol=1e-10, err_msg=f"{phi.family}")
@@ -257,31 +258,25 @@ def test_monotonicity_check_passes_on_real_profiles():
     ]
     for space, n, phi in cases:
         sol = shoot_first_mode(BallSpec(1.0, n, space), phi)
-        ext = extend_profile(sol, 6.0)
-        report = check_lemma_monotone(ext)
+        report = check_lemma_monotone(sol)
         assert report.passed, (space, n, report.worst_increase, report.min_fprime)
 
 
 def test_monotonicity_check_flags_synthetic_bump():
-    # profile with a localized bump past the plateau: ratio f/S must rise there
-    R, cap = 1.0, 4.0
+    # increasing profile f(t) = t with a localized bump inside the ball of
+    # radius 4: the ratio f/S = 1 + bump/t must rise on the bump's flank
+    class BumpedProfile:
+        ball = BallSpec(4.0, 2, FLAT)
 
-    def f(t):
-        arr = np.asarray(t, dtype=float)
-        base = np.minimum(arr, R)
-        bump = 0.2 * np.exp(-((arr - 2.0) ** 2) / 0.01)
-        out = base + bump
-        return out if out.ndim else float(out)
+        @staticmethod
+        def f(t):
+            return t + 0.2 * np.exp(-((t - 2.0) ** 2) / 0.01)
 
-    def fprime(t):
-        arr = np.asarray(t, dtype=float)
-        out = np.where(arr <= R, 1.0, 0.0)
-        return out if out.ndim else float(out)
+        @staticmethod
+        def fprime(t):
+            return np.ones_like(t)
 
-    ext = ExtendedProfile(
-        radius=R, space=FLAT, domain_cap=cap, plateau=1.0, f=f, fprime=fprime, base=None
-    )
-    report = check_lemma_monotone(ext)
+    report = check_lemma_monotone(BumpedProfile())
     assert not report.passed
     lo, hi = report.worst_interval
     assert 1.5 < lo < hi < 2.1  # the injected bump's rising flank

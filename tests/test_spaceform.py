@@ -8,13 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from oracles import geodesic_distance_poincare, poincare_radius
 from wittenlab import (
     BallSpec,
     SpaceForm,
     c_kappa,
-    geodesic_distance_poincare,
     make_weight,
-    poincare_radius,
     property_I_certify,
     s_kappa,
     unit_sphere_area,
