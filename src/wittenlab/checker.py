@@ -217,12 +217,15 @@ def solve_case(
         n = 2
         count = n if conjecture else n - 1
         base_mesh = mesh = _mesh_for(domain)
+        prolongations = []
         for _ in range(max(0, refinements - 1)):
+            prolongations.append(fem.prolongation(mesh))
             mesh = refine(mesh)
         coarse = fem.solve_lowest(fem.assemble(mesh, space, phi), count=count)
+        prolongations.append(fem.prolongation(mesh))
         mesh = refine(mesh)
         forms = fem.assemble(mesh, space, phi)
-        fine = fem.solve_lowest(forms, count=count)
+        fine = fem.solve_lowest(forms, count, coarse, prolongations)
         eigs = fine.eigenvalues.copy()
         est = float(np.max(np.abs(coarse.eigenvalues - eigs) / (3.0 * eigs)))
         volume = forms.weighted_volume()
@@ -536,9 +539,10 @@ def find_trial_center(
 
         V(o) = integral over the domain of f(|x-o|) (x-o)/|x-o| dm(x)
 
-    vanishes, ``dm`` the weighted area element and ``f = mode.f`` the
-    extended first-mode profile of the matched ball.  The weight stays
-    radial about the ambient origin throughout; only the trial center moves.
+    vanishes, ``dm`` the weighted area element and ``f`` the extended
+    first-mode profile of the matched ball (``mode.profile``).  The weight
+    stays radial about the ambient origin throughout; only the trial center
+    moves.
     A damped Newton iteration runs until ``|V|`` drops below 1e-8 of the
     field's natural scale, with the Jacobian evaluated in the same pass as
     the field: with ``e = (x-o)/r``,
@@ -576,12 +580,12 @@ def find_trial_center(
         rel = xq - o
         r = np.hypot(rel[:, 0], rel[:, 1])
         r = np.maximum(r, 1e-300)
-        fr = mode.f(r)
+        fr, fpr = mode.profile(r)
         coeff = density * fr / r
         v = np.array([coeff @ rel[:, 0], coeff @ rel[:, 1]])
         scale = float(np.abs(density) @ np.abs(fr))
         e = rel / r[:, None]
-        radial = density * mode.fprime(r) - coeff
+        radial = density * fpr - coeff
         jac = -(e.T @ (radial[:, None] * e) + np.sum(coeff) * np.eye(2))
         return v, scale, jac
 

@@ -398,8 +398,7 @@ def _run_case(case: dict) -> dict:
             failed.append("center")
 
     ts = np.linspace(0.0, radius, PROFILE_SAMPLES)
-    values = np.asarray(mode.T(ts), dtype=float)
-    derivs = np.asarray(mode.Tprime(ts), dtype=float)
+    values, derivs = mode.profile(ts)
     metric = space.s(ts)
     # at the centre f/S takes its limit T'(0)/C(0) = T'(0)
     ratio = np.divide(values, metric, out=derivs.copy(), where=metric > 0.0)

@@ -98,8 +98,8 @@ class RadialSolution:
     """Converged radial eigenfunction, normalized to ``max |T| = 1``.
 
     ``samples`` holds ``u = T / t^s`` and ``u'`` (last axis) on the
-    Chebyshev-Lobatto ``nodes`` of each piece; :meth:`T` and :meth:`Tprime`
-    interpolate them barycentrically.
+    Chebyshev-Lobatto ``nodes`` of each piece; :meth:`profile` interpolates
+    them barycentrically.
     ``ts`` is the check grid of ``profile_samples`` Chebyshev-Lobatto points
     with the profile ``values`` and ``derivs`` there.  ``degree`` is the
     polynomial degree per piece, ``tail`` the trailing Chebyshev coefficients
@@ -125,22 +125,16 @@ class RadialSolution:
     samples: np.ndarray = field(repr=False)
     notes: list[str] = field(default_factory=list)
 
-    def T(self, t):
-        return _profile(self.nodes, self.samples, self._power, t)[0]
-
-    def Tprime(self, t):
-        return _profile(self.nodes, self.samples, self._power, t)[1]
-
-    def f(self, t):
-        """The profile extended past the ball by its boundary value:
-        ``T(min(t, R))``, the trial field of the comparison argument."""
-        return self.T(np.minimum(t, self.ball.radius))
-
-    def fprime(self, t):
-        """Derivative of :meth:`f`: ``T'(t)`` for ``t <= R``, else 0."""
+    def profile(self, t):
+        """``(f(t), f'(t))`` from one interpolation pass: the profile ``T``
+        extended past the ball by its boundary value, ``f(t) = T(min(t, R))``,
+        the trial field of the comparison argument, and its derivative,
+        ``T'(t)`` for ``t <= R``, else 0.  On ``[0, R]`` these are ``T`` and
+        ``T'`` themselves."""
         t = np.asarray(t, dtype=float)
         R = self.ball.radius
-        return np.where(t <= R, self.Tprime(np.minimum(t, R)), 0.0)
+        value, deriv = _profile(self.nodes, self.samples, self._power, np.minimum(t, R))
+        return value, np.where(t <= R, deriv, 0.0)
 
     @property
     def _power(self) -> int:
@@ -468,9 +462,10 @@ def shoot_first_mode(
 def check_lemma_monotone(mode: RadialSolution, grid_points: int = 2000) -> MonotonicityReport:
     """Verify the two structural facts the comparison argument rests on.
 
-    The ratio ``f(t)/S(t)`` must be non-increasing on ``(0, R]`` and
-    ``fprime`` must be nonnegative on ``[0, R]``, both within
-    ``tol = 1e-8 * max |f|`` on a grid of ``grid_points`` samples.  Past
+    With ``f, f' = mode.profile``, the ratio ``f(t)/S(t)`` must be
+    non-increasing on ``(0, R]`` and ``f'`` must be nonnegative on ``[0, R]``,
+    both within ``tol = 1e-8 * max |f|`` on a grid of ``grid_points``
+    samples.  Past
     ``R`` the ratio ``T(R)/S(t)`` decreases by construction.  Failures
     report the worst violating interval.
     """
@@ -478,7 +473,7 @@ def check_lemma_monotone(mode: RadialSolution, grid_points: int = 2000) -> Monot
         raise ValueError("grid_points must be >= 100")
     R = mode.ball.radius
     ts = np.linspace(R / grid_points, R, grid_points)
-    fvals = np.asarray(mode.f(ts), dtype=float)
+    fvals = np.asarray(mode.profile(ts)[0], dtype=float)
     tol = 1e-8 * float(np.max(np.abs(fvals)))
 
     ratio = fvals / np.asarray(s_kappa(ts, mode.ball.space), dtype=float)
@@ -487,7 +482,7 @@ def check_lemma_monotone(mode: RadialSolution, grid_points: int = 2000) -> Monot
     worst = float(increments[worst_idx])
 
     inside = np.linspace(0.0, R, grid_points)
-    fp = np.asarray(mode.fprime(inside), dtype=float)
+    fp = np.asarray(mode.profile(inside)[1], dtype=float)
     fp_idx = int(np.argmin(fp))
 
     passed = bool(worst <= tol and fp[fp_idx] >= -tol)
@@ -506,7 +501,7 @@ def ball_rayleigh_integrals(
     mode: RadialSolution, lower: float, upper: float
 ) -> tuple[float, float]:
     """Directional energy and mass integrals of the extended profile
-    ``f = mode.f``.
+    ``f`` of :meth:`RadialSolution.profile`.
 
     Returns the pair
 
@@ -529,7 +524,7 @@ def ball_rayleigh_integrals(
 
     def densities(t: np.ndarray) -> np.ndarray:
         s = s_kappa(t, space)
-        fv, fp = mode.f(t), mode.fprime(t)
+        fv, fp = mode.profile(t)
         measure = s ** (n - 1) * np.exp(-phi.value(t))
         return np.stack([(fp * fp + (n - 1) * fv * fv / (s * s)) * measure, fv * fv * measure])
 

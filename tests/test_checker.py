@@ -623,7 +623,7 @@ class TestTrialCenter:
         def field_norm(ox, oy):
             rel = cent - (ox, oy)
             r = np.maximum(np.hypot(rel[:, 0], rel[:, 1]), 1e-12)
-            coeff = dens * mode.f(r) / r
+            coeff = dens * mode.profile(r)[0] / r
             return math.hypot(coeff @ rel[:, 0], coeff @ rel[:, 1])
 
         grid = np.linspace(0.1, 0.7, 61)

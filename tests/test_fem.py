@@ -14,8 +14,9 @@ import pytest
 
 from oracles import assemble_by_einsum, lowest_nonzero, poincare_radius
 from wittenlab import fem
+from wittenlab.checker import solve_case
 from wittenlab.fem import AssemblyError, EigsolveError, assemble, solve_lowest
-from wittenlab.mesh import DomainSpec, Mesh, generate, refine
+from wittenlab.mesh import DomainSpec, Mesh, generate, load, refine, save
 from wittenlab.radial import shoot_first_mode
 from wittenlab.spaceform import BallSpec, SpaceForm
 from wittenlab.weights import make_weight, property_I_certify
@@ -224,3 +225,65 @@ class TestSpectra:
         mu_a = lowest_nonzero(a, FLAT, w, count=1).eigenvalues[0]
         mu_b = lowest_nonzero(b, FLAT, w, count=1).eigenvalues[0]
         assert abs(mu_a - mu_b) > 1e-3 * mu_a
+
+
+class TestTwoLevelSolve:
+    """The fine solve of :func:`solve_case`, LOBPCG from the prolonged coarse
+    modes under a V-cycle, against the base solve on the same fine mesh."""
+
+    L_SHAPE = ((0, 0), (1, 0), (1, 0.5), (0.5, 0.5), (0.5, 1), (0, 1))
+
+    @pytest.mark.parametrize(
+        "domain, space, weight",
+        [
+            (DomainSpec(shape="disk", radius=1.0, target_edge_length=0.15),
+             FLAT, ("constant", (0.0,))),
+            (DomainSpec(shape="annulus", inner_radius=0.35, outer_radius=1.0,
+                        target_edge_length=0.12), FLAT, ("exponential-decay", (0.0, 1.0, 0.5))),
+            # polygons refine without projecting their midpoints
+            (DomainSpec(shape="polygon", vertices=L_SHAPE, target_edge_length=0.08),
+             FLAT, ("linear-decreasing", (0.0, 0.4))),
+            (DomainSpec(shape="ellipse", semi_axis_x=0.5, semi_axis_y=0.35,
+                        target_edge_length=0.07), HYP, ("linear-decreasing", (0.1, 0.4))),
+            ("loaded", FLAT, ("exponential-decay", (0.0, 1.0, 0.5))),
+        ],
+        ids=["disk", "annulus", "polygon", "poincare-ellipse", "loaded-mesh"],
+    )
+    def test_matches_base_solve(self, domain, space, weight, tmp_path):
+        if domain == "loaded":
+            path = tmp_path / "perturbed.mesh"
+            save(generate(DomainSpec(shape="perturbed-disk", radius=1.0,
+                                     perturbation=((3, 0.1),), target_edge_length=0.15)), path)
+            domain = load(path)
+        phi = certified(*weight)
+        # count 2: on the disk the double pair mu_1 = mu_2, both members
+        sol = solve_case(domain, space, phi, conjecture=True, refinements=2)
+        ref = solve_lowest(assemble(sol.mesh, space, phi), count=2)
+        assert np.max(np.abs(sol.eigenvalues / ref.eigenvalues - 1.0)) < 1e-10
+
+    def test_vcycle_symmetric_positive(self):
+        mesh = generate(DomainSpec(shape="ellipse", aspect=1.4, target_edge_length=0.2))
+        prolongations = []
+        for _ in range(3):
+            prolongations.append(fem.prolongation(mesh))
+            mesh = refine(mesh)
+        forms = assemble(mesh, FLAT, certified("exponential-decay", (0.0, 1.0, 0.5)))
+        vcycle = fem._vcycle(forms.stiffness + 5.0 * forms.mass, prolongations)
+        rng = np.random.default_rng(3)
+        x, y = rng.standard_normal((2, forms.dimension))
+        tx, ty = vcycle(x), vcycle(y)
+        assert abs(x @ ty - y @ tx) <= 1e-12 * abs(x @ ty)
+        block = rng.standard_normal((forms.dimension, 4))
+        assert np.all(np.einsum("ij,ij->j", block, vcycle(block)) > 0)
+        np.testing.assert_allclose(vcycle(block)[:, 0], vcycle(block[:, 0]), rtol=1e-13)
+
+    def test_hyperbolic_ellipse_meets_contract(self):
+        # the benchmark's fem-refine hyperbolic ellipse with one of its
+        # drawn weights: an underestimated smoothing interval (largest
+        # eigenvalue by power steps) stalls LOBPCG far above the contract
+        spec = DomainSpec(shape="ellipse", semi_axis_x=0.5, semi_axis_y=0.35,
+                          target_edge_length=0.07)
+        phi = certified("linear-decreasing", (0.3223, 0.421))
+        sol = solve_case(spec, HYP, phi, conjecture=True, refinements=2)
+        ref = solve_lowest(assemble(sol.mesh, HYP, phi), count=2)
+        assert np.max(np.abs(sol.eigenvalues / ref.eigenvalues - 1.0)) < 1e-10

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import oracles
-from wittenlab import BallSpec, SpaceForm, make_weight, property_I_certify
+from wittenlab import BallSpec, SpaceForm, make_weight, property_I_certify, radial
 from wittenlab.radial import (
     DEFAULT_OPTIONS,
     ShellSpec,
@@ -195,14 +195,19 @@ def test_radius_beyond_weight_cap_rejected():
 
 def test_extension_values(phi_zero, disk_solution):
     sol = disk_solution
-    assert float(sol.f(0.5)) == pytest.approx(float(sol.T(0.5)), rel=1e-12)
-    assert float(sol.f(1.2)) == pytest.approx(float(sol.T(1.0)), rel=1e-12)
-    assert float(sol.fprime(1.2)) == 0.0
-    assert float(sol.fprime(0.7)) == pytest.approx(float(sol.Tprime(0.7)), rel=1e-10)
+
+    def T(t):  # the unextended interpolant
+        return radial._profile(sol.nodes, sol.samples, sol._power, t)
+
+    f, fprime = sol.profile(0.5)
+    assert float(f) == pytest.approx(float(T(0.5)[0]), rel=1e-12)
+    assert float(sol.profile(1.2)[0]) == pytest.approx(float(T(1.0)[0]), rel=1e-12)
+    assert float(sol.profile(1.2)[1]) == 0.0
+    assert float(sol.profile(0.7)[1]) == pytest.approx(float(T(0.7)[1]), rel=1e-10)
     # flat past the radius, to the last bit
-    ts = np.array([1.0, 1.5, 4.0])
-    assert np.all(sol.f(ts) == sol.f(1.0))
-    assert np.array_equal(sol.fprime(ts), [sol.Tprime(1.0), 0.0, 0.0])
+    f, fprime = sol.profile(np.array([1.0, 1.5, 4.0]))
+    assert np.all(f == sol.profile(1.0)[0])
+    assert np.array_equal(fprime, [T(1.0)[1], 0.0, 0.0])
 
 
 def test_rayleigh_quotient_identity(phi_zero, disk_solution):
@@ -214,7 +219,7 @@ def test_rayleigh_outside_closed_form(phi_zero, disk_solution):
     # beyond the ball f is constant, so for n=2 and no weight
     # A([R, 2R]) = pi f(R)^2 ln 2 and B = (pi/2) f(R)^2 * (4R^2 - R^2)/... via t dt
     A, B = ball_rayleigh_integrals(disk_solution, 1.0, 2.0)
-    plateau = float(disk_solution.T(1.0))
+    plateau = float(disk_solution.profile(1.0)[0])
     assert A == pytest.approx(math.pi * plateau ** 2 * math.log(2.0), rel=1e-10)
     assert B == pytest.approx(math.pi * plateau ** 2 * 1.5, rel=1e-10)
 
@@ -244,7 +249,8 @@ def test_rayleigh_identity_weighted_hyperbolic():
         for lower, upper in [(0.0, 1.2), (0.3, 1.2), (1.2, 2.5), (0.3, 2.5)]:
             ours = ball_rayleigh_integrals(sol, lower, upper)
             ref = oracles.rayleigh_integrals_quad(
-                3, -1, phi.value, sol.f, sol.fprime, lower, upper,
+                3, -1, phi.value,
+                lambda t: sol.profile(t)[0], lambda t: sol.profile(t)[1], lower, upper,
                 knots=[*spline[0::2], 1.2],
             )
             np.testing.assert_allclose(ours, ref, rtol=1e-10, err_msg=f"{phi.family}")
@@ -269,12 +275,8 @@ def test_monotonicity_check_flags_synthetic_bump():
         ball = BallSpec(4.0, 2, FLAT)
 
         @staticmethod
-        def f(t):
-            return t + 0.2 * np.exp(-((t - 2.0) ** 2) / 0.01)
-
-        @staticmethod
-        def fprime(t):
-            return np.ones_like(t)
+        def profile(t):
+            return t + 0.2 * np.exp(-((t - 2.0) ** 2) / 0.01), np.ones_like(t)
 
     report = check_lemma_monotone(BumpedProfile())
     assert not report.passed
