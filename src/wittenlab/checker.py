@@ -42,7 +42,6 @@ from .radial import (
     ShellSpec,
     ShootingOptions,
     ball_rayleigh_integrals,
-    expand_spectrum,
     shoot_first_mode,
     symmetric_spectrum,
 )
@@ -190,7 +189,8 @@ def solve_case(
     domains), or a :class:`ShellSpec` (radially symmetric, any dimension,
     with ``dimension`` given explicitly).  The lowest ``n - 1`` nonzero
     eigenvalues are solved, or ``n`` with ``conjecture`` for the open
-    question's extra term.
+    question's extra term.  A meshed domain is solved after ``refinements
+    - 1`` splits (coarse) and after ``refinements >= 1`` (fine).
     """
     shell = base_mesh = mesh = None
     if isinstance(domain, ShellSpec):
@@ -199,8 +199,7 @@ def solve_case(
         n = int(dimension)
         count = n if conjecture else n - 1
         shell = domain
-        modes = symmetric_spectrum(shell, n, space, phi, count, options=options)
-        eigs = expand_spectrum(modes, count)
+        eigs = symmetric_spectrum(shell, n, space, phi, count, options=options)
         est = RADIAL_ERROR_FLOOR
         volume = weighted_annulus_volume(
             space, n, phi, shell.inner_radius, shell.outer_radius
@@ -214,19 +213,17 @@ def solve_case(
     else:
         if dimension not in (None, 2):
             raise ValueError("meshed domains are two-dimensional")
+        if refinements < 1:
+            raise ValueError("meshed domains need refinements >= 1")
         n = 2
         count = n if conjecture else n - 1
         base_mesh = mesh = _mesh_for(domain)
-        prolongations = []
-        for _ in range(max(0, refinements - 1)):
-            prolongations.append(fem.prolongation(mesh))
+        for _ in range(refinements - 1):
             mesh = refine(mesh)
         coarse = fem.solve_lowest(fem.assemble(mesh, space, phi), count=count)
-        prolongations.append(fem.prolongation(mesh))
         mesh = refine(mesh)
         forms = fem.assemble(mesh, space, phi)
-        fine = fem.solve_lowest(forms, count, coarse, prolongations)
-        eigs = fine.eigenvalues.copy()
+        eigs = fem.solve_lowest(forms, count, coarse).eigenvalues
         est = float(np.max(np.abs(coarse.eigenvalues - eigs) / (3.0 * eigs)))
         volume = forms.weighted_volume()
         method = "fem"
@@ -466,10 +463,9 @@ def _conjecture_block(sol: CaseSolution) -> dict:
         if sol.shell is not None:
             domain, refs, opts = sol.shell, sol.refinements, sol.options.tightened(10.0)
         else:
-            # continue from the finest mesh, level max(r, 1), to the levels
-            # r + 1 and r + 2 that refinements + 2 would solve on
-            domain, opts = sol.mesh, sol.options
-            refs = sol.refinements + 2 - max(sol.refinements, 1)
+            # levels r + 1 and r + 2 from the finest mesh, whose parents
+            # take the V-cycle on down to the generated mesh
+            domain, refs, opts = sol.mesh, 2, sol.options
         sol = solve_case(
             domain, sol.space, sol.phi, n,
             conjecture=True, refinements=refs, options=opts,

@@ -16,7 +16,9 @@ exactly the constants (checked after every solve).
 The low spectrum is solved on nested meshes.  The coarse level is solved by
 shift-inverted Lanczos; the fine level by LOBPCG, started from the coarse
 modes prolonged to it and preconditioned by one multigrid V-cycle over the
-refinement hierarchy, so no fine-level matrix is ever factorised.
+refinement hierarchy the fine mesh carries (``Mesh.parent`` and
+``Mesh.prolongation``, set by :func:`~wittenlab.mesh.refine`), so no
+fine-level matrix is ever factorised.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import eigsh, lobpcg, splu
 
-from .mesh import Mesh, _edges
+from .mesh import Mesh
 from .spaceform import SpaceForm
 from .weights import WeightFunction
 
@@ -72,8 +74,6 @@ class AssembledForms:
     stiffness: sparse.csr_matrix
     mass: sparse.csr_matrix
     mesh: Mesh = field(repr=False)
-    space: SpaceForm = field(repr=False)
-    weight: WeightFunction = field(repr=False)
 
     @property
     def dimension(self) -> int:
@@ -158,9 +158,7 @@ def assemble(mesh: Mesh, space: SpaceForm, weight: WeightFunction) -> AssembledF
         (k_local.ravel(), (rows, cols)), shape=(n, n)
     ).tocsr()
     mass = sparse.coo_matrix((m_local.ravel(), (rows, cols)), shape=(n, n)).tocsr()
-    return AssembledForms(
-        stiffness=stiffness, mass=mass, mesh=mesh, space=space, weight=weight
-    )
+    return AssembledForms(stiffness=stiffness, mass=mass, mesh=mesh)
 
 
 @dataclass
@@ -179,28 +177,13 @@ class SpectrumResult:
     dimension: int = 0
 
 
-def prolongation(coarse: Mesh) -> sparse.csr_matrix:
-    """P1 prolongation from ``coarse`` to ``refine(coarse)``: the identity on
-    the coarse nodes over half the edge incidence, one row per midpoint in
-    the order :func:`~wittenlab.mesh.refine` numbers them.
+def _vcycle(A: sparse.csr_matrix, mesh: Mesh):
+    """One symmetric V-cycle for the SPD matrix ``A`` on ``mesh`` as a
+    function of a right-hand side block.
 
-    Projected boundary midpoints get the plain average of their edge's ends,
-    which is all the start block and the V-cycle need of it.
-    """
-    edges = _edges(coarse.triangles)[0]
-    n, m = len(coarse.nodes), len(edges)
-    rows = np.concatenate([np.arange(n), np.repeat(np.arange(n, n + m), 2)])
-    cols = np.concatenate([np.arange(n), edges.ravel()])
-    vals = np.concatenate([np.ones(n), np.full(2 * m, 0.5)])
-    return sparse.csr_matrix((vals, (rows, cols)), shape=(n + m, n))
-
-
-def _vcycle(A: sparse.csr_matrix, prolongations):
-    """One symmetric V-cycle for the SPD matrix ``A`` as a function of a
-    right-hand side block.
-
-    The coarse operators are the Galerkin products ``P^T A P`` down to the
-    base mesh, which is solved exactly by LU.  Every other level smooths
+    The coarse operators are the Galerkin products ``P^T A P`` with the
+    prolongations of ``mesh`` and its parents, down to the root of the
+    chain, which is solved exactly by LU.  Every other level smooths
     before and after the coarse correction with the degree-2 Chebyshev
     polynomial of ``D^-1 A`` on ``[lmax / 30, lmax]``, ``D`` the diagonal.
     ``lmax`` is the Gershgorin bound ``max_i sum_j |a_ij| / a_ii``: an
@@ -211,7 +194,8 @@ def _vcycle(A: sparse.csr_matrix, prolongations):
     spectrum.
     """
     levels = []
-    for P in reversed(prolongations):
+    while mesh.parent is not None:
+        P = mesh.prolongation
         dinv = 1.0 / A.diagonal()
         lmax = float(np.max(abs(A) @ np.ones(A.shape[0]) * dinv))
         theta, delta = 31.0 * lmax / 60.0, 29.0 * lmax / 60.0
@@ -220,6 +204,7 @@ def _vcycle(A: sparse.csr_matrix, prolongations):
         c0, c1 = np.array([4.0 * theta, -2.0]) / (2.0 * theta**2 - delta**2)
         levels.append((A, dinv, c0, c1, P))
         A = (P.T @ A @ P).tocsr()
+        mesh = mesh.parent
     base = splu(A.tocsc())
 
     def cycle(level: int, f: np.ndarray) -> np.ndarray:
@@ -243,19 +228,17 @@ def solve_lowest(
     forms: AssembledForms,
     count: int = 1,
     coarse: SpectrumResult | None = None,
-    prolongations=(),
 ) -> SpectrumResult:
     """Lowest ``count`` nonzero eigenvalues and their modes.
 
     Without ``coarse`` this is the base solve: shift-inverted Lanczos, with
     the shift just below zero (scaled by the mean diagonal of the stiffness
     matrix) so the factorised operator is definite and the constant mode
-    comes out first.  With ``coarse``, the result on the mesh ``forms.mesh``
-    was refined from, and ``prolongations``, one per refinement from the
-    hierarchy's base mesh up to ``forms.mesh`` (see :func:`prolongation`),
-    LOBPCG starts from the prolonged block ``[1, coarse.modes]`` and is
-    preconditioned by one :func:`_vcycle` on ``K + mu M``, ``mu`` the
-    largest coarse eigenvalue; nothing of the fine level is factorised.  Its
+    comes out first.  With ``coarse``, the result on ``forms.mesh.parent``,
+    LOBPCG starts from the block ``forms.mesh.prolongation @ [1,
+    coarse.modes]`` and is preconditioned by one :func:`_vcycle` on
+    ``K + mu M`` over the parents of ``forms.mesh``, ``mu`` the largest
+    coarse eigenvalue; nothing of the fine level is factorised.  Its
     absolute tolerance is a tenth of ``RESIDUAL_TOL`` times the smallest
     ``|K x|`` of the mass-normalised start modes.
 
@@ -280,11 +263,10 @@ def solve_lowest(
             v0 = np.random.default_rng(0).standard_normal(dim)
             vals, vecs = eigsh(K, k=count + 1, M=M, sigma=sigma, which="LM", v0=v0)
         else:
-            start = np.column_stack([np.ones(len(coarse.modes)), coarse.modes])
-            start = prolongations[-1] @ start
+            start = np.column_stack([np.ones(dim), forms.mesh.prolongation @ coarse.modes])
             start /= np.sqrt(np.einsum("ij,ij->j", start, M @ start))
             tol = 0.1 * RESIDUAL_TOL * np.min(np.linalg.norm(K @ start[:, 1:], axis=0))
-            precond = _vcycle(K + coarse.eigenvalues[-1] * M, prolongations)
+            precond = _vcycle(K + coarse.eigenvalues[-1] * M, forms.mesh)
             vals, vecs = lobpcg(
                 K, start, B=M, M=precond, tol=tol, maxiter=LOBPCG_MAXITER, largest=False
             )

@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 
 
 class MeshInvariantError(RuntimeError):
@@ -151,13 +152,20 @@ class DomainSpec:
 
 @dataclass
 class Mesh:
-    """Conforming triangulation with positively oriented triangles."""
+    """Conforming triangulation with positively oriented triangles.
+
+    A mesh made by :func:`refine` keeps the mesh it split as ``parent`` and
+    the P1 prolongation from it as ``prolongation``; generated and loaded
+    meshes have neither.
+    """
 
     nodes: np.ndarray
     triangles: np.ndarray
     boundary_nodes: np.ndarray
     domain_tag: str
     spec: DomainSpec | None = field(default=None, repr=False)
+    parent: Mesh | None = field(default=None, repr=False, compare=False)
+    prolongation: sparse.csr_matrix | None = field(default=None, repr=False, compare=False)
 
     def signed_areas(self) -> np.ndarray:
         p = self.nodes[self.triangles]
@@ -390,12 +398,10 @@ def _polygon_mesh(spec: DomainSpec) -> Mesh:
         verts = verts[::-1]
 
     tris = np.asarray(_ear_clip(verts), dtype=int)
-    edges, counts, _ = _edges(tris)
-    boundary = np.unique(edges[counts == 1])
     mesh = Mesh(
         nodes=verts.copy(),
         triangles=_orient_ccw(verts, tris),
-        boundary_nodes=boundary,
+        boundary_nodes=np.arange(len(verts)),  # every vertex is a corner of an ear
         domain_tag=spec.describe(),
         spec=spec,
     )
@@ -403,6 +409,8 @@ def _polygon_mesh(spec: DomainSpec) -> Mesh:
     h = spec.target_edge_length
     while np.max(mesh.edge_lengths()) > 1.9 * h:
         mesh = refine(mesh)
+    # these splits make the mesh; they are not levels to solve on
+    mesh.parent = mesh.prolongation = None
     validate(mesh)
     return mesh
 
@@ -461,9 +469,14 @@ def refine(mesh: Mesh) -> Mesh:
     over the triangles' sides ``ab, bc, ca``.  Triangle ``t`` becomes
     triangles ``4t .. 4t + 3``, the three corner triangles and then the
     middle one.
+
+    The result keeps ``mesh`` as its ``parent`` and the P1 prolongation
+    ``[I; half the edge incidence]`` from it, rows in that node order; a
+    projected boundary midpoint gets the plain average of its edge's ends,
+    which is all the multilevel solve needs.
     """
     edges, counts, side = _edges(mesh.triangles)
-    n = len(mesh.nodes)
+    n, m = len(mesh.nodes), len(edges)
     mids = 0.5 * (mesh.nodes[edges[:, 0]] + mesh.nodes[edges[:, 1]])
     boundary = np.flatnonzero(counts == 1)
     if len(boundary) and mesh.spec is not None and mesh.spec.shape != "polygon":
@@ -476,12 +489,17 @@ def refine(mesh: Mesh) -> Mesh:
         [a, mab, mca, b, mbc, mab, c, mca, mbc, mab, mbc, mca], axis=1
     ).reshape(-1, 3)
 
+    rows = np.concatenate([np.arange(n), np.repeat(np.arange(n, n + m), 2)])
+    cols = np.concatenate([np.arange(n), edges.ravel()])
+    vals = np.concatenate([np.ones(n), np.full(2 * m, 0.5)])
     out = Mesh(
         nodes=nodes,
         triangles=_orient_ccw(nodes, tris),
         boundary_nodes=np.sort(np.concatenate([mesh.boundary_nodes, n + boundary])),
         domain_tag=mesh.domain_tag,
         spec=mesh.spec,
+        parent=mesh,
+        prolongation=sparse.csr_matrix((vals, (rows, cols)), shape=(n + m, n)),
     )
     validate(out)
     return out

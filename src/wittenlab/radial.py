@@ -43,6 +43,7 @@ from .spaceform import (
 from .weights import UncertifiedWeightError, WeightFunction
 
 _SERIES_BELOW = 0.1  # hyperbolic corrections switch to their series below
+PROFILE_SAMPLES = 2048  # the grid on which zeros and residuals are checked
 
 
 class ShootingError(RuntimeError):
@@ -57,13 +58,11 @@ class ShootingOptions:
     scaled to ``max |u| = 1`` on the nodes, the last three Chebyshev
     coefficients on every piece are at most ``rtol * max |c| + atol``.
     The accepted profile must then satisfy its Neumann condition to
-    ``residual_tol`` relative to ``max |T'|``.  ``profile_samples`` is the
-    size of the grid on which zeros and monotonicity are checked.
+    ``residual_tol`` relative to ``max |T'|``.
     """
 
     rtol: float = 1e-10
     atol: float = 1e-12
-    profile_samples: int = 2048
     residual_tol: float = 1e-10
 
     def tightened(self, factor: float = 10.0) -> "ShootingOptions":
@@ -99,31 +98,22 @@ class RadialSolution:
 
     ``samples`` holds ``u = T / t^s`` and ``u'`` (last axis) on the
     Chebyshev-Lobatto ``nodes`` of each piece; :meth:`profile` interpolates
-    them barycentrically.
-    ``ts`` is the check grid of ``profile_samples`` Chebyshev-Lobatto points
-    with the profile ``values`` and ``derivs`` there.  ``degree`` is the
-    polynomial degree per piece, ``tail`` the trailing Chebyshev coefficients
-    against the largest, ``residual`` the Neumann residual against
-    ``max |T'|``.
+    them barycentrically.  ``degree`` is the polynomial degree per piece,
+    ``tail`` the trailing Chebyshev coefficients against the largest,
+    ``residual`` the Neumann residual against ``max |T'|``.
     """
 
     mu: float
     mode_degree: int
-    mode_index: int
     inner_radius: float
     ball: BallSpec
     phi: WeightFunction
-    ts: np.ndarray
-    values: np.ndarray
-    derivs: np.ndarray
     residual: float
-    interior_zeros: int
     first_mode_monotone: bool
     degree: int
     tail: float
     nodes: np.ndarray = field(repr=False)
     samples: np.ndarray = field(repr=False)
-    notes: list[str] = field(default_factory=list)
 
     def profile(self, t):
         """``(f(t), f'(t))`` from one interpolation pass: the profile ``T``
@@ -150,16 +140,6 @@ def _profile(nodes, samples, s: int, t):
     t = t.reshape(t.shape + (1,) * (samples.ndim - 3))
     dT = t ** s * both[..., 1]
     return t ** s * both[..., 0], dT if s == 0 else dT + s * t ** (s - 1) * both[..., 0]
-
-
-@dataclass(frozen=True)
-class ModeEigenvalue:
-    """One radial eigenvalue with its spherical-harmonic bookkeeping."""
-
-    mu: float
-    degree: int
-    index: int
-    multiplicity: int
 
 
 @dataclass
@@ -338,7 +318,7 @@ def _solve_degree(
             f"above tolerance at the degree cap {CHEBYSHEV_DEGREES[-1]}"
         )
 
-    m = options.profile_samples
+    m = PROFILE_SAMPLES
     grid = inner + 0.5 * length * (1.0 - np.cos(math.pi * np.arange(m) / (m - 1)))
     grid[0], grid[-1] = inner, outer
     # every mode at once on the check grid; sign: positive next to the inner
@@ -364,7 +344,7 @@ def _solve_degree(
                 f"Neumann residual {residual:.3g} above {options.residual_tol:.3g} "
                 f"(l={l}, which={k + 1})"
             )
-        monotone, notes = True, []
+        monotone = True
         if l == 1 and k == 0 and inner == 0.0:
             monotone = bool(np.all(derivs[k, :-1] > 0.0))
             if not monotone:
@@ -374,25 +354,18 @@ def _solve_degree(
                     RuntimeWarning,
                     stacklevel=3,
                 )
-                notes.append("first-mode derivative not strictly positive")
         solutions.append(RadialSolution(
             mu=float(w.real[order[k]]),
             mode_degree=l,
-            mode_index=k + 1,
             inner_radius=inner,
             ball=BallSpec(outer, n, space),
             phi=phi,
-            ts=grid,
-            values=values[k],
-            derivs=derivs[k],
             residual=residual,
-            interior_zeros=zeros,
             first_mode_monotone=monotone,
             degree=N,
             tail=float(tail[k] / size[k]),
             nodes=nodes,
             samples=samples[k],
-            notes=notes,
         ))
     return solutions
 
@@ -549,8 +522,9 @@ def symmetric_spectrum(
     phi: WeightFunction,
     count: int,
     options: ShootingOptions = DEFAULT_OPTIONS,
-) -> list[ModeEigenvalue]:
-    """First ``count`` nonzero eigenvalues of a centred ball or shell, ascending.
+) -> np.ndarray:
+    """First ``count`` nonzero eigenvalues of a centred ball or shell,
+    ascending, each repeated by its multiplicity.
 
     Aggregates the per-degree radial problems with spherical-harmonic
     multiplicities, one solve per degree ``l = 0, 1, ...``.  The degrees stop
@@ -563,30 +537,12 @@ def symmetric_spectrum(
     inner, outer = shell.inner_radius, shell.outer_radius
     _check_problem(0, 1, inner, outer, dimension, phi)
 
-    def lowest(found: list[ModeEigenvalue]) -> tuple[list[ModeEigenvalue], int]:
-        kept, total = [], 0
-        for mode in sorted(found, key=lambda m: (m.mu, m.degree, m.index)):
-            if total >= count:
-                break
-            kept.append(mode)
-            total += mode.multiplicity
-        return kept, total
-
-    found: list[ModeEigenvalue] = []
+    values = np.empty(0)
     l = 0
     while True:
         modes = _solve_degree(l, inner, outer, dimension, space, phi, count, options)
-        kept, total = lowest(found)
-        if total >= count and modes[0].mu >= kept[-1].mu:
-            return kept
+        if len(values) >= count and modes[0].mu >= values[count - 1]:
+            return values[:count]
         mult = spherical_harmonic_multiplicity(l, dimension)
-        found += [ModeEigenvalue(m.mu, l, m.mode_index, mult) for m in modes]
+        values = np.sort(np.concatenate([values, np.repeat([m.mu for m in modes], mult)]))
         l += 1
-
-
-def expand_spectrum(modes: list[ModeEigenvalue], count: int) -> np.ndarray:
-    """Flatten mode records into an ascending eigenvalue list with repeats."""
-    values = sorted(m.mu for m in modes for _ in range(m.multiplicity))
-    if len(values) < count:
-        raise ValueError(f"only {len(values)} eigenvalues available, wanted {count}")
-    return np.asarray(values[:count], dtype=float)

@@ -6,8 +6,8 @@ plus bisection, generic radial problems from a dense cell-centred
 finite-volume discretization, radial integrals from adaptive Gauss-Kronrod
 quadrature told the weight's knots, geometric quantities from closed
 forms or brute-force grids, and the mesh kernels (disk clipping, uniform
-refinement) one triangle at a time in plain Python, and P1 assembly in
-the five-operand einsum form.  None of it imports :mod:`wittenlab`
+refinement and its P1 prolongation) one triangle at a time in plain
+Python, and P1 assembly in the five-operand einsum form.  None of it imports :mod:`wittenlab`
 internals, except :func:`lowest_nonzero`, a shorthand that chains the
 package's own assembly and eigensolve.
 """
@@ -297,6 +297,24 @@ def refine_by_dict(nodes, triangles, boundary_nodes, project=None):
         else boundary_nodes.copy()
     )
     return out_nodes, tris, new_boundary
+
+
+def prolongation_by_dict(num_nodes, triangles) -> sparse.csr_matrix:
+    """P1 prolongation onto the mesh :func:`refine_by_dict` makes: the
+    identity on the coarse nodes, then one row per edge midpoint, in the
+    order a walk over the sides ``ab, bc, ca`` first meets the edges, with
+    1/2 at the edge's two ends."""
+    midpoints: dict[tuple[int, int], None] = {}
+    for a, b, c in triangles:
+        for u, v in ((a, b), (b, c), (c, a)):
+            midpoints.setdefault((min(u, v), max(u, v)))
+    entries = [(i, i, 1.0) for i in range(num_nodes)]
+    for row, (u, v) in enumerate(midpoints, start=num_nodes):
+        entries += [(row, u, 0.5), (row, v, 0.5)]
+    rows, cols, vals = zip(*entries)
+    return sparse.csr_matrix(
+        (vals, (rows, cols)), shape=(num_nodes + len(midpoints), num_nodes)
+    )
 
 
 def assemble_by_einsum(nodes, triangles, stiff_density, mass_density, bary, weights):

@@ -203,6 +203,12 @@ class TestTheoremMain:
         with pytest.raises(ValueError, match="two-dimensional"):
             build_report(solve_case(spec, FLAT, phi_zero, dimension=3))
 
+    @pytest.mark.parametrize("refinements", [0, -1])
+    def test_meshed_domain_needs_a_refinement(self, phi_zero, refinements):
+        spec = DomainSpec(shape="disk", radius=1.0)
+        with pytest.raises(ValueError, match="refinements"):
+            solve_case(spec, FLAT, phi_zero, refinements=refinements)
+
     def test_report_serialises(self, phi_zero):
         report = build_report(solve_case(ShellSpec(0.0, 1.0), FLAT, phi_zero, dimension=4))
         blob = json.dumps(report.as_dict(), sort_keys=True)
@@ -486,6 +492,21 @@ class TestConjectures:
         assert c["escalated"]
         assert c["verdict"] == "counterexample-candidate"
         assert report.notes  # escalation is recorded on the report
+
+    def test_escalation_vcycle_reaches_generated_mesh(self, phi_exp, monkeypatch):
+        # the escalated solve continues from the finest mesh, which keeps its
+        # parents, so its V-cycle factorises the generated mesh, as the
+        # first solve's does, and not the old finest level
+        spec = DomainSpec(
+            shape="translated-disk", radius=0.8, center=(0.5, 0.0),
+            target_edge_length=0.15,
+        )
+        sizes = []
+        splu = fem.splu
+        monkeypatch.setattr(fem, "splu", lambda A: sizes.append(A.shape[0]) or splu(A))
+        report = build_report(solve_case(spec, FLAT, phi_exp, conjecture=True), conjecture=True)
+        assert report.conjecture["escalated"]
+        assert sizes == [len(generate(spec).nodes)] * 2
 
     def test_ellipse_margin_positive(self, phi_zero):
         spec = DomainSpec(shape="ellipse", aspect=1.4, target_edge_length=0.12)

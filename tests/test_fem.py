@@ -14,6 +14,7 @@ import pytest
 
 from oracles import assemble_by_einsum, lowest_nonzero, poincare_radius
 from wittenlab import fem
+from wittenlab import mesh as msh
 from wittenlab.checker import solve_case
 from wittenlab.fem import AssemblyError, EigsolveError, assemble, solve_lowest
 from wittenlab.mesh import DomainSpec, Mesh, generate, load, refine, save
@@ -263,12 +264,10 @@ class TestTwoLevelSolve:
 
     def test_vcycle_symmetric_positive(self):
         mesh = generate(DomainSpec(shape="ellipse", aspect=1.4, target_edge_length=0.2))
-        prolongations = []
         for _ in range(3):
-            prolongations.append(fem.prolongation(mesh))
             mesh = refine(mesh)
         forms = assemble(mesh, FLAT, certified("exponential-decay", (0.0, 1.0, 0.5)))
-        vcycle = fem._vcycle(forms.stiffness + 5.0 * forms.mass, prolongations)
+        vcycle = fem._vcycle(forms.stiffness + 5.0 * forms.mass, mesh)
         rng = np.random.default_rng(3)
         x, y = rng.standard_normal((2, forms.dimension))
         tx, ty = vcycle(x), vcycle(y)
@@ -276,6 +275,20 @@ class TestTwoLevelSolve:
         block = rng.standard_normal((forms.dimension, 4))
         assert np.all(np.einsum("ij,ij->j", block, vcycle(block)) > 0)
         np.testing.assert_allclose(vcycle(block)[:, 0], vcycle(block[:, 0]), rtol=1e-13)
+
+    def test_edge_tables_of_a_solve(self, monkeypatch, phi_zero):
+        # generate, then refinements = 3: each mesh's edge table is computed
+        # to validate it and, below the finest, once more by the refine that
+        # splits it and builds the prolongation; nothing else walks the edges
+        calls = []
+        edges = msh._edges
+        spy = lambda t: calls.append(len(t)) or edges(t)
+        for module in (msh, fem):
+            monkeypatch.setattr(module, "_edges", spy, raising=False)
+        spec = DomainSpec(shape="ellipse", aspect=1.4, target_edge_length=0.2)
+        solve_case(spec, FLAT, phi_zero, refinements=3)
+        b = calls[0]
+        assert calls == [b, b, 4 * b, 4 * b, 16 * b, 16 * b, 64 * b]
 
     def test_hyperbolic_ellipse_meets_contract(self):
         # the benchmark's fem-refine hyperbolic ellipse with one of its

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
-from oracles import mesh_area, refine_by_dict
+from oracles import mesh_area, prolongation_by_dict, refine_by_dict
 from wittenlab import mesh as msh
 from wittenlab.mesh import (
     DomainSpec,
@@ -320,22 +320,29 @@ REFINE_SPECS = [
         vertices=((0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)),
         target_edge_length=0.3,
     ),
+    DomainSpec(shape="perturbed-disk", radius=1.0, perturbation=((3, 0.1),),
+               target_edge_length=0.2),
 ]
 
 
 class TestRefineAgainstReference:
-    """``refine`` reproduces the dict-based reference bit for bit."""
+    """``refine`` reproduces the dict-based reference bit for bit, and
+    records the mesh it split as ``parent`` with the P1 prolongation."""
 
     @staticmethod
     def assert_levels_match(m, project):
+        assert m.parent is None and m.prolongation is None
         for _ in range(3):
             nodes, tris, boundary = refine_by_dict(
                 m.nodes, m.triangles, m.boundary_nodes, project
             )
-            m = refine(m)
+            P = prolongation_by_dict(len(m.nodes), m.triangles)
+            parent, m = m, refine(m)
             assert np.array_equal(m.nodes, nodes)
             assert np.array_equal(m.triangles, tris)
             assert np.array_equal(m.boundary_nodes, boundary)
+            assert m.parent is parent
+            assert (m.prolongation != P).nnz == 0
 
     @pytest.mark.parametrize("spec", REFINE_SPECS, ids=lambda s: s.shape)
     def test_generated_meshes(self, spec):

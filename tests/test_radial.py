@@ -22,7 +22,6 @@ from wittenlab.radial import (
     ShootingOptions,
     ball_rayleigh_integrals,
     check_lemma_monotone,
-    expand_spectrum,
     shoot_first_mode,
     shoot_general_mode,
     spherical_harmonic_multiplicity,
@@ -291,22 +290,19 @@ def test_multiplicities():
 
 
 def test_disk_spectrum_with_multiplicities(phi_zero):
-    modes = symmetric_spectrum(ShellSpec(0.0, 1.0), 2, FLAT, phi_zero, 5)
-    vals = expand_spectrum(modes, 5)
+    vals = symmetric_spectrum(ShellSpec(0.0, 1.0), 2, FLAT, phi_zero, 5)
     expected = [MU1_DISK, MU1_DISK, MU_DISK_L2, MU_DISK_L2, MU_DISK_L0]
     np.testing.assert_allclose(vals, expected, rtol=1e-8)
 
 
 def test_ball4_low_spectrum_is_first_mode(phi_zero):
-    modes = symmetric_spectrum(ShellSpec(0.0, 1.0), 4, FLAT, phi_zero, 4)
-    vals = expand_spectrum(modes, 4)
+    vals = symmetric_spectrum(ShellSpec(0.0, 1.0), 4, FLAT, phi_zero, 4)
     np.testing.assert_allclose(vals, [MU1_BALL4] * 4, rtol=1e-8)
 
 
 def test_shell_spectrum_against_fd_oracle():
     phi = certified("linear-decreasing", [0.0, 0.5], 10.0)
-    modes = symmetric_spectrum(ShellSpec(0.4, 1.0), 3, FLAT, phi, 4)
-    vals = expand_spectrum(modes, 4)
+    vals = symmetric_spectrum(ShellSpec(0.4, 1.0), 3, FLAT, phi, 4)
     fd_by_l = {
         l: oracles.fd_mode_eigenvalues(
             3, 0, lambda t: -0.5 * np.asarray(t, float), l, 0.4, 1.0, 2
