@@ -31,8 +31,6 @@ import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.spatial import ConvexHull
 
 from . import fem
 from .mesh import DomainSpec, Mesh, generate, refine
@@ -45,7 +43,7 @@ from .radial import (
     shoot_first_mode,
     symmetric_spectrum,
 )
-from .spaceform import BallSpec, SpaceForm, weighted_annulus_volume
+from .spaceform import BallSpec, SpaceForm, s_kappa, unit_sphere_area, weighted_annulus_volume
 from .weights import WeightFunction
 
 # Budget of radial eigenvalues.  The collocation solver resolves them to
@@ -54,6 +52,7 @@ from .weights import WeightFunction
 # own accuracy claim.
 RADIAL_ERROR_FLOOR = 1e-8
 VOLUME_MATCH_TOL = 1e-8
+RADIUS_MAX_STEPS = 100
 CENTER_RESIDUAL_TOL = 1e-8
 
 
@@ -106,29 +105,53 @@ def match_ball_radius(
     weighted volume (with ``inner = 0`` the matched ball), and the signed
     volume mismatch ``volume(inner, r) - target`` left at that radius.
 
-    The weighted volume is strictly increasing in the radius, so Brent's
-    method on ``[inner, domain_cap]`` either finds the radius or proves the
-    certified range of the weight is too small.  The match is checked
-    against the volume of the whole ball ``t <= r``: a target far below it
-    is met only to the round-off of the radius.
+    The weighted volume ``V(r)`` is strictly increasing in the radius, with
+    the exact derivative ``dV/dr = |S^{n-1}| S(r)^{n-1} exp(-phi(r))``, so a
+    Newton iteration on ``log V(r) - log target``, started at the weight's
+    certified cap and kept inside a bracket of the root, either finds the
+    radius or the volume out to the cap proves the certified range too small.
+    Log-space steps cross the exponential growth of hyperbolic volumes in a
+    few iterations; where one would leave the bracket the plain Newton step
+    on ``V`` is taken, which stays above the root because ``V`` is convex
+    for a non-increasing ``phi``, and bisection is the last resort.  The
+    iteration stops when the volume is hit exactly, when the Newton step no
+    longer moves the radius, or when the bracket is down to round-off.
+    The match is checked against the volume of the whole ball ``t <= r``: a
+    target far below it is met only to the round-off of the radius.
     """
     if not (target_volume > 0 and math.isfinite(target_volume)):
         raise ValueError("target_volume must be positive and finite")
     cap = phi.domain_cap
-
-    def volume_gap(r: float) -> float:
-        if r <= inner:
-            return -target_volume
-        return weighted_annulus_volume(space, dimension, phi, inner, r) - target_volume
-
-    top = volume_gap(cap)
-    if top < 0:
+    area = unit_sphere_area(dimension)
+    radius = cap
+    volume = weighted_annulus_volume(space, dimension, phi, inner, cap)
+    if volume < target_volume:
         raise CheckerError(
             f"target volume {target_volume:.6g} exceeds the volume "
-            f"{top + target_volume:.6g} out to the weight's certified range {cap:g}"
+            f"{volume:.6g} out to the weight's certified range {cap:g}"
         )
-    radius = brentq(volume_gap, inner, cap, xtol=1e-15, rtol=8.9e-16)
-    mismatch = volume_gap(radius)
+    lo, hi = inner, cap
+    for _ in range(RADIUS_MAX_STEPS):
+        if volume == target_volume:
+            break
+        if volume < target_volume:
+            lo = radius
+        else:
+            hi = radius
+        slope = area * s_kappa(radius, space) ** (dimension - 1) * math.exp(-phi.value(radius))
+        step = volume * math.log(volume / target_volume) / slope
+        if radius - step == radius:
+            break  # the Newton step is below round-off
+        if not lo < radius - step < hi:
+            step = (volume - target_volume) / slope
+            middle = radius - 0.5 * (lo + hi)
+            if not (lo < radius - step < hi and abs(step) > abs(middle)):
+                if hi - lo <= 4.0 * np.finfo(float).eps * hi:
+                    break  # the bracket is down to round-off
+                step = middle
+        radius -= step
+        volume = weighted_annulus_volume(space, dimension, phi, inner, radius)
+    mismatch = volume - target_volume
     core = weighted_annulus_volume(space, dimension, phi, 0.0, inner) if inner > 0 else 0.0
     rel = abs(mismatch) / (core + target_volume)
     if rel > VOLUME_MATCH_TOL:
@@ -511,6 +534,35 @@ def check_pointwise_bound(mu, xi) -> tuple[bool, float]:
     return bool(slack >= -1e-12 * max(1.0, abs(rhs))), slack
 
 
+def hull_equations(points: np.ndarray) -> np.ndarray:
+    """Edges of the convex hull of plane ``points`` as rows ``[nx, ny, c]``:
+    the unit outward normal and the offset, so that ``n . x + c <= 0`` inside,
+    the layout of ``scipy.spatial.ConvexHull.equations``.
+
+    Andrew's monotone chain on the points sorted by ``x`` then ``y``; a point
+    on the line through its neighbours is not a corner, so collinear boundary
+    nodes add no edge.  The edges run counter-clockwise.
+    """
+    pts = np.unique(points, axis=0).tolist()
+
+    def chain(seq):
+        out = []
+        for p in seq:
+            while len(out) >= 2 and (
+                (out[-1][0] - out[-2][0]) * (p[1] - out[-2][1])
+                - (out[-1][1] - out[-2][1]) * (p[0] - out[-2][0])
+            ) <= 0.0:
+                out.pop()
+            out.append(p)
+        return out[:-1]  # the last point starts the other chain
+
+    corners = np.array(chain(pts) + chain(pts[::-1]))
+    edges = np.roll(corners, -1, axis=0) - corners
+    normals = np.column_stack([edges[:, 1], -edges[:, 0]])
+    normals /= np.hypot(normals[:, 0], normals[:, 1])[:, None]
+    return np.column_stack([normals, -np.einsum("ij,ij->i", normals, corners)])
+
+
 @dataclass
 class TrialCenterResult:
     center: tuple[float, float]
@@ -556,8 +608,7 @@ def find_trial_center(
     wq = (fem.QUAD_WEIGHTS[:, None] * area[None, :]).reshape(-1)
     density = wq * np.exp(-phi.value(np.hypot(xq[:, 0], xq[:, 1])))
 
-    hull = ConvexHull(mesh.nodes)
-    eqs = hull.equations
+    eqs = hull_equations(mesh.nodes[mesh.boundary_nodes])
 
     def inside_hull(o: np.ndarray) -> bool:
         return bool(np.all(eqs[:, :2] @ o + eqs[:, 2] <= 1e-10))

@@ -101,6 +101,39 @@ def _geodesic_radii(space: SpaceForm, points: np.ndarray) -> np.ndarray:
     return 2.0 * np.arctanh(r)
 
 
+def _weighted_rules(p: np.ndarray, area: np.ndarray, space: SpaceForm, weight: WeightFunction):
+    """Per triangle, the stiffness coefficient ``area * sum_q w_q rho(x_q)`` and
+    the flattened 3x3 mass matrix, from the six-point rule; the quadrature
+    arrays live only inside this call."""
+    quad_xy = np.einsum("qi,mid->qmd", QUAD_BARY, p)  # (6, M, 2)
+    density = np.exp(-weight.value(_geodesic_radii(space, quad_xy)))  # (6, M)
+    stiff_coeff = area * np.einsum("q,qm->m", QUAD_WEIGHTS, density)
+    if space.is_hyperbolic:
+        rr = np.hypot(quad_xy[..., 0], quad_xy[..., 1])
+        lam = 2.0 / (1.0 - rr * rr)
+        density = density * lam * lam
+    # Mloc[i, j] = area * sum_q w_q bary_q[i] bary_q[j] rho(x_q)
+    return stiff_coeff, (density * area).T @ _MASS_TABLE
+
+
+def _local_stiffness(p: np.ndarray, two_area: np.ndarray, coeff: np.ndarray) -> np.ndarray:
+    """``coeff * grad(hat_i) . grad(hat_j)`` per triangle, from the constant P1
+    gradients ``b[:, i]`` of the hats."""
+    b = np.empty_like(p)
+    b[:, 0, 0] = p[:, 1, 1] - p[:, 2, 1]
+    b[:, 0, 1] = p[:, 2, 0] - p[:, 1, 0]
+    b[:, 1, 0] = p[:, 2, 1] - p[:, 0, 1]
+    b[:, 1, 1] = p[:, 0, 0] - p[:, 2, 0]
+    b[:, 2, 0] = p[:, 0, 1] - p[:, 1, 1]
+    b[:, 2, 1] = p[:, 1, 0] - p[:, 0, 0]
+    b /= two_area[:, None, None]
+    return (b @ b.transpose(0, 2, 1)) * coeff[:, None, None]
+
+
+def _csr(local: np.ndarray, rows: np.ndarray, cols: np.ndarray, n: int) -> sparse.csr_matrix:
+    return sparse.coo_matrix((local.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+
+
 def assemble(mesh: Mesh, space: SpaceForm, weight: WeightFunction) -> AssembledForms:
     """Build the weighted stiffness and mass matrices on a mesh.
 
@@ -124,40 +157,15 @@ def assemble(mesh: Mesh, space: SpaceForm, weight: WeightFunction) -> AssembledF
     two_area = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
     if np.min(two_area) <= 0:
         raise AssemblyError("mesh contains a non-positive triangle")
-    area = 0.5 * two_area
+    stiff_coeff, m_local = _weighted_rules(p, 0.5 * two_area, space, weight)
 
-    # constant P1 gradients, b[:, i] = grad of the hat at vertex i
-    b = np.empty_like(p)
-    b[:, 0, 0] = p[:, 1, 1] - p[:, 2, 1]
-    b[:, 0, 1] = p[:, 2, 0] - p[:, 1, 0]
-    b[:, 1, 0] = p[:, 2, 1] - p[:, 0, 1]
-    b[:, 1, 1] = p[:, 0, 0] - p[:, 2, 0]
-    b[:, 2, 0] = p[:, 0, 1] - p[:, 1, 1]
-    b[:, 2, 1] = p[:, 1, 0] - p[:, 0, 0]
-    b /= two_area[:, None, None]
-
-    quad_xy = np.einsum("qi,mid->qmd", QUAD_BARY, p)  # (6, M, 2)
-    t = _geodesic_radii(space, quad_xy)
-    density = np.exp(-weight.value(t))  # (6, M)
-    mass_density = density
-    if space.is_hyperbolic:
-        rr = np.hypot(quad_xy[..., 0], quad_xy[..., 1])
-        lam = 2.0 / (1.0 - rr * rr)
-        mass_density = density * lam * lam
-
-    stiff_coeff = area * np.einsum("q,qm->m", QUAD_WEIGHTS, density)
-    k_local = (b @ b.transpose(0, 2, 1)) * stiff_coeff[:, None, None]
-
-    # Mloc[i, j] = area * sum_q w_q bary_q[i] bary_q[j] rho(x_q)
-    m_local = (mass_density * area).T @ _MASS_TABLE
-
+    # the local matrices are released as soon as their CSR exists, so the
+    # two conversions' temporaries never overlap
     rows = np.repeat(mesh.triangles, 3, axis=1).ravel()
     cols = np.tile(mesh.triangles, (1, 3)).ravel()
     n = len(mesh.nodes)
-    stiffness = sparse.coo_matrix(
-        (k_local.ravel(), (rows, cols)), shape=(n, n)
-    ).tocsr()
-    mass = sparse.coo_matrix((m_local.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+    stiffness = _csr(_local_stiffness(p, two_area, stiff_coeff), rows, cols, n)
+    mass = _csr(m_local, rows, cols, n)
     return AssembledForms(stiffness=stiffness, mass=mass, mesh=mesh)
 
 

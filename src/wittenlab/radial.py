@@ -33,12 +33,11 @@ import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.fft
 import scipy.linalg
 
 from .spaceform import (
-    CHEBYSHEV_DEGREES, TAIL_TERMS, BallSpec, SpaceForm, _chebyshev_integrals, s_kappa,
-    unit_sphere_area,
+    CHEBYSHEV_DEGREES, TAIL_TERMS, BallSpec, SpaceForm, _chebyshev_integrals, dct,
+    s_kappa, unit_sphere_area,
 )
 from .weights import UncertifiedWeightError, WeightFunction
 
@@ -306,7 +305,7 @@ def _solve_degree(
         vecs = V[:, order].T.reshape(count, len(nodes), N + 1)
         biggest = np.abs(vecs).reshape(count, -1).argmax(axis=1)
         vecs = (vecs / vecs.reshape(count, -1)[np.arange(count), biggest][:, None, None]).real
-        coeffs = np.abs(scipy.fft.dct(vecs, type=1, axis=-1)) / N  # Chebyshev coefficients,
+        coeffs = np.abs(dct(vecs, 1)) / N  # Chebyshev coefficients,
         coeffs[..., [0, -1]] *= 0.5  # from the values on Lobatto nodes
         size = coeffs.reshape(count, -1).max(axis=1)
         tail = coeffs[..., -TAIL_TERMS:].reshape(count, -1).max(axis=1)

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 
 from .weights import UncertifiedWeightError, WeightFunction
 
@@ -109,6 +108,27 @@ def unit_sphere_area(dimension: int) -> float:
     return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
 
 
+def dct(values: np.ndarray, kind: int) -> np.ndarray:
+    """Unnormalised DCT of type ``kind`` (1 or 2) along the last axis, in
+    ``scipy.fft.dct``'s convention, as the real FFT of the even extension.
+
+    Type 1 (values on ``N + 1`` Chebyshev points of the second kind, ends
+    included) extends ``x_0 .. x_N`` to the period ``x_0 .. x_N, x_{N-1} .. x_1``.
+    Type 2 (values on ``M`` Chebyshev points of the first kind, half a sample
+    off that grid) puts ``x`` on the odd slots of a period of ``4M`` and mirrors
+    it there, so the transform is real term by term and needs no complex
+    twiddle factor.
+    """
+    x = np.asarray(values, dtype=float)
+    if kind == 1:
+        return np.fft.rfft(np.concatenate([x, x[..., -2:0:-1]], axis=-1), axis=-1).real
+    m = x.shape[-1]
+    ext = np.zeros(x.shape[:-1] + (4 * m,))
+    ext[..., 1 : 2 * m : 2] = x
+    ext[..., 2 * m + 1 :: 2] = x[..., ::-1]
+    return np.fft.rfft(ext, axis=-1)[..., :m].real
+
+
 def _chebyshev_integrals(integrand, breaks) -> np.ndarray:
     """Integrals over ``[breaks[0], breaks[-1]]`` of the rows of ``integrand(t)``
     (last axis along ``t``) by Fejer's first rule on each piece between breaks:
@@ -123,7 +143,7 @@ def _chebyshev_integrals(integrand, breaks) -> np.ndarray:
         x = np.cos(math.pi * (2 * k + 1) / (2 * N + 2))
         t = lo + half * (1.0 + x)  # (pieces, N + 1)
         values = np.asarray(integrand(t.reshape(-1)), dtype=float)
-        coeffs = scipy.fft.dct(values.reshape(values.shape[:-1] + t.shape), type=2) / (N + 1)
+        coeffs = dct(values.reshape(values.shape[:-1] + t.shape), 2) / (N + 1)
         coeffs[..., 0] *= 0.5
         # T_k integrates to 2 / (1 - k^2) over [-1, 1] for even k, to 0 for odd k
         integrals = (coeffs[..., ::2] @ (2.0 / (1.0 - k[::2] ** 2))) @ half[:, 0]

@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import CubicSpline
+from scipy.linalg import solve_banded
 
 FAMILIES = ("constant", "linear-decreasing", "exponential-decay", "tabulated-spline")
 
@@ -184,10 +184,38 @@ def _tabulated_spline(params: tuple[float, ...], domain_cap: float):
             f"tabulated-spline knots must cover [0, {domain_cap:.6g}]; "
             f"got [{knots_t[0]:.6g}, {knots_t[-1]:.6g}]"
         )
-    spline = CubicSpline(knots_t, knots_phi, bc_type="natural")
-    d1 = spline.derivative(1)
-    d2 = spline.derivative(2)
-    return (lambda t: spline(t)), (lambda t: d1(t)), (lambda t: d2(t))
+    # second derivatives at the knots, zero at both ends (natural spline):
+    # h_{i-1} m_{i-1} + 2 (h_{i-1} + h_i) m_i + h_i m_{i+1} = 6 (d_i - d_{i-1})
+    h = np.diff(knots_t)
+    d = np.diff(knots_phi) / h
+    bands = np.zeros((3, len(h) - 1))
+    bands[0, 1:] = h[1:-1]
+    bands[1] = 2.0 * (h[:-1] + h[1:])
+    bands[2, :-1] = h[1:-1]
+    m = np.zeros(len(knots_t))
+    m[1:-1] = solve_banded((1, 1), bands, 6.0 * np.diff(d))
+    # piece i in powers of (t - t_i): value, slope, half curvature, jerk / 6;
+    # the end pieces extend past the end knots
+    a, b = knots_phi[:-1], d - h * (2.0 * m[:-1] + m[1:]) / 6.0
+    c, e = 0.5 * m[:-1], np.diff(m) / (6.0 * h)
+
+    def piece(t):
+        i = np.searchsorted(knots_t[1:-1], t, side="right")
+        return i, t - knots_t[i]
+
+    def val(t):
+        i, x = piece(t)
+        return a[i] + x * (b[i] + x * (c[i] + x * e[i]))
+
+    def slope(t):
+        i, x = piece(t)
+        return b[i] + x * (2.0 * c[i] + x * 3.0 * e[i])
+
+    def convexity(t):
+        i, x = piece(t)
+        return 2.0 * c[i] + x * 6.0 * e[i]
+
+    return val, slope, convexity
 
 
 def make_weight(family: str, params, domain_cap: float) -> WeightFunction:

@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
+from scipy.spatial import ConvexHull
 
 from oracles import (
     disk_intersection_by_triangle,
@@ -27,12 +28,13 @@ from oracles import (
     mesh_area,
     square_neumann_eigenvalues,
 )
-from wittenlab import fem
+from wittenlab import checker, fem
 from wittenlab.checker import (
     CheckerError,
     build_report,
     check_pointwise_bound,
     find_trial_center,
+    hull_equations,
     match_ball_radius,
     solve_case,
     weighted_disk_intersection,
@@ -115,6 +117,37 @@ class TestMatchBallRadius:
         assert abs(match_ball_radius(FLAT, 2, phi_zero, 1e-16, 1.0)[0] - 1.0) < 1e-14
         with pytest.raises(CheckerError, match="certified range"):
             match_ball_radius(FLAT, 2, certified("constant", (0.0,), cap=2.0), 10.0, 1.0)
+
+    @pytest.mark.parametrize("space", [FLAT, HYP], ids=["flat", "hyperbolic"])
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("cap", [5.0, 50.0, 200.0])
+    def test_newton_against_brentq(self, monkeypatch, space, n, cap):
+        # brentq on the package's own volume is the oracle; the Newton
+        # iteration must land on the same radius with fewer volume
+        # evaluations, the cap check included.  At hyperbolic cap 50 the
+        # volume out to the cap is ~e^100 of the target.
+        phi = certified("exponential-decay", (0.0, 1.0, 0.5), cap=cap)
+        calls = []
+        volume = checker.weighted_annulus_volume
+
+        def counted(*args):
+            calls.append(args[-1])
+            return volume(*args)
+
+        monkeypatch.setattr(checker, "weighted_annulus_volume", counted)
+        for r_true in (0.01, 0.3, 1.0, 4.9):
+            target = volume(space, n, phi, 0.0, r_true)
+            calls.clear()
+            ours, mismatch = match_ball_radius(space, n, phi, target)
+            ours_calls = len(calls)
+            calls.clear()
+            oracle = brentq(
+                lambda r: counted(space, n, phi, 0.0, r) - target if r > 0 else -target,
+                0.0, cap, xtol=1e-15, rtol=8.9e-16,
+            )
+            assert abs(ours - oracle) <= 1e-12 * oracle
+            assert abs(mismatch) <= 1e-13 * target
+            assert ours_calls < len(calls), (r_true, ours_calls, len(calls))
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
     def test_rejects_bad_targets(self, phi_zero, bad):
@@ -591,6 +624,45 @@ class TestPointwiseBound:
 @pytest.fixture(scope="module")
 def flat_profile(phi_zero):
     return shoot_first_mode(BallSpec(1.0, 2, FLAT), phi_zero)
+
+
+HULL_MESHES = [
+    DomainSpec(
+        shape="polygon",
+        vertices=((0.0, 0.0), (2.0, 0.0), (2.0, 1.0), (1.0, 1.0), (1.0, 2.0), (0.0, 2.0)),
+        target_edge_length=0.15,
+    ),
+    DomainSpec(shape="annulus", inner_radius=0.4, outer_radius=1.2, target_edge_length=0.15),
+]
+
+
+def assert_same_hull(ours, points):
+    # the same edges in any order: every row has a partner within round-off
+    ref = ConvexHull(points).equations
+    assert ours.shape == ref.shape
+    dist = np.abs(ours[:, None, :] - ref[None, :, :]).max(axis=2)
+    assert dist.min(axis=1).max() <= 1e-12
+    assert dist.min(axis=0).max() <= 1e-12
+
+
+class TestHull:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random_cloud_matches_convex_hull(self, seed):
+        rng = np.random.default_rng(seed)
+        points = rng.standard_normal((int(rng.integers(3, 400)), 2)) * rng.uniform(0.1, 10.0)
+        assert_same_hull(hull_equations(points), points)
+
+    @pytest.mark.parametrize("spec", HULL_MESHES, ids=["L-shape", "annulus"])
+    def test_boundary_nodes_span_the_mesh_hull(self, spec):
+        # the L-shape's straight sides carry collinear boundary nodes, which
+        # must not become corners; the annulus' inner ring lies inside
+        mesh = generate(spec)
+        for _ in range(2):
+            ours = hull_equations(mesh.nodes[mesh.boundary_nodes])
+            assert_same_hull(ours, mesh.nodes)
+            assert np.allclose(np.hypot(ours[:, 0], ours[:, 1]), 1.0, rtol=0.0, atol=1e-15)
+            mesh = refine(mesh)
+        assert len(hull_equations(generate(HULL_MESHES[0]).nodes)) == 5
 
 
 class TestTrialCenter:

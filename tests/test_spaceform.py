@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,7 +21,7 @@ from wittenlab import (
     weighted_annulus_volume,
     weighted_ball_volume,
 )
-from wittenlab.spaceform import CHEBYSHEV_DEGREES, QuadratureError, _chebyshev_integrals
+from wittenlab.spaceform import CHEBYSHEV_DEGREES, QuadratureError, _chebyshev_integrals, dct
 
 FLAT = SpaceForm(0)
 HYP = SpaceForm(-1)
@@ -158,6 +159,20 @@ def test_quadrature_converges_on_smooth_pieces():
     assert val == pytest.approx(0.29, rel=1e-14)
     rows = _chebyshev_integrals(lambda t: np.stack([np.exp(t), t * t]), [0.0, 1.0])
     np.testing.assert_allclose(rows, [math.e - 1.0, 1.0 / 3.0], rtol=1e-14)
+
+
+@pytest.mark.parametrize("N", CHEBYSHEV_DEGREES)
+@pytest.mark.parametrize("kind", [1, 2])
+def test_dct_matches_scipy(kind, N):
+    # the radial solver takes type 1 on N + 1 Lobatto values, the quadrature
+    # type 2 on N + 1 Gauss values; both along the last axis of a stack
+    rng = np.random.default_rng(N)
+    smooth = np.cos(np.pi * np.arange(N + 1) / N)[None, None, :] ** np.arange(1, 4)[:, None, None]
+    for values in (rng.standard_normal((3, 4, N + 1)), np.exp(smooth)):
+        ours = dct(values, kind)
+        ref = scipy.fft.dct(values, type=kind, axis=-1)
+        assert ours.shape == ref.shape
+        assert np.max(np.abs(ours - ref)) <= 1e-15 * np.max(np.abs(ref))
 
 
 def test_quadrature_raises_at_degree_cap_on_a_kink():

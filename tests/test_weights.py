@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.interpolate import CubicSpline
 
 from wittenlab import make_weight, property_I_certify
 
@@ -148,3 +149,28 @@ def test_report_records_origin_value():
     report = property_I_certify(phi)
     assert report.value_at_origin == pytest.approx(1.25, rel=1e-15)
     assert "domain_cap" in report.as_dict()
+
+
+def test_spline_matches_scipy_natural_cubic_spline():
+    # 200 seeded random knot sets, uneven spacing, evaluated inside, on the
+    # knots and past both ends (the end pieces extend, as in CubicSpline)
+    rng = np.random.default_rng(7)
+    worst = np.zeros(3)
+    for _ in range(200):
+        k = int(rng.integers(4, 30))
+        cap = float(rng.uniform(0.5, 20.0))
+        gaps = rng.uniform(0.05, 1.0, k - 1)
+        knots_t = np.concatenate([[0.0], np.cumsum(gaps)]) * cap / gaps.sum()
+        knots_t[-1] = cap
+        knots_phi = rng.standard_normal(k) * rng.uniform(0.1, 10.0)
+        params = np.column_stack([knots_t, knots_phi]).ravel().tolist()
+        phi = make_weight("tabulated-spline", params, cap)
+        ref = CubicSpline(knots_t, knots_phi, bc_type="natural")
+        t = np.concatenate([rng.uniform(0.0, cap, 400), knots_t, [-1e-10, cap + 1e-10]])
+        for j, (ours, nu) in enumerate(
+            [(phi._value(t), 0), (phi._slope(t), 1), (phi._convexity(t), 2)]
+        ):
+            exact = ref(t, nu)
+            worst[j] = max(worst[j], np.max(np.abs(ours - exact)) / np.max(np.abs(exact)))
+    assert np.all(worst <= 1e-12), worst
+
