@@ -20,13 +20,7 @@ from .spaceform import (
     weighted_annulus_volume,
     weighted_ball_volume,
 )
-from .weights import (
-    CertificationReport,
-    UncertifiedWeightError,
-    WeightFunction,
-    make_weight,
-    property_I_certify,
-)
+from .weights import WeightFunction, make_weight
 
 __version__ = "0.1.0"
 
@@ -34,14 +28,11 @@ __all__ = [
     "EUCLIDEAN",
     "HYPERBOLIC",
     "BallSpec",
-    "CertificationReport",
     "QuadratureError",
     "SpaceForm",
-    "UncertifiedWeightError",
     "WeightFunction",
     "c_kappa",
     "make_weight",
-    "property_I_certify",
     "s_kappa",
     "unit_sphere_area",
     "weighted_annulus_volume",

@@ -8,7 +8,7 @@ long-format CSV plus the family member with the smallest margin.
 Everything is driven by a JSON config with a versioned ``"schema"`` field.
 Validation is strict and runs to completion before any case is executed:
 unknown keys, malformed values, and weights that fail the admissibility
-certificate are rejected with a dotted pointer to the offending entry
+condition are rejected with a dotted pointer to the offending entry
 (``cases[2].weight.params``).  Exit codes: 0 all verdicts pass, 2 at least
 one fail, 1 on any execution or configuration error.
 
@@ -35,7 +35,7 @@ from .checker import build_report, find_trial_center, solve_case
 from .mesh import SUPPORTED_SHAPES, DomainSpec, load as load_mesh
 from .radial import DEFAULT_OPTIONS, ShellSpec, check_lemma_monotone
 from .spaceform import SpaceForm
-from .weights import FAMILIES, make_weight, property_I_certify
+from .weights import FAMILIES, make_weight
 
 SCHEMA_VERSION = 1
 CHECK_NAMES = ("main", "sharper", "conjecture", "lemma23", "center")
@@ -194,16 +194,9 @@ def _build_weight(weight: dict, where: str):
     )
     cap = _as_float(weight.get("domain_cap", 50.0), f"{where}.domain_cap")
     try:
-        phi = make_weight(family, params, domain_cap=cap)
+        return make_weight(family, params, domain_cap=cap)
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from None
-    report = property_I_certify(phi)
-    if not report.passed:
-        raise ConfigError(
-            f"{where}: weight fails the admissibility certificate "
-            f"({report.first_violation_kind} at t = {report.first_violation_t:.6g})"
-        )
-    return phi
 
 
 _CASE_KEYS = {

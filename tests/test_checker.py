@@ -12,6 +12,7 @@ question n-term sum reproduces the frozen square numbers, and the
 pointwise reciprocal bound is property-tested.
 """
 
+import importlib
 import json
 import math
 
@@ -42,7 +43,7 @@ from wittenlab.checker import (
 from wittenlab.mesh import DomainSpec, Mesh, generate, refine
 from wittenlab.radial import ShellSpec, shoot_first_mode
 from wittenlab.spaceform import BallSpec, SpaceForm
-from wittenlab.weights import make_weight, property_I_certify
+from wittenlab.weights import make_weight
 
 FLAT = SpaceForm(curvature=0)
 HYP = SpaceForm(curvature=-1)
@@ -52,25 +53,19 @@ SQUARE_SUM_LHS = 2.0 / math.pi**2  # two reciprocal pi^2 terms
 SQUARE_SUM_RHS = 2.0 / (math.pi * MU1_DISK)  # 2 / mu_1 of the area-matched disk
 
 
-def certified(family, params, cap=50.0):
-    w = make_weight(family, params, domain_cap=cap)
-    property_I_certify(w)
-    return w
-
-
 @pytest.fixture(scope="module")
 def phi_zero():
-    return certified("constant", (0.0,))
+    return make_weight("constant", (0.0,), 50.0)
 
 
 @pytest.fixture(scope="module")
 def phi_lin():
-    return certified("linear-decreasing", (0.3, 0.4))
+    return make_weight("linear-decreasing", (0.3, 0.4), 50.0)
 
 
 @pytest.fixture(scope="module")
 def phi_exp():
-    return certified("exponential-decay", (0.0, 1.0, 0.5))
+    return make_weight("exponential-decay", (0.0, 1.0, 0.5), 50.0)
 
 
 class TestMatchBallRadius:
@@ -93,7 +88,7 @@ class TestMatchBallRadius:
         # radius for target pi sits below 1.  Closed-form volume:
         # int_0^R 2 pi t e^{0.5 t} dt, inverted by brentq without touching
         # the package quadrature.
-        phi = certified("linear-decreasing", (0.0, 0.5))
+        phi = make_weight("linear-decreasing", (0.0, 0.5), 50.0)
         a = 0.5
 
         def volume(r):
@@ -106,7 +101,7 @@ class TestMatchBallRadius:
         assert abs(ours - oracle) < 1e-9
 
     def test_target_beyond_certified_range(self):
-        phi = certified("constant", (0.0,), cap=1.0)
+        phi = make_weight("constant", (0.0,), 1.0)
         with pytest.raises(CheckerError, match="certified range"):
             match_ball_radius(FLAT, 2, phi, 10.0)
 
@@ -116,7 +111,7 @@ class TestMatchBallRadius:
         assert abs(match_ball_radius(FLAT, 2, phi_zero, 3.0 * math.pi, 1.0)[0] - 2.0) < 1e-10
         assert abs(match_ball_radius(FLAT, 2, phi_zero, 1e-16, 1.0)[0] - 1.0) < 1e-14
         with pytest.raises(CheckerError, match="certified range"):
-            match_ball_radius(FLAT, 2, certified("constant", (0.0,), cap=2.0), 10.0, 1.0)
+            match_ball_radius(FLAT, 2, make_weight("constant", (0.0,), 2.0), 10.0, 1.0)
 
     @pytest.mark.parametrize("space", [FLAT, HYP], ids=["flat", "hyperbolic"])
     @pytest.mark.parametrize("n", [2, 3])
@@ -126,7 +121,7 @@ class TestMatchBallRadius:
         # iteration must land on the same radius with fewer volume
         # evaluations, the cap check included.  At hyperbolic cap 50 the
         # volume out to the cap is ~e^100 of the target.
-        phi = certified("exponential-decay", (0.0, 1.0, 0.5), cap=cap)
+        phi = make_weight("exponential-decay", (0.0, 1.0, 0.5), cap)
         calls = []
         volume = checker.weighted_annulus_volume
 
@@ -527,19 +522,27 @@ class TestConjectures:
         assert report.notes  # escalation is recorded on the report
 
     def test_escalation_vcycle_reaches_generated_mesh(self, phi_exp, monkeypatch):
-        # the escalated solve continues from the finest mesh, which keeps its
-        # parents, so its V-cycle factorises the generated mesh, as the
-        # first solve's does, and not the old finest level
+        # every factorisation, ours and the one inside ARPACK's shift-invert:
+        # the base solve factorises the coarse level L1 and the V-cycle the
+        # generated mesh L0; the escalated solve continues from the finest
+        # mesh, which keeps its parents, so its base solve factorises L3 and
+        # its V-cycle L0 again, not the old finest level
         spec = DomainSpec(
             shape="translated-disk", radius=0.8, center=(0.5, 0.0),
             target_edge_length=0.15,
         )
         sizes = []
-        splu = fem.splu
-        monkeypatch.setattr(fem, "splu", lambda A: sizes.append(A.shape[0]) or splu(A))
+        arpack = importlib.import_module("scipy.sparse.linalg._eigen.arpack.arpack")
+        for module in (fem, arpack):
+            spy = lambda A, splu=module.splu: sizes.append(A.shape[0]) or splu(A)
+            monkeypatch.setattr(module, "splu", spy)
         report = build_report(solve_case(spec, FLAT, phi_exp, conjecture=True), conjecture=True)
         assert report.conjecture["escalated"]
-        assert sizes == [len(generate(spec).nodes)] * 2
+        levels = [generate(spec)]
+        for _ in range(3):
+            levels.append(refine(levels[-1]))
+        n0, n1, _, n3 = (len(mesh.nodes) for mesh in levels)
+        assert sizes == [n1, n0, n3, n0]
 
     def test_ellipse_margin_positive(self, phi_zero):
         spec = DomainSpec(shape="ellipse", aspect=1.4, target_edge_length=0.12)
@@ -685,7 +688,7 @@ class TestTrialCenter:
         assert not result.escaped_hull
 
     def test_offset_ellipse_weighted_matches_grid_search(self):
-        phi = certified("linear-decreasing", (0.0, 0.3))
+        phi = make_weight("linear-decreasing", (0.0, 0.3), 50.0)
         spec = DomainSpec(
             shape="ellipse", semi_axis_x=0.9, semi_axis_y=0.7,
             center=(0.4, 0.0), target_edge_length=0.1,

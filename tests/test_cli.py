@@ -114,6 +114,25 @@ class TestValidation:
         assert "admissibility" in err
         assert "at t =" in err
 
+    def test_spline_concave_between_grid_points_rejected(self, tmp_path, capsys):
+        # phi'' = -41.9 at t = 0.50004, between the points of any uniform grid
+        knots = [0.0, 0.25, 0.5, *(0.5 + 1e-5 * i for i in range(1, 8)), 0.75, 1.0]
+        values = [(1.0 - t) ** 2 + (1e-9 if i == 6 else 0.0) for i, t in enumerate(knots)]
+        case = disk_case()
+        case["weight"] = {
+            "family": "tabulated-spline",
+            "params": [p for pair in zip(knots, values) for p in pair],
+            "domain_cap": 1.0,
+        }
+        cfg = {"schema": 1, "cases": [case]}
+        code = cli.main(["run", write_config(tmp_path, cfg), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(
+            "config error: cases[0].weight: tabulated-spline fails the admissibility"
+        )
+        assert "convexity at t = 0.50002" in err
+
     def test_bad_domain_shape(self, tmp_path, capsys):
         case = disk_case()
         case["domain"] = {"shape": "pentagon"}
@@ -258,7 +277,7 @@ class TestRun:
         assert record["failed_checks"] == ["main"]
 
     def test_solver_failure_marks_case_and_continues(self, tmp_path):
-        # the weight certificate covers [0, 0.3] but the disk reaches t = 1,
+        # the weight is defined on [0, 0.3] only but the disk reaches t = 1,
         # so evaluation blows up at run time, after validation succeeded
         broken = disk_case(
             id="short-cap",

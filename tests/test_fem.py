@@ -20,7 +20,7 @@ from wittenlab.fem import AssemblyError, EigsolveError, assemble, solve_lowest
 from wittenlab.mesh import DomainSpec, Mesh, generate, load, refine, save
 from wittenlab.radial import shoot_first_mode
 from wittenlab.spaceform import BallSpec, SpaceForm
-from wittenlab.weights import make_weight, property_I_certify
+from wittenlab.weights import make_weight
 
 MU1_DISK = 3.389957716671889  # frozen in test_radial.py
 
@@ -28,15 +28,9 @@ FLAT = SpaceForm(curvature=0)
 HYP = SpaceForm(curvature=-1)
 
 
-def certified(family, params, cap=50.0):
-    w = make_weight(family, params, domain_cap=cap)
-    property_I_certify(w)
-    return w
-
-
 @pytest.fixture(scope="module")
 def phi_zero():
-    return certified("constant", (0.0,))
+    return make_weight("constant", (0.0,), 50.0)
 
 
 @pytest.fixture(scope="module")
@@ -65,7 +59,7 @@ class TestAssembly:
 
     def test_constants_in_stiffness_kernel(self, phi_zero):
         mesh = generate(DomainSpec(shape="disk", radius=1.0, target_edge_length=0.15))
-        w = certified("exponential-decay", (0.0, 1.0, 0.7))
+        w = make_weight("exponential-decay", (0.0, 1.0, 0.7), 50.0)
         for weight in (phi_zero, w):
             forms = assemble(mesh, FLAT, weight)
             ones = np.ones(forms.dimension)
@@ -73,7 +67,7 @@ class TestAssembly:
 
     def test_mass_total_is_weighted_area_flat(self):
         mesh = refine(generate(DomainSpec(shape="disk", radius=1.0, target_edge_length=0.1)))
-        forms = assemble(mesh, FLAT, certified("constant", (0.0,)))
+        forms = assemble(mesh, FLAT, make_weight("constant", (0.0,), 50.0))
         # polygon inscribed in the circle: slightly below pi, O(h^2) off
         assert abs(forms.weighted_volume() - math.pi) < 1e-3
 
@@ -83,13 +77,8 @@ class TestAssembly:
         area = assemble(mesh, HYP, phi_zero).weighted_volume()
         assert abs(area - 2.0 * math.pi * (math.cosh(1.0) - 1.0)) < 1e-3
 
-    def test_uncertified_weight_rejected(self, unit_triangle):
-        raw = make_weight("constant", (0.0,), domain_cap=50.0)
-        with pytest.raises(AssemblyError, match="certification"):
-            assemble(unit_triangle, FLAT, raw)
-
     def test_undersized_weight_domain_rejected(self, unit_triangle):
-        small = certified("constant", (0.0,), cap=0.5)
+        small = make_weight("constant", (0.0,), 0.5)
         with pytest.raises(AssemblyError, match="defined up to"):
             assemble(unit_triangle, FLAT, small)
 
@@ -105,7 +94,7 @@ class TestAssembly:
         spec = DomainSpec(shape="ellipse", semi_axis_x=1.4 * radius,
                           semi_axis_y=radius / 1.4, target_edge_length=0.1 * radius)
         mesh = refine(generate(spec))
-        weight = certified("exponential-decay", (0.0, 1.0, 0.7))
+        weight = make_weight("exponential-decay", (0.0, 1.0, 0.7), 50.0)
 
         def stiff_density(xq):
             r = np.hypot(xq[..., 0], xq[..., 1])
@@ -162,7 +151,7 @@ class TestSpectra:
         assert abs(res.eigenvalues[0] / reference - 1.0) < 5e-3
 
     def test_weighted_hyperbolic_ball_matches_shooting(self):
-        w = certified("linear-decreasing", (0.3, 0.5))
+        w = make_weight("linear-decreasing", (0.3, 0.5), 50.0)
         reference = shoot_first_mode(BallSpec(1.0, 2, HYP), w).mu
         mesh = refine(
             generate(
@@ -216,7 +205,7 @@ class TestSpectra:
 
     def test_translated_disk_weight_breaks_translation(self):
         # a genuinely decreasing weight sees the displacement
-        w = certified("exponential-decay", (0.0, 1.0, 0.5), cap=60.0)
+        w = make_weight("exponential-decay", (0.0, 1.0, 0.5), 60.0)
         a = generate(DomainSpec(shape="disk", radius=1.0, target_edge_length=0.08))
         b = generate(
             DomainSpec(
@@ -247,8 +236,13 @@ class TestTwoLevelSolve:
             (DomainSpec(shape="ellipse", semi_axis_x=0.5, semi_axis_y=0.35,
                         target_edge_length=0.07), HYP, ("linear-decreasing", (0.1, 0.4))),
             ("loaded", FLAT, ("exponential-decay", (0.0, 1.0, 0.5))),
+            # mu_2 and mu_3 swap order between L0 and L1: a solve that climbs
+            # level by level from the root reports mu_3 = 5.85993 as mu_2 at
+            # L2, where mu_2 = 5.84661
+            (DomainSpec(shape="ellipse", aspect=1.4, target_edge_length=0.15),
+             FLAT, ("exponential-decay", (0.0, 1.1804, 0.509))),
         ],
-        ids=["disk", "annulus", "polygon", "poincare-ellipse", "loaded-mesh"],
+        ids=["disk", "annulus", "polygon", "poincare-ellipse", "loaded-mesh", "crossing-ellipse"],
     )
     def test_matches_base_solve(self, domain, space, weight, tmp_path):
         if domain == "loaded":
@@ -256,7 +250,7 @@ class TestTwoLevelSolve:
             save(generate(DomainSpec(shape="perturbed-disk", radius=1.0,
                                      perturbation=((3, 0.1),), target_edge_length=0.15)), path)
             domain = load(path)
-        phi = certified(*weight)
+        phi = make_weight(*weight, 50.0)
         # count 2: on the disk the double pair mu_1 = mu_2, both members
         sol = solve_case(domain, space, phi, conjecture=True, refinements=2)
         ref = solve_lowest(assemble(sol.mesh, space, phi), count=2)
@@ -266,7 +260,7 @@ class TestTwoLevelSolve:
         mesh = generate(DomainSpec(shape="ellipse", aspect=1.4, target_edge_length=0.2))
         for _ in range(3):
             mesh = refine(mesh)
-        forms = assemble(mesh, FLAT, certified("exponential-decay", (0.0, 1.0, 0.5)))
+        forms = assemble(mesh, FLAT, make_weight("exponential-decay", (0.0, 1.0, 0.5), 50.0))
         vcycle = fem._vcycle(forms.stiffness + 5.0 * forms.mass, mesh)
         rng = np.random.default_rng(3)
         x, y = rng.standard_normal((2, forms.dimension))
@@ -296,7 +290,7 @@ class TestTwoLevelSolve:
         # eigenvalue by power steps) stalls LOBPCG far above the contract
         spec = DomainSpec(shape="ellipse", semi_axis_x=0.5, semi_axis_y=0.35,
                           target_edge_length=0.07)
-        phi = certified("linear-decreasing", (0.3223, 0.421))
+        phi = make_weight("linear-decreasing", (0.3223, 0.421), 50.0)
         sol = solve_case(spec, HYP, phi, conjecture=True, refinements=2)
         ref = solve_lowest(assemble(sol.mesh, HYP, phi), count=2)
         assert np.max(np.abs(sol.eigenvalues / ref.eigenvalues - 1.0)) < 1e-10

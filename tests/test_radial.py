@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import oracles
-from wittenlab import BallSpec, SpaceForm, make_weight, property_I_certify, radial
+from wittenlab import BallSpec, SpaceForm, make_weight, radial
 from wittenlab.radial import (
     DEFAULT_OPTIONS,
     ShellSpec,
@@ -40,15 +40,9 @@ MU_DISK_L0 = 14.681970642123892       # n=2, l=0: 3.831705970207512**2
 MU_DISK_L2 = 9.32836321374636         # n=2, l=2
 
 
-def certified(family, params, cap):
-    phi = make_weight(family, params, cap)
-    assert property_I_certify(phi).passed
-    return phi
-
-
 @pytest.fixture(scope="module")
 def phi_zero():
-    return certified("constant", [0.0], 12.0)
+    return make_weight("constant", [0.0], 12.0)
 
 
 @pytest.fixture(scope="module")
@@ -102,7 +96,7 @@ def test_higher_indices_strictly_increasing_and_match_oracle(phi_zero):
 
 
 def test_weighted_flat_disk_against_fd_oracle():
-    phi = certified("linear-decreasing", [0.0, 0.5], 10.0)
+    phi = make_weight("linear-decreasing", [0.0, 0.5], 10.0)
     sol = shoot_first_mode(BallSpec(1.0, 2, FLAT), phi)
     fd = oracles.fd_mode_eigenvalues(
         2, 0, lambda t: -0.5 * np.asarray(t, float), 1, 0.0, 1.0, 1
@@ -121,14 +115,14 @@ def test_hyperbolic_disk_against_fd_oracle(phi_zero):
 
 
 def test_hyperbolic_weighted_ball_against_fd_oracle():
-    phi = certified("exponential-decay", [0.0, 1.0, 1.0], 10.0)
+    phi = make_weight("exponential-decay", [0.0, 1.0, 1.0], 10.0)
     sol = shoot_first_mode(BallSpec(1.4, 2, HYP), phi)
     fd = oracles.fd_mode_eigenvalues(
         2, -1, lambda t: np.exp(-np.asarray(t, float)), 1, 0.0, 1.4, 1
     )
     assert sol.mu == pytest.approx(fd[0], rel=1e-5)
     # a spline weight whose knots 0.4 and 0.8 both lie inside the ball
-    spline = certified(
+    spline = make_weight(
         "tabulated-spline", [0.0, 2.0, 0.4, 1.3, 0.8, 0.8, 1.5, 0.35, 3.0, 0.0], 3.0
     )
     sol = shoot_first_mode(BallSpec(1.2, 3, HYP), spline)
@@ -155,15 +149,15 @@ def test_scaling_law(phi_zero):
 
 
 def test_weight_shift_leaves_eigenvalue_unchanged():
-    lo = certified("linear-decreasing", [0.0, 0.8], 10.0)
-    hi = certified("linear-decreasing", [5.0, 0.8], 10.0)
+    lo = make_weight("linear-decreasing", [0.0, 0.8], 10.0)
+    hi = make_weight("linear-decreasing", [5.0, 0.8], 10.0)
     a = shoot_first_mode(BallSpec(1.0, 2, FLAT), lo)
     b = shoot_first_mode(BallSpec(1.0, 2, FLAT), hi)
     assert b.mu == pytest.approx(a.mu, rel=1e-10)
 
 
 def test_tightened_options_agree_with_default():
-    phi = certified("linear-decreasing", [0.0, 0.8], 10.0)
+    phi = make_weight("linear-decreasing", [0.0, 0.8], 10.0)
     base = shoot_first_mode(BallSpec(1.0, 2, FLAT), phi)
     tight = shoot_first_mode(BallSpec(1.0, 2, FLAT), phi, DEFAULT_OPTIONS.tightened())
     assert abs(base.mu - tight.mu) / base.mu < 1e-11
@@ -178,16 +172,8 @@ def test_unreachable_tail_tolerance_raises(phi_zero):
         )
 
 
-def test_uncertified_weight_rejected():
-    from wittenlab import UncertifiedWeightError
-
-    phi = make_weight("constant", [0.0], 10.0)
-    with pytest.raises(UncertifiedWeightError):
-        shoot_first_mode(BallSpec(1.0, 2, FLAT), phi)
-
-
 def test_radius_beyond_weight_cap_rejected():
-    phi = certified("constant", [0.0], 1.0)
+    phi = make_weight("constant", [0.0], 1.0)
     with pytest.raises(ValueError):
         shoot_first_mode(BallSpec(2.0, 2, FLAT), phi)
 
@@ -238,8 +224,8 @@ def test_rayleigh_identity_weighted_hyperbolic():
     # [r1, R], [R, r2] cross 0.8 and 1.5 (and R, where f' jumps to 0)
     spline = [0.0, 1.0, 0.4, 0.7, 0.8, 0.45, 1.5, 0.2, 3.0, 0.05, 6.5, 0.0]
     weights = [
-        certified("exponential-decay", [0.1, 0.8, 1.2], 8.0),
-        certified("tabulated-spline", spline, 6.0),
+        make_weight("exponential-decay", [0.1, 0.8, 1.2], 8.0),
+        make_weight("tabulated-spline", spline, 6.0),
     ]
     for phi in weights:
         sol = shoot_first_mode(BallSpec(1.2, 3, HYP), phi)
@@ -257,9 +243,9 @@ def test_rayleigh_identity_weighted_hyperbolic():
 
 def test_monotonicity_check_passes_on_real_profiles():
     cases = [
-        (FLAT, 2, certified("constant", [0.0], 12.0)),
-        (FLAT, 3, certified("linear-decreasing", [0.0, 0.6], 12.0)),
-        (HYP, 2, certified("exponential-decay", [0.0, 1.0, 1.0], 12.0)),
+        (FLAT, 2, make_weight("constant", [0.0], 12.0)),
+        (FLAT, 3, make_weight("linear-decreasing", [0.0, 0.6], 12.0)),
+        (HYP, 2, make_weight("exponential-decay", [0.0, 1.0, 1.0], 12.0)),
     ]
     for space, n, phi in cases:
         sol = shoot_first_mode(BallSpec(1.0, n, space), phi)
@@ -301,7 +287,7 @@ def test_ball4_low_spectrum_is_first_mode(phi_zero):
 
 
 def test_shell_spectrum_against_fd_oracle():
-    phi = certified("linear-decreasing", [0.0, 0.5], 10.0)
+    phi = make_weight("linear-decreasing", [0.0, 0.5], 10.0)
     vals = symmetric_spectrum(ShellSpec(0.4, 1.0), 3, FLAT, phi, 4)
     fd_by_l = {
         l: oracles.fd_mode_eigenvalues(

@@ -15,7 +15,6 @@ from wittenlab import (
     SpaceForm,
     c_kappa,
     make_weight,
-    property_I_certify,
     s_kappa,
     unit_sphere_area,
     weighted_annulus_volume,
@@ -25,12 +24,6 @@ from wittenlab.spaceform import CHEBYSHEV_DEGREES, QuadratureError, _chebyshev_i
 
 FLAT = SpaceForm(0)
 HYP = SpaceForm(-1)
-
-
-def certified(family, params, cap):
-    phi = make_weight(family, params, cap)
-    assert property_I_certify(phi).passed
-    return phi
 
 
 def test_metric_coefficient_values():
@@ -96,7 +89,7 @@ def test_unit_sphere_area():
 
 
 def test_flat_ball_volumes_unweighted():
-    phi = certified("constant", [0.0], 10.0)
+    phi = make_weight("constant", [0.0], 10.0)
     vol2 = weighted_ball_volume(BallSpec(1.0, 2, FLAT), phi)
     assert vol2 == pytest.approx(math.pi, rel=1e-10)
     vol3 = weighted_ball_volume(BallSpec(2.0, 3, FLAT), phi)
@@ -104,7 +97,7 @@ def test_flat_ball_volumes_unweighted():
 
 
 def test_hyperbolic_volumes_match_closed_forms():
-    phi = certified("constant", [0.0], 10.0)
+    phi = make_weight("constant", [0.0], 10.0)
     vol2 = weighted_ball_volume(BallSpec(1.0, 2, HYP), phi)
     assert vol2 == pytest.approx(oracles.hyperbolic_ball_area(1.0), rel=1e-10)
     vol3 = weighted_ball_volume(BallSpec(1.5, 3, HYP), phi)
@@ -112,8 +105,8 @@ def test_hyperbolic_volumes_match_closed_forms():
 
 
 def test_constant_shift_scales_volume():
-    base = certified("constant", [0.0], 10.0)
-    shifted = certified("constant", [0.7], 10.0)
+    base = make_weight("constant", [0.0], 10.0)
+    shifted = make_weight("constant", [0.7], 10.0)
     ball = BallSpec(1.3, 3, FLAT)
     v0 = weighted_ball_volume(ball, base)
     v1 = weighted_ball_volume(ball, shifted)
@@ -121,7 +114,7 @@ def test_constant_shift_scales_volume():
 
 
 def test_volume_strictly_increasing_in_radius():
-    phi = certified("exponential-decay", [0.0, 1.0, 1.0], 6.0)
+    phi = make_weight("exponential-decay", [0.0, 1.0, 1.0], 6.0)
     radii = np.linspace(0.1, 5.0, 40)
     for space, n in ((FLAT, 2), (HYP, 2), (FLAT, 4)):
         vols = [weighted_ball_volume(BallSpec(float(r), n, space), phi) for r in radii]
@@ -129,7 +122,7 @@ def test_volume_strictly_increasing_in_radius():
 
 
 def test_annulus_volume_is_difference_of_balls():
-    phi = certified("linear-decreasing", [0.2, 0.4], 8.0)
+    phi = make_weight("linear-decreasing", [0.2, 0.4], 8.0)
     full = weighted_ball_volume(BallSpec(2.0, 3, FLAT), phi)
     inner = weighted_ball_volume(BallSpec(0.75, 3, FLAT), phi)
     ann = weighted_annulus_volume(FLAT, 3, phi, 0.75, 2.0)
@@ -144,7 +137,7 @@ SPLINE = [0.0, 1.0, 0.4, 0.7, 0.8, 0.45, 1.5, 0.2, 3.0, 0.05, 6.5, 0.0]
 def test_spline_annulus_volumes_across_knots_match_oracle(space, n):
     # the natural spline is only C^2 at its knots 0.4, 0.8, 1.5 and 3.0;
     # the annuli cross none, one and several of them
-    phi = certified("tabulated-spline", SPLINE, 6.0)
+    phi = make_weight("tabulated-spline", SPLINE, 6.0)
     for inner, outer in [(0.0, 0.3), (0.0, 1.2), (0.35, 1.6), (0.9, 6.0), (0.0, 6.0)]:
         ours = weighted_annulus_volume(space, n, phi, inner, outer)
         ref = oracles.weighted_annulus_volume_quad(
@@ -181,16 +174,8 @@ def test_quadrature_raises_at_degree_cap_on_a_kink():
         _chebyshev_integrals(lambda t: np.abs(t - 0.3), [0.0, 1.0])
 
 
-def test_uncertified_weight_rejected():
-    from wittenlab import UncertifiedWeightError
-
-    phi = make_weight("constant", [0.0], 10.0)
-    with pytest.raises(UncertifiedWeightError):
-        weighted_ball_volume(BallSpec(1.0, 2, FLAT), phi)
-
-
 def test_radius_beyond_cap_rejected():
-    phi = certified("constant", [0.0], 1.0)
+    phi = make_weight("constant", [0.0], 1.0)
     with pytest.raises(ValueError):
         weighted_ball_volume(BallSpec(2.0, 2, FLAT), phi)
 

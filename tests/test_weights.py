@@ -1,4 +1,6 @@
-"""Weight family construction and admissibility certification."""
+"""Weight family construction and the admissibility condition."""
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -6,7 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import CubicSpline
 
-from wittenlab import make_weight, property_I_certify
+from wittenlab import make_weight
+from wittenlab.weights import CERTIFY_TOL, _require_admissible, _tabulated_spline
+
+
+def spline_params(knots_t, knots_phi):
+    return np.column_stack([knots_t, knots_phi]).ravel().tolist()
 
 
 def test_constant_family():
@@ -14,15 +21,12 @@ def test_constant_family():
     assert phi.value(3.0) == 1.5
     assert phi.slope(3.0) == 0.0
     assert phi.convexity(3.0) == 0.0
-    assert property_I_certify(phi).passed
-    assert phi.certified
 
 
 def test_linear_family_example():
     phi = make_weight("linear-decreasing", [1.0, 0.5], 10.0)
     assert phi.value(2.0) == pytest.approx(0.0, abs=1e-15)
     assert phi.slope(2.0) == -0.5
-    assert property_I_certify(phi).passed
 
 
 def test_exponential_family_example():
@@ -30,49 +34,93 @@ def test_exponential_family_example():
     assert phi.value(1.0) == pytest.approx(np.exp(-1.0), rel=1e-15)
     assert phi.convexity(1.0) == pytest.approx(np.exp(-1.0), rel=1e-15)
     assert phi.slope(1.0) == pytest.approx(-np.exp(-1.0), rel=1e-15)
-    assert property_I_certify(phi).passed
 
 
 def test_spline_family_certifies_on_convex_decreasing_data():
     knots_t = np.linspace(0.0, 6.0, 25)
     knots_phi = 0.8 * np.exp(-0.9 * knots_t)
-    params = np.column_stack([knots_t, knots_phi]).ravel().tolist()
-    phi = make_weight("tabulated-spline", params, 6.0)
-    report = property_I_certify(phi)
-    assert report.passed, (report.worst_slope, report.worst_convexity)
+    phi = make_weight("tabulated-spline", spline_params(knots_t, knots_phi), 6.0)
+    assert phi.value(3.0) == pytest.approx(0.8 * np.exp(-2.7), rel=1e-4)
 
 
 def test_spline_of_concave_data_rejected_with_location():
-    # phi(t) = -t^2 violates convexity everywhere; the report should say so
+    # phi(t) = -t^2 violates convexity everywhere but at the natural end
+    # t = 0; the first knot past it is named, with the curvature there
     knots_t = np.linspace(0.0, 4.0, 17)
-    knots_phi = -(knots_t ** 2)
-    params = np.column_stack([knots_t, knots_phi]).ravel().tolist()
-    phi = make_weight("tabulated-spline", params, 4.0)
-    report = property_I_certify(phi)
-    assert not report.passed
-    assert not phi.certified
-    assert report.first_violation_kind == "convexity"
-    assert report.worst_convexity < -1.0  # true curvature is -2 throughout
+    params = spline_params(knots_t, -(knots_t ** 2))
+    message = r"admissibility .*: convexity at t = 0\.25 \(phi'' = -2\.5"
+    with pytest.raises(ValueError, match=message):
+        make_weight("tabulated-spline", params, 4.0)
 
 
 def test_increasing_weight_rejected_with_location():
-    # a bump that rises on [2, 4]: slope is positive there
+    # a V whose right arm rises on [2, 6]: the spline rings near the corner,
+    # so convexity already fails at the knot t = 0.1; the rising arm alone
+    # fails monotonicity at its start
     knots_t = np.linspace(0.0, 6.0, 61)
     knots_phi = np.where(knots_t < 2.0, 2.0 - knots_t, knots_t - 2.0)
-    params = np.column_stack([knots_t, knots_phi]).ravel().tolist()
-    phi = make_weight("tabulated-spline", params, 6.0)
-    report = property_I_certify(phi, grid_points=12_000)
-    assert not report.passed
-    assert report.first_violation_kind in ("monotonicity", "convexity")
-    # worst slope location sits in the rising half, within a grid cell
-    assert report.worst_slope > 0.5
-    assert report.worst_slope_t > 2.0 - 6.0 / 12_000
+    with pytest.raises(ValueError, match=r"admissibility .*: convexity at t = 0\.1 \(phi''"):
+        make_weight("tabulated-spline", spline_params(knots_t, knots_phi), 6.0)
+    rising = spline_params(knots_t[20:] - 2.0, knots_phi[20:])
+    message = r"admissibility .*: monotonicity at t = 0 \(phi' = 1"
+    with pytest.raises(ValueError, match=message):
+        make_weight("tabulated-spline", rising, 4.0)
 
 
-def test_certification_grid_floor():
-    phi = make_weight("constant", [0.0], 1.0)
-    with pytest.raises(ValueError):
-        property_I_certify(phi, grid_points=10)
+def test_adversarial_spline_between_grid_points_refused():
+    # (1 - t)^2 with seven knots 1e-5 apart after 0.5 and +1e-9 at 0.50004:
+    # phi'' = -41.9 there, but nowhere on a 10,000-point uniform grid
+    knots_t = np.array([0.0, 0.25, 0.5, *(0.5 + 1e-5 * np.arange(1, 8)), 0.75, 1.0])
+    knots_phi = (1.0 - knots_t) ** 2
+    knots_phi[6] += 1e-9
+    params = spline_params(knots_t, knots_phi)
+    _, slope, convexity = _tabulated_spline(tuple(params), 1.0)
+    grid = np.linspace(0.0, 1.0, 10_000)
+    assert np.all(convexity(grid) >= 0.0) and np.all(slope(grid) <= 0.0)
+    assert convexity(0.50004) == pytest.approx(-41.9, abs=0.05)
+    with pytest.raises(ValueError, match="admissibility .*: convexity at t = 0.50002"):
+        make_weight("tabulated-spline", params, 1.0)
+
+
+def test_slope_peak_inside_a_piece_refused():
+    # knots 0..3 with phi'' = tol (0, 1/2, -1/2, 0): phi'' >= -tol and phi' =
+    # tol (0.7, 0.95, 0.95, 0.7) <= tol at the knots, but phi'' changes sign
+    # in the middle piece and phi' peaks there at 1.075 tol
+    m = CERTIFY_TOL * np.array([0.0, 0.5, -0.5, 0.0])
+    slope, knots_phi = 0.7 * CERTIFY_TOL, [0.0]
+    for i in range(3):
+        knots_phi.append(knots_phi[-1] + slope + m[i] / 2.0 + (m[i + 1] - m[i]) / 6.0)
+        slope += (m[i] + m[i + 1]) / 2.0
+    params = spline_params(np.arange(4.0), knots_phi)
+    with pytest.raises(ValueError, match=r"monotonicity at t = 1\.5 \(phi' = 1\.0[78]e-10\)"):
+        make_weight("tabulated-spline", params, 3.0)
+
+
+def test_accepted_splines_hold_on_dense_grid():
+    # 200 seeded knot sets of convex decreasing profiles whose curvature,
+    # from 1e-12 up, competes with knot noise of 1e-13 to 1e-9: every spline
+    # make_weight accepts keeps phi' <= tol and phi'' >= -tol at 10^6 points
+    rng = np.random.default_rng(11)
+    accepted = near_tol = 0
+    for _ in range(200):
+        k = int(rng.integers(4, 30))
+        cap = float(rng.uniform(0.5, 20.0))
+        gaps = rng.uniform(0.05, 1.0, k - 1)
+        knots_t = np.concatenate([[0.0], np.cumsum(gaps)]) * cap / gaps.sum()
+        knots_t[-1] = cap
+        lam = float(rng.uniform(0.1, 3.0)) / cap
+        knots_phi = 10.0 ** rng.uniform(-12, 0) / lam**2 * np.exp(-lam * knots_t)
+        knots_phi += 10.0 ** rng.uniform(-13, -9) * rng.standard_normal(k)
+        try:
+            phi = make_weight("tabulated-spline", spline_params(knots_t, knots_phi), cap)
+        except ValueError:
+            continue
+        grid = np.linspace(0.0, cap, 1_000_000)
+        worst = max(np.max(phi.slope(grid)), -np.min(phi.convexity(grid)))
+        assert worst <= CERTIFY_TOL
+        accepted += 1
+        near_tol += worst > 1e-12
+    assert accepted >= 100 and near_tol >= 5
 
 
 def test_invalid_params():
@@ -137,18 +185,22 @@ def test_spline_slope_matches_finite_differences_on_interior_grid():
 
 
 def test_certification_idempotent():
-    phi = make_weight("exponential-decay", [0.3, 2.0, 0.7], 8.0)
-    r1 = property_I_certify(phi)
-    r2 = property_I_certify(phi)
-    assert r1.passed and r2.passed
-    assert r1.worst_slope == r2.worst_slope
+    # the check stamps nothing: a built weight is frozen and passes again
+    knots_t = np.linspace(0.0, 4.0, 9)
+    phi = make_weight("tabulated-spline", spline_params(knots_t, np.exp(-knots_t)), 4.0)
+    before = phi.describe()
+    _require_admissible(phi)
+    assert phi.describe() == before
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        phi.domain_cap = 5.0
 
 
 def test_report_records_origin_value():
     phi = make_weight("exponential-decay", [0.25, 1.0, 1.0], 4.0)
-    report = property_I_certify(phi)
-    assert report.value_at_origin == pytest.approx(1.25, rel=1e-15)
-    assert "domain_cap" in report.as_dict()
+    record = phi.describe()
+    assert record["value_at_origin"] == pytest.approx(1.25, rel=1e-15)
+    assert record["domain_cap"] == 4.0
+    assert "certified" not in record
 
 
 def test_spline_matches_scipy_natural_cubic_spline():
@@ -163,14 +215,12 @@ def test_spline_matches_scipy_natural_cubic_spline():
         knots_t = np.concatenate([[0.0], np.cumsum(gaps)]) * cap / gaps.sum()
         knots_t[-1] = cap
         knots_phi = rng.standard_normal(k) * rng.uniform(0.1, 10.0)
-        params = np.column_stack([knots_t, knots_phi]).ravel().tolist()
-        phi = make_weight("tabulated-spline", params, cap)
+        # mostly not admissible, so built through the interpolant itself
+        fns = _tabulated_spline(tuple(spline_params(knots_t, knots_phi)), cap)
         ref = CubicSpline(knots_t, knots_phi, bc_type="natural")
         t = np.concatenate([rng.uniform(0.0, cap, 400), knots_t, [-1e-10, cap + 1e-10]])
-        for j, (ours, nu) in enumerate(
-            [(phi._value(t), 0), (phi._slope(t), 1), (phi._convexity(t), 2)]
-        ):
-            exact = ref(t, nu)
-            worst[j] = max(worst[j], np.max(np.abs(ours - exact)) / np.max(np.abs(exact)))
+        for nu, fn in enumerate(fns):
+            ours, exact = fn(t), ref(t, nu)
+            worst[nu] = max(worst[nu], np.max(np.abs(ours - exact)) / np.max(np.abs(exact)))
     assert np.all(worst <= 1e-12), worst
 
