@@ -108,8 +108,8 @@ def match_ball_radius(
     The weighted volume ``V(r)`` is strictly increasing in the radius, with
     the exact derivative ``dV/dr = |S^{n-1}| S(r)^{n-1} exp(-phi(r))``, so a
     Newton iteration on ``log V(r) - log target``, started at the weight's
-    certified cap and kept inside a bracket of the root, either finds the
-    radius or the volume out to the cap proves the certified range too small.
+    ``domain_cap`` and kept inside a bracket of the root, either finds the
+    radius or the volume out to the cap proves the weight's range too small.
     Log-space steps cross the exponential growth of hyperbolic volumes in a
     few iterations; where one would leave the bracket the plain Newton step
     on ``V`` is taken, which stays above the root because ``V`` is convex

@@ -9,8 +9,10 @@ Everything is driven by a JSON config with a versioned ``"schema"`` field.
 Validation is strict and runs to completion before any case is executed:
 unknown keys, malformed values, and weights that fail the admissibility
 condition are rejected with a dotted pointer to the offending entry
-(``cases[2].weight.params``).  Exit codes: 0 all verdicts pass, 2 at least
-one fail, 1 on any execution or configuration error.
+(``cases[2].weight.params``).  Validation builds each case's space, domain,
+weight and solver options, and the batch runs exactly those objects, so a
+``mesh-file`` domain is read once.  Exit codes: 0 all verdicts pass, 2 at
+least one fail, 1 on any execution or configuration error.
 
 Outputs are deterministic: records are sorted by case id, JSON is dumped
 with sorted keys, and CSV floats are printed with ``%.17g``.
@@ -26,14 +28,14 @@ import json
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from .checker import build_report, find_trial_center, solve_case
 from .mesh import SUPPORTED_SHAPES, DomainSpec, load as load_mesh
-from .radial import DEFAULT_OPTIONS, ShellSpec, check_lemma_monotone
+from .radial import ShellSpec, ShootingOptions, check_lemma_monotone
 from .spaceform import SpaceForm
 from .weights import FAMILIES, make_weight
 
@@ -71,7 +73,8 @@ def _require_keys(obj: dict, where: str, allowed: dict, required: tuple):
         if key not in obj:
             raise ConfigError(f"{where}.{key}: missing required key")
     for key, kinds in allowed.items():
-        if key in obj and not isinstance(obj[key], kinds):
+        # JSON true/false are Python ints; no key takes a boolean
+        if key in obj and (isinstance(obj[key], bool) or not isinstance(obj[key], kinds)):
             raise ConfigError(f"{where}.{key}: wrong type")
 
 
@@ -123,8 +126,6 @@ def _build_domain(domain: dict, mesh_size: float, where: str):
             raise ConfigError(f"{where}.path: missing required key")
         try:
             return load_mesh(domain["path"])
-        except OSError as exc:
-            raise ConfigError(f"{where}.path: {exc}") from None
         except Exception as exc:
             raise ConfigError(f"{where}.path: {exc}") from None
     if shape not in SUPPORTED_SHAPES:
@@ -163,13 +164,14 @@ def _build_domain(domain: dict, mesh_size: float, where: str):
     if "perturbation" in domain:
         modes = []
         for i, pair in enumerate(domain["perturbation"]):
+            at = f"{where}.perturbation[{i}]"
             if not isinstance(pair, list) or len(pair) != 2:
-                raise ConfigError(
-                    f"{where}.perturbation[{i}]: expected [mode, amplitude]"
-                )
-            modes.append(
-                (int(pair[0]), _as_float(pair[1], f"{where}.perturbation[{i}]"))
-            )
+                raise ConfigError(f"{at}: expected [mode, amplitude]")
+            # a sweep writes its values as floats, so 3.0 is mode 3
+            mode = pair[0]
+            if not (type(mode) is int or isinstance(mode, float) and mode.is_integer()):
+                raise ConfigError(f"{at}: mode must be an integer, got {mode!r}")
+            modes.append((int(mode), _as_float(pair[1], at)))
         kwargs["perturbation"] = tuple(modes)
     if "path" in domain:
         raise ConfigError(f"{where}.path: only valid with shape mesh-file")
@@ -211,41 +213,50 @@ _CASE_KEYS = {
     "tolerances": (dict,),
 }
 
-_TOLERANCE_KEYS = {
-    "shooting_rtol": (int, float),
-    "shooting_atol": (int, float),
-    "residual_tol": (int, float),
+# schema-1 tolerance keys and the radial solver option each sets:
+# ``rtol`` and ``atol`` bound the trailing Chebyshev coefficients relative
+# and absolute, ``residual_tol`` the Neumann endpoint residual
+_TOLERANCES = {
+    "shooting_rtol": "rtol",
+    "shooting_atol": "atol",
+    "residual_tol": "residual_tol",
 }
 
 
 def validate_case(case: dict, where: str, fallback_id: str) -> dict:
-    """Full semantic validation; returns the normalised plain-dict case.
+    """Full semantic validation; returns the case as the batch runs it.
 
-    Builds (and discards) the actual domain and weight objects so that
-    every constructor-level complaint surfaces now, before any case runs.
+    The result holds ``id``, ``checks``, ``dimension``, ``refinements`` and
+    the built ``space`` (:class:`SpaceForm`), ``domain`` (:class:`DomainSpec`,
+    :class:`Mesh` or :class:`ShellSpec`), ``weight`` (:class:`WeightFunction`)
+    and ``options`` (:class:`ShootingOptions`), so every constructor-level
+    complaint surfaces now, before any case runs, and nothing is built twice.
     """
     _require_keys(case, where, _CASE_KEYS, ("space", "domain", "weight"))
     norm = {
         "id": case.get("id", fallback_id),
-        "space": case["space"],
-        "mesh_size": _as_float(case.get("mesh_size", 0.1), f"{where}.mesh_size"),
-        "refinement_levels": case.get("refinement_levels", 2),
-        "domain": case["domain"],
-        "weight": case["weight"],
-        "tolerances": case.get("tolerances", {}),
+        "refinements": case.get("refinement_levels", 2),
     }
+    mesh_size = _as_float(case.get("mesh_size", 0.1), f"{where}.mesh_size")
     if not norm["id"]:
         raise ConfigError(f"{where}.id: must be a non-empty string")
-    if norm["space"] not in SPACE_NAMES:
+    if case["space"] not in SPACE_NAMES:
         raise ConfigError(f"{where}.space: expected one of {SPACE_NAMES}")
-    if norm["mesh_size"] <= 0:
+    norm["space"] = SpaceForm(curvature=0 if case["space"] == "euclidean" else -1)
+    if mesh_size <= 0:
         raise ConfigError(f"{where}.mesh_size: must be positive")
-    if norm["refinement_levels"] < 1:
+    if norm["refinements"] < 1:
         raise ConfigError(f"{where}.refinement_levels: must be >= 1")
-    _require_keys(norm["tolerances"], f"{where}.tolerances", _TOLERANCE_KEYS, ())
-    for key in norm["tolerances"]:
-        if _as_float(norm["tolerances"][key], f"{where}.tolerances.{key}") <= 0:
+    tolerances = case.get("tolerances", {})
+    _require_keys(
+        tolerances, f"{where}.tolerances", dict.fromkeys(_TOLERANCES, (int, float)), ()
+    )
+    for key, value in tolerances.items():
+        if _as_float(value, f"{where}.tolerances.{key}") <= 0:
             raise ConfigError(f"{where}.tolerances.{key}: must be positive")
+    norm["options"] = ShootingOptions(
+        **{_TOLERANCES[key]: float(value) for key, value in tolerances.items()}
+    )
 
     checks = case.get("checks", ["main"])
     seen = []
@@ -260,8 +271,8 @@ def validate_case(case: dict, where: str, fallback_id: str) -> dict:
         raise ConfigError(f"{where}.checks: at least one check is required")
     norm["checks"] = sorted(seen, key=CHECK_NAMES.index)
 
-    domain = _build_domain(case["domain"], norm["mesh_size"], f"{where}.domain")
-    _build_weight(case["weight"], f"{where}.weight")
+    norm["domain"] = domain = _build_domain(case["domain"], mesh_size, f"{where}.domain")
+    norm["weight"] = _build_weight(case["weight"], f"{where}.weight")
 
     is_shell = isinstance(domain, ShellSpec)
     dimension = case.get("dimension")
@@ -276,7 +287,7 @@ def validate_case(case: dict, where: str, fallback_id: str) -> dict:
         raise ConfigError(f"{where}.dimension: meshed domains are two-dimensional")
     norm["dimension"] = dimension if dimension is not None else 2
 
-    if "sharper" in norm["checks"] and norm["space"] != "euclidean":
+    if "sharper" in norm["checks"] and case["space"] != "euclidean":
         raise ConfigError(
             f"{where}.checks: the sharper comparison is only formulated in "
             "euclidean space"
@@ -286,7 +297,7 @@ def validate_case(case: dict, where: str, fallback_id: str) -> dict:
             raise ConfigError(
                 f"{where}.checks: the center search needs a plane meshed domain"
             )
-        if norm["space"] != "euclidean":
+        if case["space"] != "euclidean":
             raise ConfigError(
                 f"{where}.checks: the center search is euclidean-only"
             )
@@ -314,38 +325,15 @@ def validate_run_config(cfg: dict) -> list[dict]:
 # execution
 
 
-def _space_for(name: str) -> SpaceForm:
-    return SpaceForm(curvature=0 if name == "euclidean" else -1)
-
-
-def _options_for(tolerances: dict):
-    """Schema-1 tolerance keys on the radial solver's contract:
-    ``shooting_rtol`` and ``shooting_atol`` bound the trailing Chebyshev
-    coefficients relative and absolute, ``residual_tol`` the Neumann
-    endpoint residual."""
-    opts = DEFAULT_OPTIONS
-    mapping = {
-        "shooting_rtol": "rtol",
-        "shooting_atol": "atol",
-        "residual_tol": "residual_tol",
-    }
-    overrides = {
-        mapping[key]: float(value) for key, value in tolerances.items()
-    }
-    return replace(opts, **overrides) if overrides else opts
-
-
 def _run_case(case: dict) -> dict:
-    space = _space_for(case["space"])
-    phi = _build_weight(case["weight"], "weight")
-    domain = _build_domain(case["domain"], case["mesh_size"], "domain")
-    checks = case["checks"]
+    """Solve and check one case as :func:`validate_case` built it."""
+    space, phi, checks = case["space"], case["weight"], case["checks"]
     conjecture = "conjecture" in checks
     solution = solve_case(
-        domain, space, phi, case["dimension"],
+        case["domain"], space, phi, case["dimension"],
         conjecture=conjecture,
-        refinements=case["refinement_levels"],
-        options=_options_for(case["tolerances"]),
+        refinements=case["refinements"],
+        options=case["options"],
     )
     report = build_report(solution, sharper="sharper" in checks, conjecture=conjecture)
     mode = solution.ball_mode
@@ -526,13 +514,19 @@ def _write_profiles(records: list[dict], out: Path) -> None:
         (plots / f"{record['id']}_profile.csv").write_text("\n".join(lines) + "\n")
 
 
-def run(config_path: str, out_dir: str, jobs: int = 1, verbose: bool = False) -> int:
-    cfg = _load_json(config_path)
-    cases = validate_run_config(cfg)
-    out = Path(out_dir)
+def _execute(cases: list[dict], out: Path, jobs: int) -> list[dict]:
+    """Run validated cases into ``out``: create it, run the batch, write
+    ``reports.jsonl``; returns the records sorted by id."""
     out.mkdir(parents=True, exist_ok=True)
     records = _execute_batch(cases, jobs)
     _write_reports(records, out)
+    return records
+
+
+def run(config_path: str, out_dir: str, jobs: int = 1, verbose: bool = False) -> int:
+    cases = validate_run_config(_load_json(config_path))
+    out = Path(out_dir)
+    records = _execute(cases, out, jobs)
     _write_summary(records, out)
     _write_profiles(records, out)
     if verbose:
@@ -655,14 +649,10 @@ def _margin(record: dict):
 
 
 def sweep(config_path: str, out_dir: str, jobs: int = 1, verbose: bool = False) -> int:
-    cfg = _load_json(config_path)
-    paths, grid = validate_sweep_config(cfg)
+    paths, grid = validate_sweep_config(_load_json(config_path))
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
     params_by_id = {case["id"]: params for case, params in grid}
-    records = _execute_batch([case for case, _params in grid], jobs)
-    _write_reports(records, out)
+    records = _execute([case for case, _params in grid], out, jobs)
 
     lines = ["case_id," + ",".join(paths) + ",gap,sharper_gap,conjecture_margin,verdict"]
     best = None

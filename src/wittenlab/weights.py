@@ -42,6 +42,10 @@ class WeightFunction:
     _slope: Callable[[np.ndarray], np.ndarray]
     _convexity: Callable[[np.ndarray], np.ndarray]
 
+    def __reduce__(self):
+        # the evaluators are closures, which do not pickle: rebuild from the tag
+        return make_weight, (self.family, self.params, self.domain_cap)
+
     def _check_range(self, t: np.ndarray) -> None:
         lo = float(np.min(t))
         hi = float(np.max(t))

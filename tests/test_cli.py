@@ -178,6 +178,36 @@ class TestValidation:
         assert "cases[1].mesh_size" in capsys.readouterr().err
         assert not (out / "reports.jsonl").exists()
 
+    @pytest.mark.parametrize("key", ["refinement_levels", "dimension"])
+    def test_boolean_integer_field_rejected(self, tmp_path, capsys, key):
+        cfg = {"schema": 1, "cases": [shell_case(**{key: True})]}
+        code = cli.main(["run", write_config(tmp_path, cfg), "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert f"cases[0].{key}: wrong type" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "mode", [2.7, "3", True, None, [1]], ids=["fraction", "string", "bool", "null", "list"]
+    )
+    def test_perturbation_mode_must_be_integral(self, tmp_path, capsys, mode):
+        case = disk_case()
+        case["domain"] = {"shape": "perturbed-disk", "radius": 1.0,
+                          "perturbation": [[2, 0.1], [mode, 0.05]]}
+        cfg = {"schema": 1, "cases": [case]}
+        code = cli.main(["run", write_config(tmp_path, cfg), "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "cases[0].domain.perturbation[1]: mode must be an integer" in (
+            capsys.readouterr().err
+        )
+
+    def test_integral_float_perturbation_mode_accepted(self):
+        # sweep values arrive as floats
+        case = disk_case()
+        case["domain"] = {"shape": "perturbed-disk", "radius": 1.0,
+                          "perturbation": [[3.0, 0.1]]}
+        domain = cli.validate_case(case, "case", "x")["domain"]
+        assert domain.perturbation == ((3, 0.1),)
+        assert type(domain.perturbation[0][0]) is int
+
     def test_malformed_json(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -296,18 +326,33 @@ class TestRun:
         assert records["disk-equality"]["status"] == "pass"
         assert (out / "summary.csv").read_text().count("error") == 1
 
-    def test_mesh_file_domain(self, tmp_path):
+    def test_mesh_file_domain(self, tmp_path, monkeypatch):
+        # the file is read once per case, at validation, and a pooled batch
+        # runs the loaded mesh to the same records
         mesh = generate(DomainSpec(shape="disk", radius=1.0, target_edge_length=0.15))
         mesh_path = tmp_path / "disk.mesh"
         save(mesh, str(mesh_path))
-        case = disk_case(id="external")
-        case["domain"] = {"shape": "mesh-file", "path": str(mesh_path)}
-        cfg = {"schema": 1, "cases": [case]}
-        out = tmp_path / "out"
-        code = cli.main(["run", write_config(tmp_path, cfg), "--out", str(out)])
-        assert code == 0
-        record = json.loads((out / "reports.jsonl").read_text())
-        assert record["report"]["passed"]
+        cases = [
+            disk_case(id=cid, domain={"shape": "mesh-file", "path": str(mesh_path)})
+            for cid in ("external-a", "external-b")
+        ]
+        path = write_config(tmp_path, {"schema": 1, "cases": cases})
+        loads = []
+
+        def spy(*args):
+            loads.append(args)
+            return load_mesh(*args)
+
+        load_mesh = cli.load_mesh
+        monkeypatch.setattr(cli, "load_mesh", spy)
+        for jobs in (1, 2):
+            loads.clear()
+            out = tmp_path / f"j{jobs}"
+            assert cli.main(["run", path, "--out", str(out), "--jobs", str(jobs)]) == 0
+            assert len(loads) == len(cases), jobs
+        records = (tmp_path / "j1" / "reports.jsonl").read_bytes()
+        assert records == (tmp_path / "j2" / "reports.jsonl").read_bytes()
+        assert all(json.loads(line)["report"]["passed"] for line in records.splitlines())
 
     def test_reruns_are_byte_identical(self, tmp_path):
         cfg = {

@@ -1,6 +1,7 @@
 """Weight family construction and the admissibility condition."""
 
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
@@ -224,3 +225,21 @@ def test_spline_matches_scipy_natural_cubic_spline():
             worst[nu] = max(worst[nu], np.max(np.abs(ours - exact)) / np.max(np.abs(exact)))
     assert np.all(worst <= 1e-12), worst
 
+
+@pytest.mark.parametrize(
+    "family, params",
+    [
+        ("constant", [0.7]),
+        ("linear-decreasing", [0.3, 0.4]),
+        ("exponential-decay", [0.0, 1.0, 0.5]),
+        ("tabulated-spline", spline_params(np.arange(9) / 2.0, np.exp(-np.arange(9) / 2.0))),
+    ],
+)
+def test_pickle_round_trip(family, params):
+    # the evaluators are closures; a pool worker gets the weight rebuilt
+    phi = make_weight(family, params, 4.0)
+    copy = pickle.loads(pickle.dumps(phi))
+    assert copy.describe() == phi.describe()
+    t = np.linspace(0.0, 4.0, 1001)
+    for name in ("value", "slope", "convexity"):
+        assert getattr(copy, name)(t).tobytes() == getattr(phi, name)(t).tobytes(), name
