@@ -7,12 +7,15 @@ long-format CSV plus the family member with the smallest margin.
 
 Everything is driven by a JSON config with a versioned ``"schema"`` field.
 Validation is strict and runs to completion before any case is executed:
-unknown keys, malformed values, and weights that fail the admissibility
-condition are rejected with a dotted pointer to the offending entry
-(``cases[2].weight.params``).  Validation builds each case's space, domain,
-weight and solver options, and the batch runs exactly those objects, so a
-``mesh-file`` domain is read once.  Exit codes: 0 all verdicts pass, 2 at
-least one fail, 1 on any execution or configuration error.
+unknown keys, malformed values, domain fields the shape does not take, and
+weights that fail the admissibility condition are rejected with a dotted
+pointer to the offending entry (``cases[2].weight.params``, or
+``cases[0].domain.center`` on a ``disk``).  Validation builds each case's
+space, domain, weight and solver options, and the batch runs exactly those
+objects, so a ``mesh-file`` domain is read once.  A sweep writes each grid
+value into its base case as given, so integer fields sweep over integers.
+Exit codes: 0 all verdicts pass, 2 at least one fail, 1 on any execution
+or configuration error.
 
 Outputs are deterministic: records are sorted by case id, JSON is dumped
 with sorted keys, and CSV floats are printed with ``%.17g``.
@@ -34,7 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from .checker import build_report, find_trial_center, solve_case
-from .mesh import SUPPORTED_SHAPES, DomainSpec, load as load_mesh
+from .mesh import SHAPE_FIELDS, DomainSpec, load as load_mesh
 from .radial import ShellSpec, ShootingOptions, check_lemma_monotone
 from .spaceform import SpaceForm
 from .weights import FAMILIES, make_weight
@@ -101,80 +104,65 @@ _DOMAIN_KEYS = {
     "path": (str,),
 }
 
+# the fields each domain shape takes besides ``shape``
+_SHAPE_FIELDS = {
+    **SHAPE_FIELDS,
+    "shell": ("inner_radius", "outer_radius"),
+    "mesh-file": ("path",),
+}
+
+
+def _point(value, where: str) -> tuple[float, float]:
+    if not isinstance(value, list) or len(value) != 2:
+        raise ConfigError(f"{where}: expected [x, y]")
+    return _as_float(value[0], where), _as_float(value[1], where)
+
 
 def _build_domain(domain: dict, mesh_size: float, where: str):
     """Construct the solver-side domain object, raising pointered errors."""
     _require_keys(domain, where, _DOMAIN_KEYS, ("shape",))
     shape = domain["shape"]
-    if shape == "shell":
-        for key in domain:
-            if key not in ("shape", "inner_radius", "outer_radius"):
-                raise ConfigError(f"{where}.{key}: not a shell field")
-        if "outer_radius" not in domain:
-            raise ConfigError(f"{where}.outer_radius: missing required key")
-        try:
-            return ShellSpec(
-                float(domain.get("inner_radius", 0.0)), float(domain["outer_radius"])
-            )
-        except ValueError as exc:
-            raise ConfigError(f"{where}: {exc}") from None
+    if shape not in _SHAPE_FIELDS:
+        raise ConfigError(f"{where}.shape: {shape!r} is not one of {tuple(_SHAPE_FIELDS)}")
+    for key in domain:
+        if key != "shape" and key not in _SHAPE_FIELDS[shape]:
+            raise ConfigError(f"{where}.{key}: not a {shape} field")
     if shape == "mesh-file":
-        for key in domain:
-            if key not in ("shape", "path"):
-                raise ConfigError(f"{where}.{key}: not a mesh-file field")
         if "path" not in domain:
             raise ConfigError(f"{where}.path: missing required key")
         try:
             return load_mesh(domain["path"])
         except Exception as exc:
             raise ConfigError(f"{where}.path: {exc}") from None
-    if shape not in SUPPORTED_SHAPES:
-        raise ConfigError(
-            f"{where}.shape: {shape!r} is not one of "
-            f"{SUPPORTED_SHAPES + ('shell', 'mesh-file')}"
-        )
     kwargs = {"shape": shape, "target_edge_length": mesh_size}
-    scalar_fields = (
-        "radius", "aspect", "semi_axis_x", "semi_axis_y",
-        "inner_radius", "outer_radius",
-    )
-    for key in scalar_fields:
-        if key in domain:
+    for key, kinds in _DOMAIN_KEYS.items():
+        if kinds == (int, float) and key in domain:
             kwargs[key] = _as_float(domain[key], f"{where}.{key}")
+    if shape == "shell":
+        if "outer_radius" not in domain:
+            raise ConfigError(f"{where}.outer_radius: missing required key")
+        try:
+            return ShellSpec(kwargs.get("inner_radius", 0.0), kwargs["outer_radius"])
+        except ValueError as exc:
+            raise ConfigError(f"{where}: {exc}") from None
     if "center" in domain:
-        center = domain["center"]
-        if len(center) != 2:
-            raise ConfigError(f"{where}.center: expected [x, y]")
-        kwargs["center"] = (
-            _as_float(center[0], f"{where}.center"),
-            _as_float(center[1], f"{where}.center"),
-        )
+        kwargs["center"] = _point(domain["center"], f"{where}.center")
     if "vertices" in domain:
-        verts = []
-        for i, v in enumerate(domain["vertices"]):
-            if not isinstance(v, list) or len(v) != 2:
-                raise ConfigError(f"{where}.vertices[{i}]: expected [x, y]")
-            verts.append(
-                (
-                    _as_float(v[0], f"{where}.vertices[{i}]"),
-                    _as_float(v[1], f"{where}.vertices[{i}]"),
-                )
-            )
-        kwargs["vertices"] = tuple(verts)
+        kwargs["vertices"] = tuple(
+            _point(v, f"{where}.vertices[{i}]") for i, v in enumerate(domain["vertices"])
+        )
     if "perturbation" in domain:
         modes = []
         for i, pair in enumerate(domain["perturbation"]):
             at = f"{where}.perturbation[{i}]"
             if not isinstance(pair, list) or len(pair) != 2:
                 raise ConfigError(f"{at}: expected [mode, amplitude]")
-            # a sweep writes its values as floats, so 3.0 is mode 3
+            # an integral float is a mode too: 3.0 is mode 3
             mode = pair[0]
             if not (type(mode) is int or isinstance(mode, float) and mode.is_integer()):
                 raise ConfigError(f"{at}: mode must be an integer, got {mode!r}")
             modes.append((int(mode), _as_float(pair[1], at)))
         kwargs["perturbation"] = tuple(modes)
-    if "path" in domain:
-        raise ConfigError(f"{where}.path: only valid with shape mesh-file")
     try:
         return DomainSpec(**kwargs)
     except (ValueError, TypeError) as exc:
@@ -450,7 +438,8 @@ def _execute_batch(cases: list[dict], jobs: int) -> list[dict]:
         if jobs <= 1 or len(cases) == 1:
             records = [_execute_case(case) for case in cases]
         else:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
+            # a fork pool starts every worker at once, so start no idle ones
+            with ProcessPoolExecutor(max_workers=min(jobs, len(cases))) as pool:
                 records = list(pool.map(_execute_case, cases))
     return sorted(records, key=lambda r: r["id"])
 
@@ -601,11 +590,11 @@ def validate_sweep_config(cfg: dict):
         _require_keys(param, where, {"path": (str,), "values": (list,)}, ("path", "values"))
         if not param["values"]:
             raise ConfigError(f"{where}.values: must not be empty")
-        values = [
-            _as_float(v, f"{where}.values[{j}]") for j, v in enumerate(param["values"])
-        ]
+        for j, value in enumerate(param["values"]):
+            _as_float(value, f"{where}.values[{j}]")
         _resolve_path(cfg["base_case"], param["path"], f"{where}.path")
-        axes.append((param["path"], values))
+        # written as given, so an integer field sweeps over integers
+        axes.append((param["path"], param["values"]))
     if len(axes) == 2 and axes[0][0] == axes[1][0]:
         raise ConfigError("sweep.parameters: the two parameters share a path")
     base_id = cfg["base_case"].get("id", "sweep")

@@ -6,15 +6,18 @@ the two angle sequences with exact integer comparisons, so the connectivity
 repeats verbatim in each of the eight sectors.  That rotational symmetry is
 what lets the eigensolver reproduce the double multiplicities of round
 domains to tight tolerance.  Polygons go through ear clipping followed by
-uniform splitting.  Hyperbolic runs reuse these meshes verbatim: domains are
-specified in Poincare disk coordinates and only the assembly stage sees the
-metric.
+uniform splitting.  Every generator makes counter-clockwise triangles and
+nothing re-orients them: a ring mesh of a steep polar graph, whose band
+triangles fold over, fails :func:`validate` instead of being solved on a
+mesh that overlaps itself.  Hyperbolic runs reuse these meshes verbatim:
+domains are specified in Poincare disk coordinates and only the assembly
+stage sees the metric.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy import sparse
@@ -31,24 +34,30 @@ class MeshFormatError(RuntimeError):
 MIN_TRIANGLE_AREA = 1e-14
 FORMAT_HEADER = "WSLMESH 1"
 
-SUPPORTED_SHAPES = (
-    "disk",
-    "translated-disk",
-    "ellipse",
-    "annulus",
-    "polygon",
-    "perturbed-disk",
-)
+# the fields each meshed shape takes; every other field keeps its default
+SHAPE_FIELDS = {
+    "disk": ("radius",),
+    "translated-disk": ("radius", "center"),
+    "ellipse": ("aspect", "semi_axis_x", "semi_axis_y", "center"),
+    "perturbed-disk": ("radius", "perturbation", "center"),
+    "annulus": ("inner_radius", "outer_radius"),
+    "polygon": ("vertices",),
+}
+SUPPORTED_SHAPES = tuple(SHAPE_FIELDS)
+# shapes bounded by a polar graph rho(theta) about ``center``
+_POLAR_SHAPES = tuple(s for s in SHAPE_FIELDS if s not in ("annulus", "polygon"))
 
 
 @dataclass(frozen=True)
 class DomainSpec:
     """Declarative description of a bounded planar domain.
 
-    ``target_edge_length`` is the nominal mesh pitch ``h``.  For hyperbolic
-    runs the coordinates are Poincare disk coordinates and the closure must
-    stay strictly inside the unit disk; the generator itself is
-    metric-agnostic.
+    ``target_edge_length`` is the nominal mesh pitch ``h``.  A shape takes
+    the fields :data:`SHAPE_FIELDS` lists for it; any other field set away
+    from its default is refused, so a centred shape never drops a
+    ``center`` silently.  For hyperbolic runs the coordinates are Poincare
+    disk coordinates and the closure must stay strictly inside the unit
+    disk; the generator itself is metric-agnostic.
     """
 
     shape: str
@@ -70,11 +79,16 @@ class DomainSpec:
             )
         if not (0 < self.target_edge_length < math.inf):
             raise ValueError("target_edge_length must be positive and finite")
-        if self.shape in ("disk", "translated-disk", "perturbed-disk"):
+        for f in fields(self)[2:]:  # every field after shape and pitch
+            if f.name not in SHAPE_FIELDS[self.shape] and not np.array_equal(
+                getattr(self, f.name), f.default
+            ):
+                moved_disk = (self.shape, f.name) == ("disk", "center")
+                hint = "; use translated-disk" if moved_disk else ""
+                raise ValueError(f"{self.shape} takes no {f.name}{hint}")
+        if "radius" in SHAPE_FIELDS[self.shape]:
             if self.radius is None or self.radius <= 0:
                 raise ValueError(f"{self.shape} requires a positive radius")
-        if self.shape == "disk" and tuple(self.center) != (0.0, 0.0):
-            raise ValueError("disk is centred by definition; use translated-disk")
         if self.shape == "ellipse":
             if self.aspect is not None:
                 if self.aspect <= 0:
@@ -92,9 +106,8 @@ class DomainSpec:
                 or not (0 < self.inner_radius < self.outer_radius)
             ):
                 raise ValueError("annulus requires 0 < inner_radius < outer_radius")
-        if self.shape == "polygon":
-            if self.vertices is None or len(self.vertices) < 3:
-                raise ValueError("polygon requires at least three vertices")
+        if self.shape == "polygon" and (self.vertices is None or len(self.vertices) < 3):
+            raise ValueError("polygon requires at least three vertices")
         if self.shape == "perturbed-disk":
             if not self.perturbation:
                 raise ValueError("perturbed-disk requires perturbation [(mode, amp), ...]")
@@ -102,17 +115,11 @@ class DomainSpec:
                 if int(mode) != mode or mode < 1:
                     raise ValueError("perturbation modes must be integers >= 1")
             theta = np.linspace(0.0, 2 * math.pi, 4096, endpoint=False)
-            if np.min(self._shape_factor(theta)) < 0.05:
+            if np.min(self.boundary_radius(theta)) < 0.05 * self.radius:
                 raise ValueError(
                     "perturbation nearly pinches the boundary; the polar-graph "
                     "class supported here needs rho >= 0.05 * radius"
                 )
-
-    def _shape_factor(self, theta):
-        fac = np.ones_like(theta)
-        for mode, amp in self.perturbation or ():
-            fac = fac + amp * np.cos(mode * np.asarray(theta, dtype=float))
-        return fac
 
     def semi_axes(self) -> tuple[float, float]:
         if self.aspect is not None:
@@ -128,26 +135,29 @@ class DomainSpec:
             a, b = self.semi_axes()
             return a * b / np.sqrt((b * np.cos(theta)) ** 2 + (a * np.sin(theta)) ** 2)
         if self.shape == "perturbed-disk":
-            return float(self.radius) * self._shape_factor(theta)
+            waves = (amp * np.cos(mode * theta) for mode, amp in self.perturbation)
+            return float(self.radius) * sum(waves, np.ones_like(theta))
         raise ValueError(f"{self.shape} has no polar boundary graph")
 
     def describe(self) -> str:
+        """Record tag; names ``center`` wherever the shape takes one and it
+        is off the origin (always for ``translated-disk``)."""
         if self.shape == "disk":
             return f"disk(radius={self.radius:g})"
-        if self.shape == "translated-disk":
-            return (
-                f"translated-disk(radius={self.radius:g}, "
-                f"center=({self.center[0]:g}, {self.center[1]:g}))"
-            )
-        if self.shape == "ellipse":
-            a, b = self.semi_axes()
-            return f"ellipse(semi_axes=({a:g}, {b:g}))"
         if self.shape == "annulus":
             return f"annulus({self.inner_radius:g}, {self.outer_radius:g})"
         if self.shape == "polygon":
             return f"polygon({len(self.vertices)} vertices)"
-        pert = ", ".join(f"({m}, {a:g})" for m, a in self.perturbation)
-        return f"perturbed-disk(radius={self.radius:g}, modes=[{pert}])"
+        if self.shape == "translated-disk":
+            body = f"radius={self.radius:g}"
+        elif self.shape == "ellipse":
+            body = "semi_axes=({:g}, {:g})".format(*self.semi_axes())
+        else:
+            pert = ", ".join(f"({m}, {a:g})" for m, a in self.perturbation)
+            body = f"radius={self.radius:g}, modes=[{pert}]"
+        if self.shape == "translated-disk" or tuple(self.center) != (0.0, 0.0):
+            body += f", center=({self.center[0]:g}, {self.center[1]:g})"
+        return f"{self.shape}({body})"
 
 
 @dataclass
@@ -209,7 +219,7 @@ def validate(mesh: Mesh) -> None:
     if np.min(areas) < MIN_TRIANGLE_AREA:
         raise MeshInvariantError(
             f"triangle with signed area {np.min(areas):.3g} below "
-            f"{MIN_TRIANGLE_AREA:g}; orientation or degeneracy problem"
+            f"{MIN_TRIANGLE_AREA:g}; a folded, clockwise or degenerate triangle"
         )
 
     edges, counts, _ = _edges(mesh.triangles)
@@ -254,6 +264,41 @@ def _band_triangles(inner: np.ndarray, outer: np.ndarray) -> list[tuple[int, int
     return tris
 
 
+def _ring_mesh(spec: DomainSpec, rings: list[np.ndarray], center=None) -> Mesh:
+    """Mesh between concentric rings of points, innermost ring first.
+
+    Each ring is a ``(count, 2)`` array in counter-clockwise angular order.
+    With a ``center`` the innermost ring is fanned to it and only the
+    outermost ring is boundary; without one both are.  Nodes are numbered
+    centre first, then ring by ring; triangles are the fan, then the bands
+    from the inside out.
+    """
+    head = [] if center is None else [np.asarray([center], dtype=float)]
+    nodes = np.concatenate(head + rings)
+    ends = np.cumsum([len(head)] + [len(ring) for ring in rings])
+    ring_indices = [np.arange(a, b) for a, b in zip(ends[:-1], ends[1:])]
+
+    tris: list[tuple[int, int, int]] = []
+    if center is None:
+        boundary = np.concatenate([ring_indices[0], ring_indices[-1]])
+    else:
+        boundary = ring_indices[-1]
+        first = ring_indices[0]
+        tris.extend((0, first[j], first[(j + 1) % len(first)]) for j in range(len(first)))
+    for inner, outer in zip(ring_indices[:-1], ring_indices[1:]):
+        tris.extend(_band_triangles(inner, outer))
+
+    mesh = Mesh(
+        nodes=nodes,
+        triangles=np.asarray(tris, dtype=int),
+        boundary_nodes=np.sort(boundary),
+        domain_tag=spec.describe(),
+        spec=spec,
+    )
+    validate(mesh)
+    return mesh
+
+
 def _polar_star_mesh(spec: DomainSpec) -> Mesh:
     """Concentric-ring mesh of a star-shaped polar-graph domain."""
     h = spec.target_edge_length
@@ -261,35 +306,12 @@ def _polar_star_mesh(spec: DomainSpec) -> Mesh:
     rho_max = float(np.max(spec.boundary_radius(theta_probe)))
     rings = max(2, math.ceil(rho_max / h))
     cx, cy = spec.center
-
-    nodes = [(cx, cy)]
-    ring_indices: list[np.ndarray] = []
+    coords = []
     for i in range(1, rings + 1):
-        count = 8 * i
-        theta = 2.0 * math.pi * np.arange(count) / count
+        theta = 2.0 * math.pi * np.arange(8 * i) / (8 * i)
         rho = spec.boundary_radius(theta) * (i / rings)
-        xs = cx + rho * np.cos(theta)
-        ys = cy + rho * np.sin(theta)
-        start = len(nodes)
-        nodes.extend(zip(xs.tolist(), ys.tolist()))
-        ring_indices.append(np.arange(start, start + count))
-
-    tris: list[tuple[int, int, int]] = []
-    first = ring_indices[0]
-    for j in range(len(first)):
-        tris.append((0, first[j], first[(j + 1) % len(first)]))
-    for i in range(1, rings):
-        tris.extend(_band_triangles(ring_indices[i - 1], ring_indices[i]))
-
-    mesh = Mesh(
-        nodes=np.asarray(nodes, dtype=float),
-        triangles=_orient_ccw(np.asarray(nodes, dtype=float), np.asarray(tris, dtype=int)),
-        boundary_nodes=np.sort(ring_indices[-1]),
-        domain_tag=spec.describe(),
-        spec=spec,
-    )
-    validate(mesh)
-    return mesh
+        coords.append(np.column_stack([cx + rho * np.cos(theta), cy + rho * np.sin(theta)]))
+    return _ring_mesh(spec, coords, center=(cx, cy))
 
 
 def _annulus_mesh(spec: DomainSpec) -> Mesh:
@@ -298,29 +320,11 @@ def _annulus_mesh(spec: DomainSpec) -> Mesh:
     rings = max(1, math.ceil((r_out - r_in) / h))
     count = 8 * max(1, math.ceil(2.0 * math.pi * r_out / (8.0 * h)))
     theta = 2.0 * math.pi * np.arange(count) / count
-
-    nodes = []
-    ring_indices = []
+    coords = []
     for i in range(rings + 1):
         r = r_in + (r_out - r_in) * i / rings
-        start = len(nodes)
-        nodes.extend(zip((r * np.cos(theta)).tolist(), (r * np.sin(theta)).tolist()))
-        ring_indices.append(np.arange(start, start + count))
-
-    tris: list[tuple[int, int, int]] = []
-    for i in range(rings):
-        tris.extend(_band_triangles(ring_indices[i], ring_indices[i + 1]))
-
-    nodes_arr = np.asarray(nodes, dtype=float)
-    mesh = Mesh(
-        nodes=nodes_arr,
-        triangles=_orient_ccw(nodes_arr, np.asarray(tris, dtype=int)),
-        boundary_nodes=np.sort(np.concatenate([ring_indices[0], ring_indices[-1]])),
-        domain_tag=spec.describe(),
-        spec=spec,
-    )
-    validate(mesh)
-    return mesh
+        coords.append(np.column_stack([r * np.cos(theta), r * np.sin(theta)]))
+    return _ring_mesh(spec, coords)
 
 
 def _polygon_is_simple(verts: np.ndarray) -> bool:
@@ -390,17 +394,14 @@ def _polygon_mesh(spec: DomainSpec) -> Mesh:
     if not _polygon_is_simple(verts):
         raise ValueError("polygon is self-intersecting")
     # enforce counter-clockwise outline
-    doubled = np.sum(
-        (verts[(np.arange(len(verts)) + 1) % len(verts), 0] - verts[:, 0])
-        * (verts[(np.arange(len(verts)) + 1) % len(verts), 1] + verts[:, 1])
-    )
-    if doubled > 0:
+    nxt = np.roll(verts, -1, axis=0)
+    if np.sum((nxt[:, 0] - verts[:, 0]) * (nxt[:, 1] + verts[:, 1])) > 0:
         verts = verts[::-1]
 
     tris = np.asarray(_ear_clip(verts), dtype=int)
     mesh = Mesh(
         nodes=verts.copy(),
-        triangles=_orient_ccw(verts, tris),
+        triangles=tris,
         boundary_nodes=np.arange(len(verts)),  # every vertex is a corner of an ear
         domain_tag=spec.describe(),
         spec=spec,
@@ -415,45 +416,27 @@ def _polygon_mesh(spec: DomainSpec) -> Mesh:
     return mesh
 
 
-def _orient_ccw(nodes: np.ndarray, triangles: np.ndarray) -> np.ndarray:
-    p = nodes[triangles]
-    areas = 0.5 * (
-        (p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
-        - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1])
-    )
-    flipped = triangles.copy()
-    wrong = areas < 0
-    flipped[wrong] = flipped[wrong][:, [0, 2, 1]]
-    return flipped
-
-
 def generate(spec: DomainSpec) -> Mesh:
     """Mesh a domain description at its target edge length."""
-    if spec.shape in ("disk", "translated-disk", "ellipse", "perturbed-disk"):
+    if spec.shape in _POLAR_SHAPES:
         return _polar_star_mesh(spec)
     if spec.shape == "annulus":
         return _annulus_mesh(spec)
-    if spec.shape == "polygon":
-        return _polygon_mesh(spec)
-    raise ValueError(f"unsupported shape {spec.shape!r}")
+    return _polygon_mesh(spec)
 
 
 def _project_to_boundary(spec: DomainSpec, points: np.ndarray) -> np.ndarray:
-    """Move edge midpoints onto the analytic boundary of the generating shape."""
-    out = points.copy()
-    if spec.shape in ("disk", "translated-disk", "ellipse", "perturbed-disk"):
-        cx, cy = spec.center
-        rel = points - np.array([cx, cy])
-        theta = np.arctan2(rel[:, 1], rel[:, 0])
-        rho = spec.boundary_radius(theta)
-        out = np.column_stack([cx + rho * np.cos(theta), cy + rho * np.sin(theta)])
-    elif spec.shape == "annulus":
+    """Move edge midpoints onto the analytic boundary of a ring-meshed shape."""
+    if spec.shape == "annulus":
         r = np.hypot(points[:, 0], points[:, 1])
         mid = 0.5 * (spec.inner_radius + spec.outer_radius)
         target = np.where(r < mid, spec.inner_radius, spec.outer_radius)
-        scale = target / r
-        out = points * scale[:, None]
-    return out
+        return points * (target / r)[:, None]
+    cx, cy = spec.center
+    rel = points - np.array([cx, cy])
+    theta = np.arctan2(rel[:, 1], rel[:, 0])
+    rho = spec.boundary_radius(theta)
+    return np.column_stack([cx + rho * np.cos(theta), cy + rho * np.sin(theta)])
 
 
 def refine(mesh: Mesh) -> Mesh:
@@ -462,7 +445,9 @@ def refine(mesh: Mesh) -> Mesh:
     Midpoints of boundary edges are moved onto the analytic boundary when the
     mesh still knows its generating shape (polygons and externally loaded
     meshes refine without projection).  Conformity and orientation are
-    preserved; node count grows by the edge count.
+    preserved, except where a projected midpoint folds a triangle over its
+    neighbour, which :func:`validate` refuses; node count grows by the edge
+    count.
 
     Node order: the coarse nodes come first, unchanged, followed by one
     midpoint per edge, numbered by the edge's first appearance in a walk
@@ -494,7 +479,7 @@ def refine(mesh: Mesh) -> Mesh:
     vals = np.concatenate([np.ones(n), np.full(2 * m, 0.5)])
     out = Mesh(
         nodes=nodes,
-        triangles=_orient_ccw(nodes, tris),
+        triangles=tris,
         boundary_nodes=np.sort(np.concatenate([mesh.boundary_nodes, n + boundary])),
         domain_tag=mesh.domain_tag,
         spec=mesh.spec,

@@ -67,6 +67,50 @@ def shell_case(**overrides):
     return case
 
 
+# the fields each domain shape takes besides ``shape``, the ones it needs,
+# and a valid value for every field
+DOMAIN_TAKES = {
+    "disk": ("radius",),
+    "translated-disk": ("radius", "center"),
+    "ellipse": ("aspect", "semi_axis_x", "semi_axis_y", "center"),
+    "perturbed-disk": ("radius", "perturbation", "center"),
+    "annulus": ("inner_radius", "outer_radius"),
+    "polygon": ("vertices",),
+    "shell": ("inner_radius", "outer_radius"),
+    "mesh-file": ("path",),
+}
+DOMAIN_NEEDS = {
+    "disk": ("radius",),
+    "translated-disk": ("radius",),
+    "ellipse": ("aspect",),
+    "perturbed-disk": ("radius", "perturbation"),
+    "annulus": ("inner_radius", "outer_radius"),
+    "polygon": ("vertices",),
+    "shell": ("outer_radius",),
+    "mesh-file": ("path",),
+}
+DOMAIN_VALUES = {
+    "radius": 1.0,
+    "center": [0.5, 0.0],
+    "aspect": 1.2,
+    "semi_axis_x": 1.0,
+    "semi_axis_y": 0.8,
+    "inner_radius": 0.3,
+    "outer_radius": 1.0,
+    "vertices": [[0, 0], [1, 0], [0, 1]],
+    "perturbation": [[2, 0.1]],
+    "path": "domain.wslmesh",
+}
+FOREIGN_FIELDS = [
+    (shape, key) for shape in DOMAIN_TAKES for key in DOMAIN_VALUES
+    if key not in DOMAIN_TAKES[shape]
+]
+
+
+def domain_with(shape: str, **extra) -> dict:
+    return {"shape": shape, **{k: DOMAIN_VALUES[k] for k in DOMAIN_NEEDS[shape]}, **extra}
+
+
 class TestValidation:
     def test_unknown_case_key_is_pointered(self, tmp_path, capsys):
         cfg = {"schema": 1, "cases": [disk_case(extra=1)]}
@@ -200,13 +244,37 @@ class TestValidation:
         )
 
     def test_integral_float_perturbation_mode_accepted(self):
-        # sweep values arrive as floats
+        # an integral float is a mode, as the README documents
         case = disk_case()
         case["domain"] = {"shape": "perturbed-disk", "radius": 1.0,
                           "perturbation": [[3.0, 0.1]]}
         domain = cli.validate_case(case, "case", "x")["domain"]
         assert domain.perturbation == ((3, 0.1),)
         assert type(domain.perturbation[0][0]) is int
+
+    @pytest.mark.parametrize("shape", [s for s in DOMAIN_TAKES if s != "mesh-file"])
+    def test_needed_domain_fields_validate(self, shape):
+        case = shell_case() if shape == "shell" else disk_case()
+        case["domain"] = domain_with(shape)
+        cli.validate_run_config({"schema": 1, "cases": [case]})
+
+    @pytest.mark.parametrize(
+        "shape,key", FOREIGN_FIELDS, ids=[f"{s}-{k}" for s, k in FOREIGN_FIELDS]
+    )
+    def test_domain_field_the_shape_does_not_take(self, shape, key):
+        case = shell_case() if shape == "shell" else disk_case()
+        case["domain"] = domain_with(shape, **{key: DOMAIN_VALUES[key]})
+        with pytest.raises(cli.ConfigError) as info:
+            cli.validate_run_config({"schema": 1, "cases": [case]})
+        assert str(info.value) == f"cases[0].domain.{key}: not a {shape} field"
+
+    def test_center_on_disk_refused_even_at_origin(self, tmp_path, capsys):
+        case = disk_case()
+        case["domain"]["center"] = [0, 0]
+        cfg = {"schema": 1, "cases": [case]}
+        code = cli.main(["run", write_config(tmp_path, cfg), "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "cases[0].domain.center: not a disk field" in capsys.readouterr().err
 
     def test_malformed_json(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
@@ -490,6 +558,32 @@ class TestSingleThreadedBlas:
         assert openblas_threads() == [2] * two_threads
 
 
+@pytest.mark.parametrize("jobs,workers", [(64, 3), (2, 2)])
+def test_pool_workers_capped_at_case_count(monkeypatch, jobs, workers):
+    # a fork pool starts all its workers at the first submit; this stand-in
+    # records the count asked for and maps in-process, starting none
+    asked = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(cli, "_execute_case", lambda case: {"id": case["id"]})
+    records = cli._execute_batch([{"id": "c"}, {"id": "a"}, {"id": "b"}], jobs=jobs)
+    assert asked == [workers]
+    assert records == [{"id": "a"}, {"id": "b"}, {"id": "c"}]
+
+
 def count_calls(monkeypatch, names):
     """Count calls of ``names`` wherever the checker and the front end look
     them up; the returned dict fills in as the calls happen."""
@@ -632,6 +726,42 @@ class TestSweep:
         )
         assert code == 1
         assert "does not address an existing field" in capsys.readouterr().err
+
+    def test_integer_field_sweeps_over_integers(self, tmp_path):
+        cfg = self.sweep_config()
+        cfg["sweep"]["parameters"] = [{"path": "dimension", "values": [2, 3, 4]}]
+        out = tmp_path / "out"
+        code = cli.main(["sweep", write_config(tmp_path, cfg), "--out", str(out)])
+        assert code == 0
+        records = [json.loads(line) for line in (out / "reports.jsonl").read_text().splitlines()]
+        assert [r["id"] for r in records] == [f"family--dimension={n}" for n in (2, 3, 4)]
+        assert [r["report"]["dimension"] for r in records] == [2, 3, 4]
+        rows = (out / "sweep.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[1] for row in rows] == ["2", "3", "4"]
+        summary = json.loads((out / "sweep_summary.json").read_text())
+        assert type(summary["minimal_margin"]["parameters"]["dimension"]) is int
+
+    def test_refinement_levels_sweep_validates(self):
+        cfg = self.sweep_config()
+        cfg["base_case"].update(
+            domain={"shape": "disk", "radius": 1.0}, refinement_levels=1, mesh_size=0.2
+        )
+        del cfg["base_case"]["dimension"]
+        cfg["sweep"]["parameters"] = [{"path": "refinement_levels", "values": [1, 2]}]
+        _paths, grid = cli.validate_sweep_config(cfg)
+        assert [case["refinements"] for case, _params in grid] == [1, 2]
+        assert [case["id"] for case, _params in grid] == [
+            "family--refinement_levels=1", "family--refinement_levels=2"
+        ]
+
+    def test_fractional_value_of_an_integer_field_refused(self, tmp_path, capsys):
+        cfg = self.sweep_config()
+        cfg["sweep"]["parameters"] = [{"path": "dimension", "values": [2, 2.5]}]
+        code = cli.main(
+            ["sweep", write_config(tmp_path, cfg), "--out", str(tmp_path / "o")]
+        )
+        assert code == 1
+        assert "base_case.dimension: wrong type" in capsys.readouterr().err
 
     def test_bad_grid_member_fails_validation_upfront(self, tmp_path, capsys):
         cfg = self.sweep_config()

@@ -69,6 +69,72 @@ class TestDisk:
             DomainSpec(shape="disk", radius=1.0, center=(0.5, 0.0))
 
 
+# the fields each meshed shape takes, and a valid value for every field
+TAKES = {
+    "disk": ("radius",),
+    "translated-disk": ("radius", "center"),
+    "ellipse": ("aspect", "semi_axis_x", "semi_axis_y", "center"),
+    "perturbed-disk": ("radius", "perturbation", "center"),
+    "annulus": ("inner_radius", "outer_radius"),
+    "polygon": ("vertices",),
+}
+NEEDS = {
+    "disk": ("radius",),
+    "translated-disk": ("radius",),
+    "ellipse": ("aspect",),
+    "perturbed-disk": ("radius", "perturbation"),
+    "annulus": ("inner_radius", "outer_radius"),
+    "polygon": ("vertices",),
+}
+VALUES = {
+    "radius": 1.0,
+    "center": (0.5, 0.0),
+    "semi_axis_x": 1.0,
+    "semi_axis_y": 0.8,
+    "aspect": 1.2,
+    "inner_radius": 0.3,
+    "outer_radius": 1.0,
+    "vertices": ((0, 0), (1, 0), (0, 1)),
+    "perturbation": ((2, 0.1),),
+}
+FOREIGN = [(shape, key) for shape in TAKES for key in VALUES if key not in TAKES[shape]]
+
+
+class TestShapeFields:
+    def test_table_covers_every_shape(self):
+        assert msh.SHAPE_FIELDS == TAKES
+        assert msh.SUPPORTED_SHAPES == tuple(TAKES)
+
+    @pytest.mark.parametrize("shape", list(TAKES))
+    def test_needed_fields_build(self, shape):
+        DomainSpec(shape=shape, **{key: VALUES[key] for key in NEEDS[shape]})
+
+    @pytest.mark.parametrize("shape,key", FOREIGN, ids=[f"{s}-{k}" for s, k in FOREIGN])
+    def test_field_the_shape_does_not_take_is_refused(self, shape, key):
+        kwargs = {k: VALUES[k] for k in NEEDS[shape]}
+        with pytest.raises(ValueError, match=f"^{shape} takes no {key}"):
+            DomainSpec(shape=shape, **kwargs, **{key: VALUES[key]})
+
+    def test_default_center_is_not_a_setting(self):
+        # away from its default is what counts; the CLI refuses the key itself
+        assert DomainSpec(shape="annulus", inner_radius=0.3, outer_radius=1.0,
+                          center=(0.0, 0.0)).center == (0.0, 0.0)
+
+    def test_off_origin_center_is_in_the_tag(self):
+        centred = DomainSpec(shape="ellipse", aspect=1.4)
+        moved = DomainSpec(shape="ellipse", aspect=1.4, center=(0.4, 0.0))
+        assert centred.describe() == "ellipse(semi_axes=(1.4, 0.714286))"
+        assert moved.describe() == "ellipse(semi_axes=(1.4, 0.714286), center=(0.4, 0))"
+        wavy = DomainSpec(shape="perturbed-disk", radius=1.0, perturbation=((2, 0.1),))
+        assert wavy.describe() == "perturbed-disk(radius=1, modes=[(2, 0.1)])"
+        moved = DomainSpec(shape="perturbed-disk", radius=1.0, perturbation=((2, 0.1),),
+                           center=(0.0, -0.25))
+        assert moved.describe() == (
+            "perturbed-disk(radius=1, modes=[(2, 0.1)], center=(0, -0.25))"
+        )
+        assert generate(moved).domain_tag == moved.describe()
+
+
 class TestTranslatedDisk:
     def test_is_exact_translate(self):
         a = generate(DomainSpec(shape="disk", radius=0.7, target_edge_length=0.1))
@@ -129,7 +195,8 @@ class TestAnnulus:
     def test_bands_are_split_quads(self, h):
         # every ring has the same node count, so each band is a ring of quads
         # (inner j, outer j, outer j+1, inner j+1), split along the diagonal
-        # from inner j, band by band and quad by quad
+        # from inner j, band by band and quad by quad; the zipper builds both
+        # halves counter-clockwise, and nothing re-orients them
         m = generate(
             DomainSpec(shape="annulus", inner_radius=0.5, outer_radius=1.5, target_edge_length=h)
         )
@@ -140,8 +207,7 @@ class TestAnnulus:
             a, b = i * count + j, (i + 1) * count + j
             an, bn = np.roll(a, -1), np.roll(b, -1)
             bands.append(np.stack([a, b, bn, a, bn, an], axis=1).reshape(-1, 3))
-        expected = msh._orient_ccw(m.nodes, np.concatenate(bands))
-        assert np.array_equal(m.triangles, expected)
+        assert np.array_equal(m.triangles, np.concatenate(bands))
 
     def test_area(self):
         m = generate(
@@ -180,6 +246,29 @@ class TestPerturbedDisk:
         with pytest.raises(ValueError):
             DomainSpec(shape="perturbed-disk", radius=1.0, perturbation=((0, 0.1),))
 
+    @pytest.mark.parametrize("h", [0.1, 0.05])
+    def test_fold_refused_at_generate(self, h):
+        # the inner rings have 8, 16, ... points at every h, too few for
+        # mode 8 at amplitude 0.4: a band triangle folds over
+        spec = DomainSpec(shape="perturbed-disk", radius=1.0,
+                          perturbation=((8, 0.4),), target_edge_length=h)
+        with pytest.raises(MeshInvariantError, match="signed area -"):
+            generate(spec)
+
+    def test_fold_refused_at_refine(self):
+        # clean at h = 0.5; projecting the new boundary midpoints folds two
+        spec = DomainSpec(shape="perturbed-disk", radius=1.0,
+                          perturbation=((9, 0.2),), target_edge_length=0.5)
+        m = generate(spec)
+        assert m.signed_areas().min() > 0
+        with pytest.raises(MeshInvariantError, match="signed area -"):
+            refine(m)
+
+    def test_smaller_amplitude_does_not_fold(self):
+        spec = DomainSpec(shape="perturbed-disk", radius=1.0,
+                          perturbation=((8, 0.2),), target_edge_length=0.1)
+        assert refine(generate(spec)).signed_areas().min() > 0
+
 
 class TestPolygon:
     def test_unit_square_exact_area(self):
@@ -200,9 +289,11 @@ class TestPolygon:
         assert abs(mesh_area(m) - 3.0) < 1e-12
 
     def test_clockwise_input_reoriented(self):
+        # the outline is reversed before ear clipping; no triangle is flipped
         cw = ((0, 0), (0, 1), (1, 1), (1, 0))
         m = generate(DomainSpec(shape="polygon", vertices=cw, target_edge_length=0.3))
         assert np.all(m.signed_areas() > 0)
+        assert abs(mesh_area(m) - 1.0) < 1e-12
 
     def test_self_intersection_rejected(self):
         with pytest.raises(ValueError, match="self-intersecting"):
