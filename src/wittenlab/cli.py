@@ -346,23 +346,13 @@ def _run_case(case: dict) -> dict:
 
     if "lemma23" in checks:
         monotone = check_lemma_monotone(mode)
-        record["lemma23"] = {
-            k: (list(v) if isinstance(v, tuple) else v)
-            for k, v in asdict(monotone).items()
-        }
+        record["lemma23"] = asdict(monotone)
         if not monotone.passed:
             failed.append("lemma23")
 
     if "center" in checks:
         result = find_trial_center(solution.base_mesh, phi, mode)
-        record["center"] = {
-            "center": list(result.center),
-            "residual": result.residual,
-            "iterations": result.iterations,
-            "converged": result.converged,
-            "escaped_hull": result.escaped_hull,
-            "note": result.note,
-        }
+        record["center"] = asdict(result)
         if not result.converged:
             failed.append("center")
 

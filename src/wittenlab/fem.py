@@ -29,7 +29,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import eigsh, lobpcg, splu
 
-from .mesh import Mesh
+from .mesh import Mesh, _signed_areas
 from .spaceform import SpaceForm
 from .weights import WeightFunction
 
@@ -101,11 +101,16 @@ def _geodesic_radii(space: SpaceForm, points: np.ndarray) -> np.ndarray:
     return 2.0 * np.arctanh(r)
 
 
+def _rule_points(corners: np.ndarray) -> np.ndarray:
+    """The six rule points of each triangle ``corners[..., 3, 2]``: ``(6, ..., 2)``."""
+    return np.einsum("qi,...id->q...d", QUAD_BARY, corners)
+
+
 def _weighted_rules(p: np.ndarray, area: np.ndarray, space: SpaceForm, weight: WeightFunction):
     """Per triangle, the stiffness coefficient ``area * sum_q w_q rho(x_q)`` and
     the flattened 3x3 mass matrix, from the six-point rule; the quadrature
     arrays live only inside this call."""
-    quad_xy = np.einsum("qi,mid->qmd", QUAD_BARY, p)  # (6, M, 2)
+    quad_xy = _rule_points(p)  # (6, M, 2)
     density = np.exp(-weight.value(_geodesic_radii(space, quad_xy)))  # (6, M)
     stiff_coeff = area * np.einsum("q,qm->m", QUAD_WEIGHTS, density)
     if space.is_hyperbolic:
@@ -148,19 +153,17 @@ def assemble(mesh: Mesh, space: SpaceForm, weight: WeightFunction) -> AssembledF
         )
 
     p = mesh.nodes[mesh.triangles]  # (M, 3, 2)
-    d1 = p[:, 1] - p[:, 0]
-    d2 = p[:, 2] - p[:, 0]
-    two_area = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
-    if np.min(two_area) <= 0:
+    area = _signed_areas(p)
+    if np.min(area) <= 0:
         raise AssemblyError("mesh contains a non-positive triangle")
-    stiff_coeff, m_local = _weighted_rules(p, 0.5 * two_area, space, weight)
+    stiff_coeff, m_local = _weighted_rules(p, area, space, weight)
 
     # the local matrices are released as soon as their CSR exists, so the
     # two conversions' temporaries never overlap
     rows = np.repeat(mesh.triangles, 3, axis=1).ravel()
     cols = np.tile(mesh.triangles, (1, 3)).ravel()
     n = len(mesh.nodes)
-    stiffness = _csr(_local_stiffness(p, two_area, stiff_coeff), rows, cols, n)
+    stiffness = _csr(_local_stiffness(p, 2.0 * area, stiff_coeff), rows, cols, n)
     mass = _csr(m_local, rows, cols, n)
     return AssembledForms(stiffness=stiffness, mass=mass, mesh=mesh)
 

@@ -160,6 +160,13 @@ class DomainSpec:
         return f"{self.shape}({body})"
 
 
+def _signed_areas(corners: np.ndarray) -> np.ndarray:
+    """Signed areas of triangles ``corners[..., 3, 2]``, counter-clockwise positive."""
+    d1 = corners[..., 1, :] - corners[..., 0, :]
+    d2 = corners[..., 2, :] - corners[..., 0, :]
+    return 0.5 * (d1[..., 0] * d2[..., 1] - d1[..., 1] * d2[..., 0])
+
+
 @dataclass
 class Mesh:
     """Conforming triangulation with positively oriented triangles.
@@ -178,11 +185,7 @@ class Mesh:
     prolongation: sparse.csr_matrix | None = field(default=None, repr=False, compare=False)
 
     def signed_areas(self) -> np.ndarray:
-        p = self.nodes[self.triangles]
-        return 0.5 * (
-            (p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
-            - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1])
-        )
+        return _signed_areas(self.nodes[self.triangles])
 
     def edge_lengths(self) -> np.ndarray:
         p = self.nodes[self.triangles]
@@ -410,9 +413,10 @@ def _polygon_mesh(spec: DomainSpec) -> Mesh:
     h = spec.target_edge_length
     while np.max(mesh.edge_lengths()) > 1.9 * h:
         mesh = refine(mesh)
+    if mesh.parent is None:
+        validate(mesh)  # no split ran; each refine validates the mesh it makes
     # these splits make the mesh; they are not levels to solve on
     mesh.parent = mesh.prolongation = None
-    validate(mesh)
     return mesh
 
 

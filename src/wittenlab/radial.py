@@ -349,8 +349,8 @@ def _solve_degree(
             monotone = bool(np.all(derivs[k, :-1] > 0.0))
             if not monotone:
                 warnings.warn(
-                    "first-mode radial derivative changes sign inside the ball; "
-                    "result downgraded, treat downstream comparisons with care",
+                    "first-mode radial derivative changes sign inside the ball, so the "
+                    "profile is not monotone; the lemma23 check reports where",
                     RuntimeWarning,
                     stacklevel=3,
                 )

@@ -738,6 +738,21 @@ class TestTrialCenter:
         assert not probe.converged
         assert probe.residual > 1e-3  # off-center start sees a real field
 
+    def test_step_across_the_hull_is_cut(self, flat_profile, phi_zero):
+        # a thin ellipse searched from near its right tip: a Newton step
+        # leaves the hull and is cut where it crosses it
+        spec = DomainSpec(
+            shape="ellipse", semi_axis_x=2.0, semi_axis_y=0.2, center=(0.5, 0.0),
+            target_edge_length=0.05,
+        )
+        result = find_trial_center(spec, phi_zero, flat_profile, start=(2.4, 0.0))
+        assert result.converged and result.escaped_hull
+        assert result.iterations == 3
+        assert math.hypot(result.center[0] - 0.5, result.center[1]) < 1e-8
+        mesh = generate(spec)
+        eqs = hull_equations(mesh.nodes[mesh.boundary_nodes])
+        assert np.all(eqs[:, :2] @ result.center + eqs[:, 2] <= 1e-10)
+
     def test_outside_start_falls_back_to_centroid(self, flat_profile, phi_zero):
         spec = DomainSpec(shape="disk", radius=1.0, target_edge_length=0.15)
         result = find_trial_center(spec, phi_zero, flat_profile, start=(5.0, 5.0))

@@ -16,12 +16,14 @@ import os
 import subprocess
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
 
 from wittenlab import checker, cli
 from wittenlab.mesh import DomainSpec, generate, save
+from wittenlab.radial import check_lemma_monotone
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -315,6 +317,24 @@ class TestRun:
         assert by_id["ball3"]["report"]["conjecture"]["verdict"] == "conjecture-consistent"
         assert by_id["ball3"]["lemma23"]["passed"]
         assert by_id["disk-equality"]["center"]["converged"]
+
+    def test_check_blocks_are_the_results(self, run_dir):
+        # the center and lemma23 blocks are the check results as written
+        _code, out = run_dir
+        lines = (out / "reports.jsonl").read_text().splitlines()
+        record = {r["id"]: r for r in map(json.loads, lines)}["disk-equality"]
+        raw = disk_case(checks=["main", "lemma23", "center"], mesh_size=0.15)
+        case = cli.validate_case(raw, "case", "x")
+        sol = checker.solve_case(
+            case["domain"], case["space"], case["weight"], case["dimension"],
+            refinements=case["refinements"], options=case["options"],
+        )
+        results = {
+            "center": checker.find_trial_center(sol.base_mesh, case["weight"], sol.ball_mode),
+            "lemma23": check_lemma_monotone(sol.ball_mode),
+        }
+        for key, result in results.items():
+            assert record[key] == json.loads(json.dumps(asdict(result))), key
 
     def test_summary_table_shape(self, run_dir):
         _code, out = run_dir

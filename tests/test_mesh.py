@@ -288,6 +288,19 @@ class TestPolygon:
         m = generate(DomainSpec(shape="polygon", vertices=verts, target_edge_length=0.2))
         assert abs(mesh_area(m) - 3.0) < 1e-12
 
+    def test_final_mesh_validated_once(self, monkeypatch):
+        # every refine validates the mesh it makes, so only a polygon that
+        # needs no split is validated after the loop
+        calls = []
+        spy = lambda m: calls.append(len(m.triangles)) or validate(m)
+        monkeypatch.setattr(msh, "validate", spy)
+        square = ((0, 0), (1, 0), (1, 1), (0, 1))
+        generate(DomainSpec(shape="polygon", vertices=square, target_edge_length=0.1))
+        assert calls == [8, 32, 128]  # three splits of the two ears
+        calls.clear()
+        generate(DomainSpec(shape="polygon", vertices=square, target_edge_length=1.0))
+        assert calls == [2]
+
     def test_clockwise_input_reoriented(self):
         # the outline is reversed before ear clipping; no triangle is flipped
         cw = ((0, 0), (0, 1), (1, 1), (1, 0))
