@@ -33,8 +33,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from . import fem
-from .mesh import DomainSpec, Mesh, _signed_areas, generate, refine
+from .mesh import QUAD_WEIGHTS, DomainSpec, Mesh, _rule_points, _signed_areas, generate, refine
 from .radial import (
     DEFAULT_OPTIONS,
     RadialSolution,
@@ -237,6 +236,9 @@ def solve_case(
             else f"shell({shell.inner_radius:g}, {shell.outer_radius:g})"
         )
     else:
+        # scipy's sparse linear algebra loads with the first meshed case
+        from . import fem
+
         if dimension not in (None, 2):
             raise ValueError("meshed domains are two-dimensional")
         if refinements < 1:
@@ -334,11 +336,11 @@ def build_report(
 def _rule_integrals(corners: np.ndarray, phi: WeightFunction) -> np.ndarray:
     """Integral of exp(-phi(|x|)) over each triangle ``corners[..., 3, 2]``
     by the six-point assembly rule, signed by orientation."""
-    xq = fem._rule_points(corners)
+    xq = _rule_points(corners)
     vals = np.exp(-phi.value(np.hypot(xq[..., 0], xq[..., 1])))  # (6, ...)
     # contiguous: over a strided axis the product sums in another order
     vals = np.ascontiguousarray(np.moveaxis(vals, 0, -1))
-    return _signed_areas(corners) * (vals @ fem.QUAD_WEIGHTS)
+    return _signed_areas(corners) * (vals @ QUAD_WEIGHTS)
 
 
 def weighted_disk_intersection(mesh: Mesh, phi: WeightFunction, radius: float):
@@ -443,9 +445,10 @@ def _sharper_block(sol: CaseSolution, report: InequalityReport) -> dict:
     _, b_core = ball_rayleigh_integrals(mode, 0.0, radius)
     sharper_rhs = (a_in - a_out) / b_core
 
-    # rearranged strengthening: mu1(ball) - (n-1)/LHS >= correction >= 0
+    # rearranged strengthening: mu1(ball) - (n-1)/LHS >= correction >= 0;
+    # the main budget on LHS carries over to (n-1)/LHS to first order
     sharper_gap = (mu_ball - (n - 1) / report.lhs) - sharper_rhs
-    budget = report.tol_budget * max(mu_ball, 1.0)
+    budget = (n - 1) * report.tol_budget / report.lhs**2
     nonneg_ok = bool(sharper_rhs >= -budget)
     gap_ok = bool(sharper_gap >= -budget)
     return {
@@ -604,8 +607,8 @@ def find_trial_center(
     """
     mesh = _mesh_for(domain)
     p = mesh.nodes[mesh.triangles]
-    xq = fem._rule_points(p).reshape(-1, 2)
-    wq = (fem.QUAD_WEIGHTS[:, None] * _signed_areas(p)[None, :]).reshape(-1)
+    xq = _rule_points(p).reshape(-1, 2)
+    wq = (QUAD_WEIGHTS[:, None] * _signed_areas(p)[None, :]).reshape(-1)
     density = wq * np.exp(-phi.value(np.hypot(xq[:, 0], xq[:, 1])))
 
     eqs = hull_equations(mesh.nodes[mesh.boundary_nodes])

@@ -27,8 +27,10 @@ import argparse
 import contextlib
 import copy
 import ctypes
+import importlib
 import json
 import math
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
@@ -211,6 +213,25 @@ _TOLERANCES = {
 }
 
 
+def _load_fem() -> None:
+    """Import the FEM solver, and with it scipy's sparse linear algebra.
+
+    Validation calls this for every meshed case, so forked pool workers
+    inherit the module.  With ``OPENBLAS_NUM_THREADS=1`` for the import,
+    scipy's OpenBLAS starts no worker thread to spin-wait ~0.1 s of CPU into
+    the batch, which runs BLAS single-threaded anyway.
+    """
+    old = os.environ.get("OPENBLAS_NUM_THREADS")
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        importlib.import_module(".fem", __package__)
+    finally:
+        if old is None:
+            del os.environ["OPENBLAS_NUM_THREADS"]
+        else:
+            os.environ["OPENBLAS_NUM_THREADS"] = old
+
+
 def validate_case(case: dict, where: str, fallback_id: str) -> dict:
     """Full semantic validation; returns the case as the batch runs it.
 
@@ -219,6 +240,8 @@ def validate_case(case: dict, where: str, fallback_id: str) -> dict:
     :class:`Mesh` or :class:`ShellSpec`), ``weight`` (:class:`WeightFunction`)
     and ``options`` (:class:`ShootingOptions`), so every constructor-level
     complaint surfaces now, before any case runs, and nothing is built twice.
+    A meshed domain loads the FEM solver here (:func:`_load_fem`); a
+    radially symmetric one needs numpy alone.
     """
     _require_keys(case, where, _CASE_KEYS, ("space", "domain", "weight"))
     norm = {
@@ -273,6 +296,8 @@ def validate_case(case: dict, where: str, fallback_id: str) -> dict:
             raise ConfigError(f"{where}.dimension: must be >= 2")
     elif dimension not in (None, 2):
         raise ConfigError(f"{where}.dimension: meshed domains are two-dimensional")
+    else:
+        _load_fem()
     norm["dimension"] = dimension if dimension is not None else 2
 
     if "sharper" in norm["checks"] and case["space"] != "euclidean":

@@ -29,7 +29,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import eigsh, lobpcg, splu
 
-from .mesh import Mesh, _signed_areas
+from .mesh import QUAD_BARY, QUAD_WEIGHTS, Mesh, _rule_points, _signed_areas
 from .spaceform import SpaceForm
 from .weights import WeightFunction
 
@@ -42,20 +42,6 @@ class EigsolveError(RuntimeError):
     """The sparse eigensolve did not produce a trustworthy spectrum."""
 
 
-# Six-point rule, exact through polynomial degree four, weights sum to one.
-_A1, _W1 = 0.445948490915965, 0.223381589678011
-_A2, _W2 = 0.091576213509771, 0.109951743655322
-QUAD_BARY = np.array(
-    [
-        [1.0 - 2.0 * _A1, _A1, _A1],
-        [_A1, 1.0 - 2.0 * _A1, _A1],
-        [_A1, _A1, 1.0 - 2.0 * _A1],
-        [1.0 - 2.0 * _A2, _A2, _A2],
-        [_A2, 1.0 - 2.0 * _A2, _A2],
-        [_A2, _A2, 1.0 - 2.0 * _A2],
-    ]
-)
-QUAD_WEIGHTS = np.array([_W1, _W1, _W1, _W2, _W2, _W2])
 # _MASS_TABLE[q, 3 i + j] = w_q bary_q[i] bary_q[j]
 _MASS_TABLE = (
     QUAD_WEIGHTS[:, None, None] * QUAD_BARY[:, :, None] * QUAD_BARY[:, None, :]
@@ -99,11 +85,6 @@ def _geodesic_radii(space: SpaceForm, points: np.ndarray) -> np.ndarray:
             f"disk; found |x| = {np.max(r):.12g}"
         )
     return 2.0 * np.arctanh(r)
-
-
-def _rule_points(corners: np.ndarray) -> np.ndarray:
-    """The six rule points of each triangle ``corners[..., 3, 2]``: ``(6, ..., 2)``."""
-    return np.einsum("qi,...id->q...d", QUAD_BARY, corners)
 
 
 def _weighted_rules(p: np.ndarray, area: np.ndarray, space: SpaceForm, weight: WeightFunction):

@@ -1,4 +1,5 @@
-"""Planar triangle meshes: structured generators, uniform refinement, text I/O.
+"""Planar triangle meshes: structured generators, uniform refinement, text I/O,
+and the six-point rule behind every integral over a mesh.
 
 Centred round shapes are meshed with concentric rings whose point counts are
 multiples of eight; the band triangulation between consecutive rings merges
@@ -18,9 +19,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 
 class MeshInvariantError(RuntimeError):
@@ -165,6 +169,27 @@ def _signed_areas(corners: np.ndarray) -> np.ndarray:
     d1 = corners[..., 1, :] - corners[..., 0, :]
     d2 = corners[..., 2, :] - corners[..., 0, :]
     return 0.5 * (d1[..., 0] * d2[..., 1] - d1[..., 1] * d2[..., 0])
+
+
+# Six-point rule, exact through polynomial degree four, weights sum to one.
+_A1, _W1 = 0.445948490915965, 0.223381589678011
+_A2, _W2 = 0.091576213509771, 0.109951743655322
+QUAD_BARY = np.array(
+    [
+        [1.0 - 2.0 * _A1, _A1, _A1],
+        [_A1, 1.0 - 2.0 * _A1, _A1],
+        [_A1, _A1, 1.0 - 2.0 * _A1],
+        [1.0 - 2.0 * _A2, _A2, _A2],
+        [_A2, 1.0 - 2.0 * _A2, _A2],
+        [_A2, _A2, 1.0 - 2.0 * _A2],
+    ]
+)
+QUAD_WEIGHTS = np.array([_W1, _W1, _W1, _W2, _W2, _W2])
+
+
+def _rule_points(corners: np.ndarray) -> np.ndarray:
+    """The six rule points of each triangle ``corners[..., 3, 2]``: ``(6, ..., 2)``."""
+    return np.einsum("qi,...id->q...d", QUAD_BARY, corners)
 
 
 @dataclass
@@ -464,6 +489,8 @@ def refine(mesh: Mesh) -> Mesh:
     projected boundary midpoint gets the plain average of its edge's ends,
     which is all the multilevel solve needs.
     """
+    from scipy import sparse
+
     edges, counts, side = _edges(mesh.triangles)
     n, m = len(mesh.nodes), len(edges)
     mids = 0.5 * (mesh.nodes[edges[:, 0]] + mesh.nodes[edges[:, 1]])

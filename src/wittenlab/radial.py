@@ -33,7 +33,6 @@ import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.linalg
 
 from .spaceform import (
     CHEBYSHEV_DEGREES, TAIL_TERMS, BallSpec, SpaceForm, _chebyshev_integrals, dct,
@@ -267,7 +266,7 @@ def _eigenpairs(A, t, condition):
     free = ~condition
     elim = -np.linalg.solve(A[np.ix_(condition, condition)], A[np.ix_(condition, free)])
     M = (A[np.ix_(free, free)] + A[np.ix_(free, condition)] @ elim) / t[free, None]
-    w, Vf = scipy.linalg.eig(M, check_finite=False)
+    w, Vf = np.linalg.eig(M)
     V = np.empty((len(t), len(w)), dtype=complex)
     V[free], V[condition] = Vf, elim @ Vf
     return w, V

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 FAMILIES = ("constant", "linear-decreasing", "exponential-decay", "tabulated-spline")
 
@@ -153,15 +152,19 @@ def _tabulated_spline(params: tuple[float, ...], domain_cap: float):
             f"got [{knots_t[0]:.6g}, {knots_t[-1]:.6g}]"
         )
     # second derivatives at the knots, zero at both ends (natural spline):
-    # h_{i-1} m_{i-1} + 2 (h_{i-1} + h_i) m_i + h_i m_{i+1} = 6 (d_i - d_{i-1})
+    # h_{i-1} m_{i-1} + 2 (h_{i-1} + h_i) m_i + h_i m_{i+1} = 6 (d_i - d_{i-1}),
+    # diagonally dominant, so eliminated without pivoting, in the operation
+    # order of LAPACK's gtsv
     h = np.diff(knots_t)
     d = np.diff(knots_phi) / h
-    bands = np.zeros((3, len(h) - 1))
-    bands[0, 1:] = h[1:-1]
-    bands[1] = 2.0 * (h[:-1] + h[1:])
-    bands[2, :-1] = h[1:-1]
-    m = np.zeros(len(knots_t))
-    m[1:-1] = solve_banded((1, 1), bands, 6.0 * np.diff(d))
+    diag, rhs = 2.0 * (h[:-1] + h[1:]), 6.0 * np.diff(d)
+    for i in range(1, len(diag)):
+        w = h[i] / diag[i - 1]
+        diag[i] -= w * h[i]
+        rhs[i] -= w * rhs[i - 1]
+    m = np.zeros(len(knots_t))  # m[-1] = 0 closes the back substitution
+    for i in range(len(diag) - 1, -1, -1):
+        m[i + 1] = (rhs[i] - h[i + 1] * m[i + 2]) / diag[i]
     # piece i in powers of (t - t_i): value, slope, half curvature, jerk / 6;
     # the end pieces extend past the end knots
     a, b = knots_phi[:-1], d - h * (2.0 * m[:-1] + m[1:]) / 6.0

@@ -40,7 +40,7 @@ from wittenlab.checker import (
     solve_case,
     weighted_disk_intersection,
 )
-from wittenlab.mesh import DomainSpec, Mesh, generate, refine
+from wittenlab.mesh import QUAD_BARY, QUAD_WEIGHTS, DomainSpec, Mesh, generate, refine
 from wittenlab.radial import ShellSpec, shoot_first_mode
 from wittenlab.spaceform import BallSpec, SpaceForm
 from wittenlab.weights import make_weight
@@ -364,6 +364,21 @@ class TestSharper:
         assert s["gap"] < -0.03
         assert not s["passed"]
 
+    def test_budget_scales_with_the_disk(self, phi_zero):
+        # Under a constant weight the discrete problems at these radii are
+        # rescalings of one another, so gap over budget may not move.  The
+        # sharper gap is in units of mu and the main budget in units of
+        # 1/mu; carried over to (n-1)/LHS, it is (n-1) tol_budget / LHS^2.
+        # The disk is the equality case, so it passes at every radius.
+        ratios = []
+        for radius in (0.3, 1.0, 3.0):
+            spec = DomainSpec(shape="disk", radius=radius, target_edge_length=0.1 * radius)
+            report = build_report(solve_case(spec, FLAT, phi_zero), sharper=True)
+            assert report.sharper["passed"]
+            ratios.append(report.sharper["gap"] * report.lhs**2 / report.tol_budget)
+        assert -1.0 < ratios[0] < 0.0
+        assert ratios == pytest.approx([ratios[0]] * 3, rel=1e-6)
+
     def test_hyperbolic_rejected(self, phi_zero):
         with pytest.raises(CheckerError, match="flat"):
             build_report(solve_case(ShellSpec(0.0, 1.0), HYP, phi_zero, dimension=3), sharper=True)
@@ -421,7 +436,7 @@ class TestDiskIntersection:
     def reference(mesh, phi, radius):
         return disk_intersection_by_triangle(
             mesh.nodes, mesh.triangles, lambda t: np.exp(-phi.value(t)), radius,
-            fem.QUAD_BARY, fem.QUAD_WEIGHTS,
+            QUAD_BARY, QUAD_WEIGHTS,
         )
 
     @pytest.mark.parametrize("spec", CLIP_MESHES, ids=lambda s: s.describe())

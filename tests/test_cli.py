@@ -488,29 +488,103 @@ class TestRun:
         assert (out / "summary.csv").exists()
 
 
-def test_cli_import_leaves_scipy_integrate_unloaded():
-    # every radial integral goes through the package's own Chebyshev rule;
-    # an adaptive scipy.integrate path would load the module on import.  The
-    # DCTs, the natural spline, the radius match and the hull are written
-    # out too, so only scipy's sparse and dense linear algebra load.
-    unloaded = (
-        "scipy.integrate", "scipy.fft", "scipy.interpolate", "scipy.optimize",
-        "scipy.spatial", "scipy.special",
-    )
-    code = f"import sys, wittenlab.cli; print([m for m in {unloaded!r} if m in sys.modules])"
-    proc = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True, text=True, env=src_env(), timeout=300,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
-
-
 OPENBLAS_GETTERS = (
     "scipy_openblas_get_num_threads64_",
     "scipy_openblas_get_num_threads",
     "openblas_get_num_threads",
 )
+
+
+def fresh_python(code: str, *args: str) -> str:
+    """Standard output of ``code`` run in a fresh interpreter with ``args``."""
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *args],
+        capture_output=True, text=True, env=src_env(), timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
+SCIPY_MODULES = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
+
+RADIAL_RUN = f"""
+import json, sys
+from wittenlab import cli
+
+imported = {SCIPY_MODULES}
+
+def probed(case, _execute=cli._execute_case):
+    return dict(_execute(case), scipy={SCIPY_MODULES})
+
+cli._execute_case = probed  # the pool's workers look it up by name
+code = cli.main(["run", sys.argv[1], "--out", sys.argv[2], "--jobs", "2"])
+print(json.dumps({{"imported": imported, "exit": code, "ran": {SCIPY_MODULES}}}))
+"""
+
+
+def test_cli_import_leaves_scipy_integrate_unloaded(tmp_path):
+    # every radial integral goes through the package's own Chebyshev rule,
+    # and the DCTs, the natural spline, the radius match, the hull and the
+    # radial eigensolve are written out in numpy; scipy's sparse linear
+    # algebra comes with the FEM solver, which only a meshed case loads.
+    # So neither the import nor a run of two shells through a two-worker
+    # pool loads any scipy module, in the front end or in a worker.
+    cases = [shell_case(), shell_case(id="shell", domain={
+        "shape": "shell", "inner_radius": 0.4, "outer_radius": 1.0})]
+    cfg = write_config(tmp_path, {"schema": 1, "cases": cases})
+    out = fresh_python(RADIAL_RUN, cfg, str(tmp_path / "out")).splitlines()[-1]
+    assert json.loads(out) == {"imported": [], "exit": 0, "ran": []}
+    records = [json.loads(line) for line in (tmp_path / "out" / "reports.jsonl").open()]
+    assert [(r["id"], r["status"], r["scipy"]) for r in records] == [
+        ("ball3", "pass", []), ("shell", "pass", [])
+    ]
+
+
+MESHED_VALIDATION = f"""
+import ctypes, json, os, sys
+from wittenlab import cli
+
+def openblas():
+    with open("/proc/self/maps") as fh:
+        paths = sorted({{ln.split()[-1] for ln in fh if "openblas" in ln.lower()}})
+    threads = {{}}
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        getter = next((n for n in {OPENBLAS_GETTERS!r} if hasattr(lib, n)), None)
+        threads[path] = getattr(lib, getter)() if getter else None
+    return threads
+
+before, tasks = openblas(), len(os.listdir("/proc/self/task"))
+env = os.environ.get("OPENBLAS_NUM_THREADS")
+with open(sys.argv[2]) as fh:
+    getattr(cli, sys.argv[1])(json.load(fh))
+print(json.dumps({{
+    "fem": "wittenlab.fem" in sys.modules,
+    "started": [t for path, t in openblas().items() if path not in before],
+    "new_threads": len(os.listdir("/proc/self/task")) - tasks,
+    "env_restored": os.environ.get("OPENBLAS_NUM_THREADS") == env,
+}}))
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/maps").exists(), reason="reads /proc")
+@pytest.mark.parametrize("validate", ["validate_run_config", "validate_sweep_config"])
+def test_meshed_validation_loads_fem_single_threaded(tmp_path, validate):
+    # The FEM solver loads at validation, so forked workers inherit it, and
+    # scipy's OpenBLAS starts with one thread: no worker thread starts and
+    # spin-waits into the batch.
+    if validate == "validate_run_config":
+        payload = {"schema": 1, "cases": [disk_case()]}
+    else:
+        payload = {
+            "schema": 1,
+            "base_case": disk_case(),
+            "sweep": {"parameters": [{"path": "domain.radius", "values": [1.0, 1.5]}]},
+        }
+    result = json.loads(fresh_python(MESHED_VALIDATION, validate, write_config(tmp_path, payload)))
+    assert result["fem"] and result["env_restored"]
+    assert result["new_threads"] == 0
+    assert all(threads == 1 for threads in result["started"])
 
 
 def openblas_api() -> list:

@@ -50,12 +50,12 @@ class TestAssembly:
         assert np.allclose(forms.mass.toarray(), m_ref, atol=1e-15)
 
     def test_quadrature_rule_normalised(self):
-        assert abs(fem.QUAD_WEIGHTS.sum() - 1.0) < 1e-15
-        assert np.allclose(fem.QUAD_BARY.sum(axis=1), 1.0, atol=1e-15)
+        assert abs(msh.QUAD_WEIGHTS.sum() - 1.0) < 1e-15
+        assert np.allclose(msh.QUAD_BARY.sum(axis=1), 1.0, atol=1e-15)
         # degree-4 exactness on the reference triangle: x^2 y^2 and x^4
-        x, y = fem.QUAD_BARY[:, 1], fem.QUAD_BARY[:, 2]
-        assert abs(np.dot(fem.QUAD_WEIGHTS, x**2 * y**2) - 2 * 1.0 / 180.0) < 1e-15
-        assert abs(np.dot(fem.QUAD_WEIGHTS, x**4) - 2 * 1.0 / 30.0) < 1e-15
+        x, y = msh.QUAD_BARY[:, 1], msh.QUAD_BARY[:, 2]
+        assert abs(np.dot(msh.QUAD_WEIGHTS, x**2 * y**2) - 2 * 1.0 / 180.0) < 1e-15
+        assert abs(np.dot(msh.QUAD_WEIGHTS, x**4) - 2 * 1.0 / 30.0) < 1e-15
 
     def test_constants_in_stiffness_kernel(self, phi_zero):
         mesh = generate(DomainSpec(shape="disk", radius=1.0, target_edge_length=0.15))
@@ -108,7 +108,7 @@ class TestAssembly:
 
         forms = assemble(mesh, space, weight)
         expected = assemble_by_einsum(mesh.nodes, mesh.triangles, stiff_density,
-                                      mass_density, fem.QUAD_BARY, fem.QUAD_WEIGHTS)
+                                      mass_density, msh.QUAD_BARY, msh.QUAD_WEIGHTS)
         for got, want in zip((forms.stiffness, forms.mass), expected):
             scale = abs(want).max()
             assert abs(got - want).max() <= 1e-14 * scale

@@ -9,6 +9,7 @@ meet raises, and tightened options agree with the default solve.
 """
 
 import math
+from itertools import pairwise
 
 import numpy as np
 import pytest
@@ -307,3 +308,30 @@ def test_shell_spec_validation():
         ShellSpec(1.0, 0.5)
     with pytest.raises(ValueError):
         ShellSpec(-0.1, 1.0)
+
+
+def test_eigenpairs_match_scipy_on_the_full_pencil():
+    # numpy's eig on the system with the condition rows eliminated against
+    # scipy's QZ on the whole pencil (A, t on the equation rows, 0 on the
+    # condition rows); a hyperbolic shell with two spline knots inside has
+    # Neumann rows at both ends and continuity rows at each knot
+    scipy_linalg = pytest.importorskip("scipy.linalg")
+    spline = make_weight(
+        "tabulated-spline", [0.0, 2.0, 0.4, 1.3, 0.8, 0.8, 1.5, 0.35, 3.0, 0.0], 3.0
+    )
+    grids = [radial._chebyshev(a, b, 24) for a, b in pairwise(spline.breaks(0.3, 1.2))]
+    A, t, condition = radial._collocation_system(
+        np.stack([x for x, _ in grids]), np.stack([D for _, D in grids]), 0, 1, 3, HYP, spline
+    )
+    w, V = radial._eigenpairs(A, t, condition)
+    w_ref = scipy_linalg.eig(A, np.diag(np.where(condition, 0.0, t)), right=False)
+
+    def lowest(values):
+        values = values[np.isfinite(values) & (np.abs(values) < 1e6)]
+        return np.sort_complex(values)[:6]
+
+    assert np.allclose(lowest(w), lowest(w_ref), rtol=1e-9, atol=0.0)
+    # every pair solves the pencil: the equations to round-off, and the
+    # conditions exactly as eliminated
+    residual = A @ V - (t[:, None] * V) * np.where(condition, 0.0, 1.0)[:, None] * w
+    assert np.max(np.abs(residual[:, np.abs(w) < 1e3])) < 1e-13 * np.max(np.abs(A))

@@ -226,6 +226,23 @@ def test_spline_matches_scipy_natural_cubic_spline():
     assert np.all(worst <= 1e-12), worst
 
 
+def test_spline_curvatures_match_scipy_solve_banded():
+    # the knots' second derivatives, read back as the convexity at each
+    # interior knot, against LAPACK's tridiagonal solve, bit for bit
+    scipy_linalg = pytest.importorskip("scipy.linalg")
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        k = int(rng.integers(4, 30))
+        knots_t = np.concatenate([[0.0], np.cumsum(rng.uniform(0.05, 1.0, k - 1))])
+        knots_phi = rng.standard_normal(k) * rng.uniform(0.1, 10.0)
+        convexity = _tabulated_spline(tuple(spline_params(knots_t, knots_phi)), knots_t[-1])[2]
+        h = np.diff(knots_t)
+        bands = np.zeros((3, k - 2))
+        bands[0, 1:], bands[1], bands[2, :-1] = h[1:-1], 2.0 * (h[:-1] + h[1:]), h[1:-1]
+        ref = scipy_linalg.solve_banded((1, 1), bands, 6.0 * np.diff(np.diff(knots_phi) / h))
+        assert np.array_equal(convexity(knots_t[1:-1]), ref)
+
+
 @pytest.mark.parametrize(
     "family, params",
     [
