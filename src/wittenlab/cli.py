@@ -12,8 +12,10 @@ weights that fail the admissibility condition are rejected with a dotted
 pointer to the offending entry (``cases[2].weight.params``, or
 ``cases[0].domain.center`` on a ``disk``).  Validation builds each case's
 space, domain, weight and solver options, and the batch runs exactly those
-objects, so a ``mesh-file`` domain is read once.  A sweep writes each grid
-value into its base case as given, so integer fields sweep over integers.
+objects: a meshed domain is meshed (or a ``mesh-file`` read) once, here, so
+a ring mesh that folds is refused before any case runs.  A sweep writes
+each grid value into its base case as given, so integer fields sweep over
+integers.
 Exit codes: 0 all verdicts pass, 2 at least one fail, 1 on any execution
 or configuration error.
 
@@ -39,7 +41,7 @@ from pathlib import Path
 import numpy as np
 
 from .checker import build_report, find_trial_center, solve_case
-from .mesh import SHAPE_FIELDS, DomainSpec, load as load_mesh
+from .mesh import SHAPE_FIELDS, DomainSpec, MeshInvariantError, generate, load as load_mesh
 from .radial import ShellSpec, ShootingOptions, check_lemma_monotone
 from .spaceform import SpaceForm
 from .weights import FAMILIES, make_weight
@@ -236,12 +238,13 @@ def validate_case(case: dict, where: str, fallback_id: str) -> dict:
     """Full semantic validation; returns the case as the batch runs it.
 
     The result holds ``id``, ``checks``, ``dimension``, ``refinements`` and
-    the built ``space`` (:class:`SpaceForm`), ``domain`` (:class:`DomainSpec`,
-    :class:`Mesh` or :class:`ShellSpec`), ``weight`` (:class:`WeightFunction`)
-    and ``options`` (:class:`ShootingOptions`), so every constructor-level
-    complaint surfaces now, before any case runs, and nothing is built twice.
-    A meshed domain loads the FEM solver here (:func:`_load_fem`); a
-    radially symmetric one needs numpy alone.
+    the built ``space`` (:class:`SpaceForm`), ``domain`` (the generated or
+    loaded :class:`Mesh`, or a :class:`ShellSpec`), ``weight``
+    (:class:`WeightFunction`) and ``options`` (:class:`ShootingOptions`), so
+    every constructor-level complaint, a generated mesh that fails its
+    invariants included, surfaces now, before any case runs, and nothing is
+    built twice.  A meshed domain loads the FEM solver here
+    (:func:`_load_fem`); a radially symmetric one needs numpy alone.
     """
     _require_keys(case, where, _CASE_KEYS, ("space", "domain", "weight"))
     norm = {
@@ -298,6 +301,11 @@ def validate_case(case: dict, where: str, fallback_id: str) -> dict:
         raise ConfigError(f"{where}.dimension: meshed domains are two-dimensional")
     else:
         _load_fem()
+        if isinstance(domain, DomainSpec):
+            try:
+                norm["domain"] = generate(domain)
+            except MeshInvariantError as exc:
+                raise ConfigError(f"{where}.domain: {exc}") from None
     norm["dimension"] = dimension if dimension is not None else 2
 
     if "sharper" in norm["checks"] and case["space"] != "euclidean":

@@ -19,6 +19,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from wittenlab import checker, cli
@@ -250,9 +251,33 @@ class TestValidation:
         case = disk_case()
         case["domain"] = {"shape": "perturbed-disk", "radius": 1.0,
                           "perturbation": [[3.0, 0.1]]}
-        domain = cli.validate_case(case, "case", "x")["domain"]
+        domain = cli.validate_case(case, "case", "x")["domain"].spec
         assert domain.perturbation == ((3, 0.1),)
         assert type(domain.perturbation[0][0]) is int
+
+    def test_folding_ring_mesh_refused_at_validation(self, tmp_path, capsys):
+        # mode 8 at amplitude 0.4: the generated ring mesh folds, so the case
+        # is refused before any case runs instead of ending as an error record
+        out = tmp_path / "o"
+        case = disk_case()
+        case["domain"] = {"shape": "perturbed-disk", "radius": 1.0,
+                          "perturbation": [[8, 0.4]]}
+        cfg = {"schema": 1, "cases": [case]}
+        code = cli.main(["run", write_config(tmp_path, cfg), "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(
+            "config error: cases[0].domain: triangle with signed area"
+        )
+        assert not out.exists()
+
+    def test_validated_domain_is_the_generated_mesh(self):
+        case = disk_case(mesh_size=0.15)
+        domain = cli.validate_case(case, "case", "x")["domain"]
+        spec = DomainSpec(shape="disk", radius=1.0, target_edge_length=0.15)
+        want = generate(spec)
+        assert domain.spec == spec
+        assert np.array_equal(domain.nodes, want.nodes)
+        assert np.array_equal(domain.triangles, want.triangles)
 
     @pytest.mark.parametrize("shape", [s for s in DOMAIN_TAKES if s != "mesh-file"])
     def test_needed_domain_fields_validate(self, shape):

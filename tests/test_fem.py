@@ -7,6 +7,7 @@ solver in the hyperbolic case, which exercises the conformal-factor handling
 end to end.
 """
 
+import gc
 import math
 
 import numpy as np
@@ -112,6 +113,31 @@ class TestAssembly:
         for got, want in zip((forms.stiffness, forms.mass), expected):
             scale = abs(want).max()
             assert abs(got - want).max() <= 1e-14 * scale
+
+
+    def test_rule_points_match_einsum(self):
+        mesh = refine(generate(DomainSpec(shape="ellipse", aspect=1.4, target_edge_length=0.1)))
+        p = mesh.nodes[mesh.triangles]
+        # (M, 3, 2) as the assembly passes it, (k, M, 3, 2) as the clip does
+        for corners in (p, np.stack([p, p[:, ::-1] + 0.25, 0.5 * p])):
+            want = np.einsum("qi,...id->q...d", msh.QUAD_BARY, corners)
+            assert np.array_equal(msh._rule_points(corners), want)
+
+    def test_local_stiffness_matches_matmul(self):
+        mesh = refine(generate(DomainSpec(shape="ellipse", aspect=1.4, target_edge_length=0.1)))
+        p = mesh.nodes[mesh.triangles]
+        two_area = 2.0 * msh._signed_areas(p)
+        coeff = np.random.default_rng(5).uniform(0.5, 1.5, len(p))
+        got = fem._local_stiffness(p, two_area, coeff)
+        # b[:, i] is the gradient of hat i, the rotated opposite edge
+        b = np.stack([p[:, [1, 2, 0], 1] - p[:, [2, 0, 1], 1],
+                      p[:, [2, 0, 1], 0] - p[:, [1, 2, 0], 0]], axis=2)
+        b /= two_area[:, None, None]
+        want = (b @ b.transpose(0, 2, 1)) * coeff[:, None, None]
+        scale = np.abs(want).max(axis=(1, 2))
+        assert np.all(np.abs(got - want).max(axis=(1, 2)) <= 1e-15 * scale)
+        # constants lie in the kernel of every local matrix
+        assert np.all(np.abs(got.sum(axis=2)).max(axis=1) <= 1e-15 * scale)
 
 
 class TestSpectra:
@@ -269,6 +295,39 @@ class TestTwoLevelSolve:
         block = rng.standard_normal((forms.dimension, 4))
         assert np.all(np.einsum("ij,ij->j", block, vcycle(block)) > 0)
         np.testing.assert_allclose(vcycle(block)[:, 0], vcycle(block[:, 0]), rtol=1e-13)
+
+    def test_vcycle_leaves_no_reference_cycle(self):
+        # a cycle would keep every level and the LU factor alive after the
+        # solve until the next collection, stacking cases in a pool worker
+        mesh = refine(refine(generate(DomainSpec(shape="disk", radius=1.0,
+                                                 target_edge_length=0.3))))
+        forms = assemble(mesh, FLAT, make_weight("constant", (0.0,), 50.0))
+        gc.collect()
+        gc.disable()
+        try:
+            vcycle = fem._vcycle(forms.stiffness + forms.mass, mesh)
+            vcycle(np.ones(forms.dimension))
+            del vcycle
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("refinements, applications", [(2, 12), (3, 13)])
+    def test_vcycle_applications_of_a_solve(self, monkeypatch, refinements, applications):
+        # the crossing ellipse above; smoothing on [lmax / 30, lmax] took 16
+        # applications at both depths
+        calls = []
+        vcycle = fem._vcycle
+
+        def spy(A, mesh):
+            cycle = vcycle(A, mesh)
+            return lambda f: calls.append(f.shape) or cycle(f)
+
+        monkeypatch.setattr(fem, "_vcycle", spy)
+        spec = DomainSpec(shape="ellipse", aspect=1.4, target_edge_length=0.15)
+        phi = make_weight("exponential-decay", (0.0, 1.1804, 0.509), 50.0)
+        solve_case(spec, FLAT, phi, conjecture=True, refinements=refinements)
+        assert len(calls) == applications
 
     def test_edge_tables_of_a_solve(self, monkeypatch, phi_zero):
         # generate, then refinements = 3: each mesh's edge table is computed
