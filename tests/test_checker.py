@@ -537,19 +537,22 @@ class TestConjectures:
         assert report.notes  # escalation is recorded on the report
 
     def test_escalation_vcycle_reaches_generated_mesh(self, phi_exp, monkeypatch):
-        # every factorisation, ours and the one inside ARPACK's shift-invert:
+        # every factorisation, ours and any inside ARPACK's shift-invert:
         # the base solve factorises the coarse level L1 and the V-cycle the
         # generated mesh L0; the escalated solve continues from the finest
         # mesh, which keeps its parents, so its base solve factorises L3 and
-        # its V-cycle L0 again, not the old finest level
+        # its V-cycle L0 again, not the old finest level.  All four are
+        # fem's own: the base solve hands its factor to ARPACK
         spec = DomainSpec(
             shape="translated-disk", radius=0.8, center=(0.5, 0.0),
             target_edge_length=0.15,
         )
-        sizes = []
         arpack = importlib.import_module("scipy.sparse.linalg._eigen.arpack.arpack")
-        for module in (fem, arpack):
-            spy = lambda A, splu=module.splu: sizes.append(A.shape[0]) or splu(A)
+        sizes = {fem: [], arpack: []}
+        for module in sizes:
+            def spy(A, *args, module=module, splu=module.splu, **kwargs):
+                sizes[module].append(A.shape[0])
+                return splu(A, *args, **kwargs)
             monkeypatch.setattr(module, "splu", spy)
         report = build_report(solve_case(spec, FLAT, phi_exp, conjecture=True), conjecture=True)
         assert report.conjecture["escalated"]
@@ -557,7 +560,8 @@ class TestConjectures:
         for _ in range(3):
             levels.append(refine(levels[-1]))
         n0, n1, _, n3 = (len(mesh.nodes) for mesh in levels)
-        assert sizes == [n1, n0, n3, n0]
+        assert sizes[fem] == [n1, n0, n3, n0]
+        assert sizes[arpack] == []
 
     def test_ellipse_margin_positive(self, phi_zero):
         spec = DomainSpec(shape="ellipse", aspect=1.4, target_edge_length=0.12)

@@ -12,6 +12,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import eigsh
 
 from oracles import assemble_by_einsum, lowest_nonzero, poincare_radius
 from wittenlab import fem
@@ -210,6 +211,34 @@ class TestSpectra:
         m_total = assemble(mesh, FLAT, phi_zero).mass @ np.ones(res.dimension)
         assert np.max(np.abs(res.modes.T @ m_total)) < 1e-8
 
+    @pytest.mark.parametrize(
+        "domain, space, weight",
+        [
+            (DomainSpec(shape="polygon", vertices=((0, 0), (1, 0), (1, 1), (0, 1)),
+                        target_edge_length=0.1), FLAT, ("constant", (0.0,))),
+            (DomainSpec(shape="ellipse", aspect=1.4, target_edge_length=0.15),
+             FLAT, ("exponential-decay", (0.0, 1.1804, 0.509))),
+            (DomainSpec(shape="ellipse", semi_axis_x=0.5, semi_axis_y=0.35,
+                        target_edge_length=0.07), HYP, ("linear-decreasing", (0.3223, 0.421))),
+        ],
+        ids=["square", "crossing-ellipse", "poincare-ellipse"],
+    )
+    def test_base_solve_matches_arpack_to_convergence(self, domain, space, weight, monkeypatch):
+        # fem's own factor with ARPACK stopped at 0.01 RESIDUAL_TOL against
+        # ARPACK's own factorisation run to machine precision
+        forms = assemble(refine(generate(domain)), space, make_weight(*weight, 50.0))
+        K, M, dim = forms.stiffness, forms.mass, forms.dimension
+        sigma = -1e-8 * K.diagonal().sum() / dim
+        v0 = np.random.default_rng(0).standard_normal(dim)
+        want = np.sort(eigsh(K, k=4, M=M, sigma=sigma, which="LM", v0=v0, tol=0)[0])[1:]
+        calls = []
+        splu = fem.splu
+        monkeypatch.setattr(fem, "splu", lambda *a, **k: calls.append(a[0].shape) or splu(*a, **k))
+        res = solve_lowest(forms, count=3)
+        assert calls == [(dim, dim)]
+        assert np.max(np.abs(res.eigenvalues / want - 1.0)) <= 1e-12
+        assert np.max(res.residuals) <= 1e-10
+
     def test_count_validation(self, unit_triangle, phi_zero):
         forms = assemble(unit_triangle, FLAT, phi_zero)
         with pytest.raises(ValueError):
@@ -295,6 +324,25 @@ class TestTwoLevelSolve:
         block = rng.standard_normal((forms.dimension, 4))
         assert np.all(np.einsum("ij,ij->j", block, vcycle(block)) > 0)
         np.testing.assert_allclose(vcycle(block)[:, 0], vcycle(block[:, 0]), rtol=1e-13)
+
+    def test_smoother_is_the_two_step_chebyshev(self):
+        mesh = refine(refine(generate(DomainSpec(shape="ellipse", aspect=1.4,
+                                                 target_edge_length=0.2))))
+        forms = assemble(mesh, FLAT, make_weight("exponential-decay", (0.0, 1.0, 0.5), 50.0))
+        fine = forms.stiffness + 5.0 * forms.mass
+        # and on a Galerkin coarse operator, whose pattern comes from spgemm
+        for A in (fine, (mesh.prolongation.T @ fine @ mesh.prolongation).tocsr()):
+            S = fem._smoother(A)
+            assert np.shares_memory(S.indices, A.indices)
+            assert np.shares_memory(S.indptr, A.indptr)
+            dinv = 1.0 / A.diagonal()
+            lmax = np.max(abs(A) @ np.ones(A.shape[0]) * dinv)
+            theta, delta = 11.0 * lmax / 20.0, 9.0 * lmax / 20.0
+            c0, c1 = np.array([4.0 * theta, -2.0]) / (2.0 * theta**2 - delta**2)
+            r = np.random.default_rng(7).standard_normal((A.shape[0], 3))
+            z = dinv[:, None] * r
+            want = c0 * z + c1 * dinv[:, None] * (A @ z)
+            assert np.linalg.norm(S @ r - want) <= 1e-14 * np.linalg.norm(want)
 
     def test_vcycle_leaves_no_reference_cycle(self):
         # a cycle would keep every level and the LU factor alive after the
