@@ -18,12 +18,14 @@ every matched ball.  On the FEM path the triangulated polygon is taken to
 the only error source is the eigenvalue itself, estimated by two-level
 Richardson comparison.
 
-Numerical pass/fail needs a convention.  Ours (``PASS_FACTOR = 3``): a
-report passes when
+Numerical pass/fail needs a convention.  Ours (``PASS_FACTOR = 3``), formed
+once in :func:`_comparison` for the ``n - 1``-term theorem and the ``n``-term
+open question alike: a comparison passes when
 
     gap >= -PASS_FACTOR * (relative eigenvalue error estimate) * max(LHS, RHS),
 
-and the same budget governs the equality checks at the ball.
+and the same budget governs the equality checks at the ball.  Every check
+block carries its verdict as ``passed``.
 """
 
 from __future__ import annotations
@@ -278,20 +280,32 @@ def solve_case(
     )
 
 
-def build_report(
-    sol: CaseSolution, *, sharper: bool = False, conjecture: bool = False
-) -> InequalityReport:
+def _comparison(sol: CaseSolution, terms: int) -> dict:
+    """The one pass rule: ``sum_{i <= terms} 1/mu_i`` against ``terms /
+    mu_1(ball)``, with the budget of ``PASS_FACTOR`` estimated relative
+    errors of the larger side."""
+    lhs = float(np.sum(1.0 / sol.eigenvalues[:terms]))
+    rhs = terms / sol.ball_mode.mu
+    gap = lhs - rhs
+    budget = PASS_FACTOR * sol.est_rel_error * max(abs(lhs), abs(rhs))
+    return {
+        "lhs": lhs,
+        "rhs": rhs,
+        "gap": gap,
+        "tol_budget": budget,
+        "passed": bool(gap >= -budget),
+    }
+
+
+def build_report(sol: CaseSolution, *, sharper: bool = False) -> InequalityReport:
     """The report of a solved case: the reciprocal-sum comparison against
-    the volume-matched centred ball, plus the sharper and the open-question
-    blocks when asked for.  ``build_report(solve_case(...), ...)`` is the
-    one way to a verdict."""
+    the volume-matched centred ball, plus the sharper block when asked for
+    and the open-question block when the case was solved for it (``n``
+    eigenvalues, not ``n - 1``).  ``build_report(solve_case(...), ...)`` is
+    the one way to a verdict."""
     n = sol.dimension
     eigs = sol.eigenvalues
     mu_ball = sol.ball_mode.mu
-    lhs = float(np.sum(1.0 / eigs[: n - 1]))
-    rhs = (n - 1) / mu_ball
-    gap = lhs - rhs
-    budget = PASS_FACTOR * sol.est_rel_error * max(abs(lhs), abs(rhs))
     report = InequalityReport(
         domain=sol.describe,
         dimension=n,
@@ -306,20 +320,16 @@ def build_report(
         mu1_ball_degree=sol.ball_mode.degree,
         mu1_ball_tail=sol.ball_mode.tail,
         mu1_ball_residual=sol.ball_mode.residual,
-        lhs=lhs,
-        rhs=rhs,
-        gap=gap,
         est_rel_error=sol.est_rel_error,
-        tol_budget=budget,
-        passed=bool(gap >= -budget),
         mu1_domain_below_ball=bool(
             eigs[0] <= mu_ball * (1.0 + PASS_FACTOR * sol.est_rel_error)
         ),
         notes=[],
+        **_comparison(sol, n - 1),
     )
     if sharper:
         report.sharper = _sharper_block(sol, report)
-    if conjecture:
+    if len(eigs) == n:
         report.conjecture = _conjecture_block(sol)
         if report.conjecture["escalated"]:
             report.notes.append(
@@ -450,7 +460,6 @@ def _sharper_block(sol: CaseSolution, report: InequalityReport) -> dict:
     sharper_gap = (mu_ball - (n - 1) / report.lhs) - sharper_rhs
     budget = (n - 1) * report.tol_budget / report.lhs**2
     nonneg_ok = bool(sharper_rhs >= -budget)
-    gap_ok = bool(sharper_gap >= -budget)
     return {
         "r1": r1,
         "r2": r2,
@@ -458,8 +467,9 @@ def _sharper_block(sol: CaseSolution, report: InequalityReport) -> dict:
         "outer_volume": outer_vol,
         "rhs": float(sharper_rhs),
         "gap": float(sharper_gap),
+        "tol_budget": budget,
         "nonnegative_ok": nonneg_ok,
-        "passed": bool(nonneg_ok and gap_ok),
+        "passed": bool(nonneg_ok and sharper_gap >= -budget),
     }
 
 
@@ -477,16 +487,8 @@ def _conjecture_block(sol: CaseSolution) -> dict:
     counterexample candidate.  The finer solution feeds this block alone.
     """
     n = sol.dimension
-    if len(sol.eigenvalues) < n:
-        raise ValueError("the open question needs a solution with conjecture=True")
-
-    def margin(s: CaseSolution):
-        lhs = float(np.sum(1.0 / s.eigenvalues[:n]))
-        rhs = n / s.ball_mode.mu
-        return lhs, rhs, lhs - rhs, PASS_FACTOR * s.est_rel_error * max(abs(lhs), abs(rhs))
-
-    lhs, rhs, gap, budget = margin(sol)
-    escalated = bool(gap < -budget)
+    block = _comparison(sol, n)
+    escalated = not block["passed"]
     if escalated:
         if sol.shell is not None:
             domain, refs, opts = sol.shell, sol.refinements, sol.options.tightened(10.0)
@@ -498,15 +500,12 @@ def _conjecture_block(sol: CaseSolution) -> dict:
             domain, sol.space, sol.phi, n,
             conjecture=True, refinements=refs, options=opts,
         )
-        lhs, rhs, gap, budget = margin(sol)
+        block = _comparison(sol, n)
     return {
         "eigenvalues": [float(v) for v in sol.eigenvalues],
-        "lhs": lhs,
-        "rhs": rhs,
-        "gap": gap,
-        "tol_budget": budget,
+        **block,
         "verdict": (
-            "conjecture-consistent" if gap >= -budget else "counterexample-candidate"
+            "conjecture-consistent" if block["passed"] else "counterexample-candidate"
         ),
         "escalated": escalated,
     }
@@ -574,6 +573,7 @@ class TrialCenterResult:
     residual: float
     iterations: int
     converged: bool
+    passed: bool  # the check's verdict: the search converged
     escaped_hull: bool
     note: str = "weight held radial about the ambient origin"
 
@@ -662,5 +662,6 @@ def find_trial_center(
         residual=float(np.linalg.norm(v) / scale),
         iterations=iterations,
         converged=converged,
+        passed=converged,
         escaped_hull=escaped,
     )

@@ -349,14 +349,13 @@ def validate_run_config(cfg: dict) -> list[dict]:
 def _run_case(case: dict) -> dict:
     """Solve and check one case as :func:`validate_case` built it."""
     space, phi, checks = case["space"], case["weight"], case["checks"]
-    conjecture = "conjecture" in checks
     solution = solve_case(
         case["domain"], space, phi, case["dimension"],
-        conjecture=conjecture,
+        conjecture="conjecture" in checks,
         refinements=case["refinements"],
         options=case["options"],
     )
-    report = build_report(solution, sharper="sharper" in checks, conjecture=conjecture)
+    report = build_report(solution, sharper="sharper" in checks).as_dict()
     mode = solution.ball_mode
     radius = solution.matched_radius
 
@@ -364,30 +363,16 @@ def _run_case(case: dict) -> dict:
         "id": case["id"],
         "status": "pass",
         "checks": list(checks),
-        "report": report.as_dict(),
+        "report": report,
     }
-
-    failed = []
-    if "main" in checks and not report.passed:
-        failed.append("main")
-    if "sharper" in checks and not report.sharper["passed"]:
-        failed.append("sharper")
-    if "conjecture" in checks and (
-        report.conjecture["verdict"] != "conjecture-consistent"
-    ):
-        failed.append("conjecture")
-
     if "lemma23" in checks:
-        monotone = check_lemma_monotone(mode)
-        record["lemma23"] = asdict(monotone)
-        if not monotone.passed:
-            failed.append("lemma23")
-
+        record["lemma23"] = asdict(check_lemma_monotone(mode))
     if "center" in checks:
-        result = find_trial_center(solution.base_mesh, phi, mode)
-        record["center"] = asdict(result)
-        if not result.converged:
-            failed.append("center")
+        record["center"] = asdict(find_trial_center(solution.base_mesh, phi, mode))
+    # every check's block carries ``passed``: the main one is the report, the
+    # sharper and conjecture ones sit in it, lemma23 and center in the record
+    blocks = {**report, **record, "main": report}
+    failed = [name for name in checks if not blocks[name]["passed"]]
 
     ts = np.linspace(0.0, radius, PROFILE_SAMPLES)
     values, derivs = mode.profile(ts)

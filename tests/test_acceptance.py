@@ -534,7 +534,7 @@ def test_criterion_10_square_sum_and_sweeps(phi_const, capsys):
         target_edge_length=0.08,
     )
     sol = solve_case(square, FLAT, phi_const, conjecture=True, refinements=2)
-    rep = build_report(sol, conjecture=True)
+    rep = build_report(sol)
     conj = rep.conjecture
     lhs_rel = abs(conj["lhs"] - SQUARE_SUM_LHS) / SQUARE_SUM_LHS
     rhs_rel = abs(conj["rhs"] - SQUARE_SUM_RHS) / SQUARE_SUM_RHS
@@ -545,7 +545,7 @@ def test_criterion_10_square_sum_and_sweeps(phi_const, capsys):
     for aspect in np.linspace(1.0, 2.0, 11):
         dom = DomainSpec(shape="ellipse", aspect=float(aspect), target_edge_length=0.12)
         sol = solve_case(dom, FLAT, phi_const, conjecture=True, refinements=2)
-        r = build_report(sol, conjecture=True)
+        r = build_report(sol)
         margins.append(r.conjecture["gap"])
         if r.conjecture["verdict"] != "conjecture-consistent":
             candidates.append(f"aspect={aspect:g}")
@@ -556,7 +556,7 @@ def test_criterion_10_square_sum_and_sweeps(phi_const, capsys):
         phi = make_weight("linear-decreasing", (0.0, float(slope)), 20.0)
         dom = DomainSpec(shape="ellipse", aspect=1.4, target_edge_length=0.12)
         sol = solve_case(dom, FLAT, phi, conjecture=True, refinements=2)
-        r = build_report(sol, conjecture=True)
+        r = build_report(sol)
         if r.conjecture["verdict"] != "conjecture-consistent":
             slope_ok = False
             candidates.append(f"slope={slope:g}")

@@ -504,7 +504,7 @@ class TestConjectures:
             vertices=((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)),
             target_edge_length=0.08,
         )
-        report = build_report(solve_case(square, FLAT, phi_zero, conjecture=True), conjecture=True)
+        report = build_report(solve_case(square, FLAT, phi_zero, conjecture=True))
         c = report.conjecture
         assert c["verdict"] == "conjecture-consistent"
         assert not c["escalated"]
@@ -517,7 +517,7 @@ class TestConjectures:
 
     def test_ball_equality_n_terms(self, phi_zero):
         sol = solve_case(ShellSpec(0.0, 1.0), FLAT, phi_zero, dimension=3, conjecture=True)
-        report = build_report(sol, conjecture=True)
+        report = build_report(sol)
         c = report.conjecture
         assert c["verdict"] == "conjecture-consistent"
         assert abs(c["gap"]) <= c["tol_budget"]
@@ -530,7 +530,7 @@ class TestConjectures:
             shape="translated-disk", radius=0.8, center=(0.5, 0.0),
             target_edge_length=0.15,
         )
-        report = build_report(solve_case(spec, FLAT, phi_exp, conjecture=True), conjecture=True)
+        report = build_report(solve_case(spec, FLAT, phi_exp, conjecture=True))
         c = report.conjecture
         assert c["escalated"]
         assert c["verdict"] == "counterexample-candidate"
@@ -554,7 +554,7 @@ class TestConjectures:
                 sizes[module].append(A.shape[0])
                 return splu(A, *args, **kwargs)
             monkeypatch.setattr(module, "splu", spy)
-        report = build_report(solve_case(spec, FLAT, phi_exp, conjecture=True), conjecture=True)
+        report = build_report(solve_case(spec, FLAT, phi_exp, conjecture=True))
         assert report.conjecture["escalated"]
         levels = [generate(spec)]
         for _ in range(3):
@@ -563,9 +563,33 @@ class TestConjectures:
         assert sizes[fem] == [n1, n0, n3, n0]
         assert sizes[arpack] == []
 
+    @pytest.mark.parametrize("conjecture", [False, True])
+    @pytest.mark.parametrize(
+        "domain,dimension",
+        [
+            (ShellSpec(0.0, 1.0), 3),
+            (DomainSpec(shape="ellipse", aspect=1.2, target_edge_length=0.2), 2),
+        ],
+        ids=["shell", "mesh"],
+    )
+    def test_block_attached_when_solved_for_it(self, phi_exp, domain, dimension, conjecture):
+        sol = solve_case(domain, FLAT, phi_exp, dimension, conjecture=conjecture)
+        report = build_report(sol)
+        assert len(report.eigenvalues) == dimension - 1 + conjecture
+        assert (report.conjecture is not None) == conjecture
+        # the main fields are the one comparison over n - 1 terms
+        main = checker._comparison(sol, dimension - 1)
+        assert {key: getattr(report, key) for key in main} == main
+        if conjecture:
+            block = report.conjecture
+            assert block["passed"] == (block["gap"] >= -block["tol_budget"])
+            assert block["verdict"] == (
+                "conjecture-consistent" if block["passed"] else "counterexample-candidate"
+            )
+
     def test_ellipse_margin_positive(self, phi_zero):
         spec = DomainSpec(shape="ellipse", aspect=1.4, target_edge_length=0.12)
-        report = build_report(solve_case(spec, FLAT, phi_zero, conjecture=True), conjecture=True)
+        report = build_report(solve_case(spec, FLAT, phi_zero, conjecture=True))
         c = report.conjecture
         assert c["verdict"] == "conjecture-consistent"
         assert c["gap"] > c["tol_budget"]

@@ -16,7 +16,7 @@ import os
 import subprocess
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -311,6 +311,38 @@ class TestValidation:
         assert "invalid JSON" in capsys.readouterr().err
 
 
+OFFSET_DISK = {"shape": "translated-disk", "radius": 0.8, "center": [0.5, 0.0]}
+EXP_WEIGHT = {"family": "exponential-decay", "params": [0.0, 1.0, 0.5]}
+
+# per check, a disk case in which that check alone fails, and the front-end
+# function patched to make it fail (None: it fails on its own)
+ONE_FAILING_CHECK = {
+    # the off-centre disk under the exponential weight beats its matched ball
+    "main": ({"domain": OFFSET_DISK, "weight": EXP_WEIGHT,
+              "checks": ["main", "lemma23", "center"]}, None),
+    # under the constant weight it ties the ball, so it falls short of the
+    # positive annulus correction that the sharper bound asks for
+    "sharper": ({"domain": OFFSET_DISK, "checks": list(cli.CHECK_NAMES)}, None),
+    # under the exponential weight its open-question margin stays negative
+    "conjecture": ({"domain": OFFSET_DISK, "weight": EXP_WEIGHT,
+                    "checks": ["conjecture", "lemma23", "center"]}, None),
+    "lemma23": ({"checks": list(cli.CHECK_NAMES)}, "check_lemma_monotone"),
+    "center": ({"checks": list(cli.CHECK_NAMES)}, "find_trial_center"),
+}
+
+
+def check_blocks(record: dict) -> dict:
+    """Each check's block of a record, ``None`` for a check not run."""
+    report = record["report"]
+    return {
+        "main": report,
+        "sharper": report.get("sharper"),
+        "conjecture": report.get("conjecture"),
+        "lemma23": record.get("lemma23"),
+        "center": record.get("center"),
+    }
+
+
 @pytest.fixture(scope="module")
 def run_dir(tmp_path_factory):
     tmp_path = tmp_path_factory.mktemp("run")
@@ -342,6 +374,13 @@ class TestRun:
         assert by_id["ball3"]["report"]["conjecture"]["verdict"] == "conjecture-consistent"
         assert by_id["ball3"]["lemma23"]["passed"]
         assert by_id["disk-equality"]["center"]["converged"]
+        # every check block carries its verdict, and the sharper one its budget
+        report = by_id["ball3"]["report"]
+        assert report["conjecture"]["passed"] is True
+        assert by_id["disk-equality"]["center"]["passed"] is True
+        n = report["dimension"]
+        budget = (n - 1) * report["tol_budget"] / report["lhs"] ** 2
+        assert report["sharper"]["tol_budget"] == pytest.approx(budget, rel=1e-15)
 
     def test_check_blocks_are_the_results(self, run_dir):
         # the center and lemma23 blocks are the check results as written
@@ -418,6 +457,24 @@ class TestRun:
         assert summary.strip().endswith("fail")
         record = json.loads((out / "reports.jsonl").read_text())
         assert record["failed_checks"] == ["main"]
+
+    @pytest.mark.parametrize("name", cli.CHECK_NAMES)
+    def test_one_failing_block_is_the_one_failed_check(self, tmp_path, monkeypatch, name):
+        overrides, patched = ONE_FAILING_CHECK[name]
+        if patched is not None:
+            # the check reports a fail and nothing else changes: the rule
+            # reads ``passed``, not ``converged``
+            def failing(*args, _fn=getattr(cli, patched)):
+                return replace(_fn(*args), passed=False)
+
+            monkeypatch.setattr(cli, patched, failing)
+        out = tmp_path / "out"
+        cfg = {"schema": 1, "cases": [disk_case(**overrides)]}
+        code = cli.main(["run", write_config(tmp_path, cfg), "--out", str(out)])
+        record = json.loads((out / "reports.jsonl").read_text())
+        assert record["failed_checks"] == [name]
+        assert record["status"] == "fail"
+        assert code == 2
 
     def test_solver_failure_marks_case_and_continues(self, tmp_path):
         # the weight is defined on [0, 0.3] only but the disk reaches t = 1,
@@ -767,6 +824,36 @@ class TestOneSolvePerCase:
         assert report["conjecture"]["escalated"]
         assert report["conjecture"]["verdict"] == "counterexample-candidate"
         assert any("re-examined at higher resolution" in note for note in report["notes"])
+
+
+@pytest.fixture(scope="module")
+def bundled_records(tmp_path_factory):
+    """The records of the bundled suite and the off-centre probe, by config."""
+    records = {}
+    for config, expected in (("theorem_suite", 0), ("offcenter_probe", 2)):
+        out = tmp_path_factory.mktemp(config)
+        code = cli.main(["run", str(ROOT / "configs" / f"{config}.json"), "--out", str(out)])
+        assert code == expected, config
+        lines = (out / "reports.jsonl").read_text().splitlines()
+        records[config] = [json.loads(line) for line in lines]
+    return records
+
+
+@pytest.mark.parametrize("config", ["theorem_suite", "offcenter_probe"])
+def test_failed_checks_are_the_blocks_that_did_not_pass(bundled_records, config):
+    for record in bundled_records[config]:
+        blocks = check_blocks(record)
+        failed = [name for name in record["checks"] if not blocks[name]["passed"]]
+        assert record.get("failed_checks", []) == failed, record["id"]
+        assert record["status"] == ("fail" if failed else "pass"), record["id"]
+        for name in ("main", "conjecture"):
+            block = blocks[name]
+            if block is not None:
+                assert block["passed"] == (block["gap"] >= -block["tol_budget"]), name
+        sharper = blocks["sharper"]
+        if sharper is not None:
+            low = min(sharper["gap"], sharper["rhs"])
+            assert sharper["passed"] == (low >= -sharper["tol_budget"]), record["id"]
 
 
 class TestSweep:
