@@ -33,6 +33,7 @@ import importlib
 import json
 import math
 import os
+import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
@@ -205,6 +206,10 @@ _CASE_KEYS = {
     "tolerances": (dict,),
 }
 
+# characters a case id may not hold: a path separator would move its
+# profile file, a comma or quote would shift its summary.csv row
+_ID_FORBIDDEN = r'[/\\,"\x00-\x1f\x7f-\x9f]'
+
 # schema-1 tolerance keys and the radial solver option each sets:
 # ``rtol`` and ``atol`` bound the trailing Chebyshev coefficients relative
 # and absolute, ``residual_tol`` the Neumann endpoint residual
@@ -254,6 +259,11 @@ def validate_case(case: dict, where: str, fallback_id: str) -> dict:
     mesh_size = _as_float(case.get("mesh_size", 0.1), f"{where}.mesh_size")
     if not norm["id"]:
         raise ConfigError(f"{where}.id: must be a non-empty string")
+    if re.search(_ID_FORBIDDEN, norm["id"]):
+        raise ConfigError(
+            f"{where}.id: {norm['id']!r} holds a '/', '\\', ',', '\"' or control "
+            "character; the id names the case's profile file and summary.csv row"
+        )
     if case["space"] not in SPACE_NAMES:
         raise ConfigError(f"{where}.space: expected one of {SPACE_NAMES}")
     norm["space"] = SpaceForm(curvature=0 if case["space"] == "euclidean" else -1)

@@ -251,6 +251,9 @@ def _edges(triangles: np.ndarray):
 
 def validate(mesh: Mesh) -> None:
     """Raise :class:`MeshInvariantError` on any broken structural invariant."""
+    if not np.all(np.isfinite(mesh.nodes)):
+        # a NaN area would slip past the area check below
+        raise MeshInvariantError("node with a non-finite coordinate")
     if mesh.triangles.min() < 0 or mesh.triangles.max() >= len(mesh.nodes):
         raise MeshInvariantError("triangle indices out of node range")
     areas = mesh.signed_areas()

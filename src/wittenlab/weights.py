@@ -6,12 +6,16 @@ on ``[0, domain_cap]``: the weight is non-increasing (``phi' <= 0``) and
 convex (``phi'' >= 0``).  :func:`make_weight` refuses a weight that breaks
 either by more than ``CERTIFY_TOL`` anywhere in that range, so every
 :class:`WeightFunction` is admissible and nothing downstream checks again.
+
+A weight is plain data: its family, its parameters and its cap, plus, for a
+tabulated spline, the piecewise-cubic coefficients :func:`make_weight` solves
+for once.  Equal arguments make equal weights, and a ``--jobs`` worker
+receives a weight by value.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,21 +35,29 @@ class WeightFunction:
 
     ``value``, ``slope`` and ``convexity`` accept scalars or arrays and are
     defined on ``[0, domain_cap]``; evaluation outside raises so that a
-    mis-sized cap surfaces instead of silently extrapolating.
+    mis-sized cap surfaces instead of silently extrapolating.  ``spline``
+    holds a tabulated spline's knots and piece coefficients (see
+    :func:`_spline_table`), ``None`` for the closed-form families; it follows
+    from ``params``, so equality and hashing leave it out.
     """
 
     family: str
     params: tuple[float, ...]
     domain_cap: float
-    _value: Callable[[np.ndarray], np.ndarray]
-    _slope: Callable[[np.ndarray], np.ndarray]
-    _convexity: Callable[[np.ndarray], np.ndarray]
+    spline: tuple[np.ndarray, ...] | None = field(default=None, compare=False, repr=False)
 
-    def __reduce__(self):
-        # the evaluators are closures, which do not pickle: rebuild from the tag
-        return make_weight, (self.family, self.params, self.domain_cap)
+    def value(self, t):
+        return self._derivative(t, 0)
 
-    def _check_range(self, t: np.ndarray) -> None:
+    def slope(self, t):
+        return self._derivative(t, 1)
+
+    def convexity(self, t):
+        return self._derivative(t, 2)
+
+    def _derivative(self, t, order: int):
+        """``phi`` (order 0), ``phi'`` (1) or ``phi''`` (2) at ``t``."""
+        t = np.asarray(t, dtype=float)
         lo = float(np.min(t))
         hi = float(np.max(t))
         if lo < -_EVAL_SLACK or hi > self.domain_cap * (1.0 + 1e-12) + _EVAL_SLACK:
@@ -53,21 +65,30 @@ class WeightFunction:
                 f"weight evaluated at t in [{lo:.6g}, {hi:.6g}] outside "
                 f"[0, {self.domain_cap:.6g}]; enlarge domain_cap"
             )
-
-    def value(self, t):
-        arr = np.asarray(t, dtype=float)
-        self._check_range(arr)
-        return self._value(arr)
-
-    def slope(self, t):
-        arr = np.asarray(t, dtype=float)
-        self._check_range(arr)
-        return self._slope(arr)
-
-    def convexity(self, t):
-        arr = np.asarray(t, dtype=float)
-        self._check_range(arr)
-        return self._convexity(arr)
+        if self.family == "tabulated-spline":
+            knots_t, a, b, c, e = self.spline
+            i = np.searchsorted(knots_t[1:-1], t, side="right")
+            x = t - knots_t[i]
+            if order == 0:
+                return a[i] + x * (b[i] + x * (c[i] + x * e[i]))
+            if order == 1:
+                return b[i] + x * (2.0 * c[i] + x * 3.0 * e[i])
+            return 2.0 * c[i] + x * 6.0 * e[i]
+        c = self.params[0]
+        if self.family == "exponential-decay":
+            b, lam = self.params[1:]
+            decay = np.exp(-lam * t)
+            if order == 0:
+                return c + b * decay
+            if order == 1:
+                return (-b * lam) * decay
+            return (b * lam * lam) * decay
+        if self.family == "linear-decreasing":
+            a = self.params[1]
+            if order == 0:
+                return c - a * t
+            return np.full_like(t, -a) if order == 1 else np.zeros_like(t)
+        return np.full_like(t, c) if order == 0 else np.zeros_like(t)
 
     def breaks(self, lo: float, hi: float) -> list[float]:
         """``[lo, ..., hi]`` cut where ``phi`` stops being smooth: at the knots of
@@ -78,7 +99,8 @@ class WeightFunction:
         return [lo, *(k for k in knots if lo + margin < k < hi - margin), hi]
 
     def describe(self) -> dict:
-        """Report-friendly summary; values are offset-normalized for readability."""
+        """Report-friendly summary: the family, parameters and cap, and
+        ``phi(0)`` as the parameters give it."""
         phi0 = float(self.value(0.0))
         return {
             "family": self.family,
@@ -88,69 +110,11 @@ class WeightFunction:
         }
 
 
-def _constant(params: tuple[float, ...]):
-    (c,) = params
-
-    def val(t):
-        return np.full_like(t, c, dtype=float)
-
-    def zero(t):
-        return np.zeros_like(t, dtype=float)
-
-    return val, zero, zero
-
-
-def _linear_decreasing(params: tuple[float, ...]):
-    c, a = params
-    if a < 0:
-        raise ValueError("linear-decreasing requires params [c, a] with a >= 0")
-
-    def val(t):
-        return c - a * t
-
-    def slope(t):
-        return np.full_like(t, -a, dtype=float)
-
-    def zero(t):
-        return np.zeros_like(t, dtype=float)
-
-    return val, slope, zero
-
-
-def _exponential_decay(params: tuple[float, ...]):
-    c, b, lam = params
-    if b < 0 or lam <= 0:
-        raise ValueError(
-            "exponential-decay requires params [c, b, lam] with b >= 0 and lam > 0"
-        )
-
-    def val(t):
-        return c + b * np.exp(-lam * t)
-
-    def slope(t):
-        return -b * lam * np.exp(-lam * t)
-
-    def convexity(t):
-        return b * lam * lam * np.exp(-lam * t)
-
-    return val, slope, convexity
-
-
-def _tabulated_spline(params: tuple[float, ...], domain_cap: float):
-    if len(params) < 8 or len(params) % 2 != 0:
-        raise ValueError(
-            "tabulated-spline requires an interleaved knot list "
-            "[t0, phi0, t1, phi1, ...] with at least 4 knots"
-        )
-    knots_t = np.asarray(params[0::2], dtype=float)
-    knots_phi = np.asarray(params[1::2], dtype=float)
-    if np.any(np.diff(knots_t) <= 0):
-        raise ValueError("tabulated-spline knot abscissae must be strictly increasing")
-    if knots_t[0] > 0.0 or knots_t[-1] < domain_cap:
-        raise ValueError(
-            f"tabulated-spline knots must cover [0, {domain_cap:.6g}]; "
-            f"got [{knots_t[0]:.6g}, {knots_t[-1]:.6g}]"
-        )
+def _spline_table(knots_t: np.ndarray, knots_phi: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Natural cubic spline through ``(knots_t, knots_phi)``: ``(knots_t, a, b,
+    c, e)``, piece ``i`` being ``a + b x + c x^2 + e x^3`` in ``x = t - t_i``
+    (value, slope, half curvature and jerk / 6 at ``t_i``).  The end pieces
+    extend past the end knots."""
     # second derivatives at the knots, zero at both ends (natural spline):
     # h_{i-1} m_{i-1} + 2 (h_{i-1} + h_i) m_i + h_i m_{i+1} = 6 (d_i - d_{i-1}),
     # diagonally dominant, so eliminated without pivoting, in the operation
@@ -165,28 +129,8 @@ def _tabulated_spline(params: tuple[float, ...], domain_cap: float):
     m = np.zeros(len(knots_t))  # m[-1] = 0 closes the back substitution
     for i in range(len(diag) - 1, -1, -1):
         m[i + 1] = (rhs[i] - h[i + 1] * m[i + 2]) / diag[i]
-    # piece i in powers of (t - t_i): value, slope, half curvature, jerk / 6;
-    # the end pieces extend past the end knots
-    a, b = knots_phi[:-1], d - h * (2.0 * m[:-1] + m[1:]) / 6.0
-    c, e = 0.5 * m[:-1], np.diff(m) / (6.0 * h)
-
-    def piece(t):
-        i = np.searchsorted(knots_t[1:-1], t, side="right")
-        return i, t - knots_t[i]
-
-    def val(t):
-        i, x = piece(t)
-        return a[i] + x * (b[i] + x * (c[i] + x * e[i]))
-
-    def slope(t):
-        i, x = piece(t)
-        return b[i] + x * (2.0 * c[i] + x * 3.0 * e[i])
-
-    def convexity(t):
-        i, x = piece(t)
-        return 2.0 * c[i] + x * 6.0 * e[i]
-
-    return val, slope, convexity
+    b = d - h * (2.0 * m[:-1] + m[1:]) / 6.0
+    return knots_t, knots_phi[:-1], b, 0.5 * m[:-1], np.diff(m) / (6.0 * h)
 
 
 def make_weight(family: str, params, domain_cap: float) -> WeightFunction:
@@ -203,28 +147,38 @@ def make_weight(family: str, params, domain_cap: float) -> WeightFunction:
         raise ValueError(f"unknown weight family {family!r}; expected one of {FAMILIES}")
     if not np.isfinite(domain_cap) or domain_cap <= 0:
         raise ValueError("domain_cap must be a positive finite number")
+    domain_cap = float(domain_cap)
     params = tuple(float(p) for p in params)
     if any(not np.isfinite(p) for p in params):
         raise ValueError("weight params must be finite numbers")
 
-    if family == "constant":
-        if len(params) != 1:
-            raise ValueError("constant requires params [c]")
-        fns = _constant(params)
-    elif family == "linear-decreasing":
-        if len(params) != 2:
-            raise ValueError("linear-decreasing requires params [c, a]")
-        fns = _linear_decreasing(params)
-    elif family == "exponential-decay":
-        if len(params) != 3:
-            raise ValueError("exponential-decay requires params [c, b, lam]")
-        fns = _exponential_decay(params)
-    else:
-        fns = _tabulated_spline(params, domain_cap)
+    if family == "constant" and len(params) != 1:
+        raise ValueError("constant requires params [c]")
+    if family == "linear-decreasing" and (len(params) != 2 or params[1] < 0):
+        raise ValueError("linear-decreasing requires params [c, a] with a >= 0")
+    if family == "exponential-decay" and (len(params) != 3 or params[1] < 0 or params[2] <= 0):
+        raise ValueError(
+            "exponential-decay requires params [c, b, lam] with b >= 0 and lam > 0"
+        )
+    if family != "tabulated-spline":
+        return WeightFunction(family, params, domain_cap)
 
-    phi = WeightFunction(family, params, float(domain_cap), *fns)
-    if family == "tabulated-spline":
-        _require_admissible(phi)
+    if len(params) < 8 or len(params) % 2 != 0:
+        raise ValueError(
+            "tabulated-spline requires an interleaved knot list "
+            "[t0, phi0, t1, phi1, ...] with at least 4 knots"
+        )
+    knots_t = np.asarray(params[0::2], dtype=float)
+    if np.any(np.diff(knots_t) <= 0):
+        raise ValueError("tabulated-spline knot abscissae must be strictly increasing")
+    if knots_t[0] > 0.0 or knots_t[-1] < domain_cap:
+        raise ValueError(
+            f"tabulated-spline knots must cover [0, {domain_cap:.6g}]; "
+            f"got [{knots_t[0]:.6g}, {knots_t[-1]:.6g}]"
+        )
+    spline = _spline_table(knots_t, np.asarray(params[1::2], dtype=float))
+    phi = WeightFunction(family, params, domain_cap, spline)
+    _require_admissible(phi)
     return phi
 
 

@@ -147,6 +147,35 @@ class TestValidation:
         assert code == 1
         assert "duplicate id" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "cid", ["sub/dir,x", "a\\b", "a,b", 'a"b', "a\nb", "a\x7fb"],
+        ids=["slash-comma", "backslash", "comma", "quote", "newline", "delete"],
+    )
+    def test_id_that_breaks_output_files_refused(self, tmp_path, capsys, cid):
+        # the id names plots/<id>_profile.csv and starts a summary.csv row
+        out = tmp_path / "o"
+        cfg = {"schema": 1, "cases": [disk_case(), shell_case(id=cid)]}
+        assert cli.main(["run", write_config(tmp_path, cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"config error: cases[1].id: {cid!r} holds")
+        assert not out.exists()
+
+    def test_non_finite_mesh_file_refused_at_validation(self, tmp_path, capsys):
+        # a NaN node gives a NaN area, which no area bound refuses
+        mesh_path = tmp_path / "nan.mesh"
+        save(generate(DomainSpec(shape="disk", radius=1.0, target_edge_length=0.3)),
+             str(mesh_path))
+        lines = mesh_path.read_text().splitlines()
+        lines[2] = "nan 0.0"
+        mesh_path.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "o"
+        case = disk_case(domain={"shape": "mesh-file", "path": str(mesh_path)})
+        cfg = {"schema": 1, "cases": [case]}
+        assert cli.main(["run", write_config(tmp_path, cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(
+            "config error: cases[0].domain.path: node with a non-finite coordinate"
+        )
+        assert not out.exists()
+
     def test_uncertifiable_weight_names_grid_point(self, tmp_path, capsys):
         case = disk_case()
         case["weight"] = {
@@ -923,6 +952,14 @@ class TestSweep:
         )
         assert code == 1
         assert "values" in capsys.readouterr().err
+
+    def test_base_case_id_that_breaks_output_files_refused(self, tmp_path, capsys):
+        cfg = self.sweep_config()
+        cfg["base_case"]["id"] = "sub/dir,x"
+        out = tmp_path / "o"
+        assert cli.main(["sweep", write_config(tmp_path, cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("config error: base_case.id: 'sub/dir,x")
+        assert not out.exists()
 
     def test_dangling_path_rejected(self, tmp_path, capsys):
         cfg = self.sweep_config()

@@ -525,6 +525,13 @@ class TestValidate:
         with pytest.raises(MeshInvariantError, match="area"):
             validate(m)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_node(self, bad):
+        m = self.unit_triangle()
+        m.nodes[2, 0] = bad
+        with pytest.raises(MeshInvariantError, match="non-finite coordinate"):
+            validate(m)
+
     def test_rejects_wrong_boundary_list(self):
         m = self.unit_triangle()
         m.boundary_nodes = np.array([0, 1])

@@ -10,11 +10,17 @@ from hypothesis import strategies as st
 from scipy.interpolate import CubicSpline
 
 from wittenlab import make_weight
-from wittenlab.weights import CERTIFY_TOL, _require_admissible, _tabulated_spline
+from wittenlab.weights import CERTIFY_TOL, WeightFunction, _require_admissible, _spline_table
 
 
 def spline_params(knots_t, knots_phi):
     return np.column_stack([knots_t, knots_phi]).ravel().tolist()
+
+
+def unchecked_spline(knots_t, knots_phi, cap):
+    # the interpolant as make_weight builds it, without the admissibility check
+    params = tuple(spline_params(knots_t, knots_phi))
+    return WeightFunction("tabulated-spline", params, cap, _spline_table(knots_t, knots_phi))
 
 
 def test_constant_family():
@@ -28,6 +34,26 @@ def test_linear_family_example():
     phi = make_weight("linear-decreasing", [1.0, 0.5], 10.0)
     assert phi.value(2.0) == pytest.approx(0.0, abs=1e-15)
     assert phi.slope(2.0) == -0.5
+
+
+@pytest.mark.parametrize("family", ["constant", "linear-decreasing", "exponential-decay"])
+def test_closed_forms_match_written_out_formulas(family):
+    # phi, phi' and phi'' against the formulas written out, bit for bit
+    c, a, b, lam = 0.3, 0.4, 1.2, 0.7
+    t = np.linspace(0.0, 4.0, 1001)
+    zero = np.zeros_like(t)
+    params, expected = {
+        "constant": ([c], [np.full_like(t, c), zero, zero]),
+        "linear-decreasing": ([c, a], [c - a * t, np.full_like(t, -a), zero]),
+        "exponential-decay": (
+            [c, b, lam],
+            [c + b * np.exp(-lam * t), -b * lam * np.exp(-lam * t),
+             b * lam * lam * np.exp(-lam * t)],
+        ),
+    }[family]
+    phi = make_weight(family, params, 4.0)
+    for fn, exact in zip((phi.value, phi.slope, phi.convexity), expected):
+        assert fn(t).tobytes() == exact.tobytes(), fn.__name__
 
 
 def test_exponential_family_example():
@@ -74,13 +100,12 @@ def test_adversarial_spline_between_grid_points_refused():
     knots_t = np.array([0.0, 0.25, 0.5, *(0.5 + 1e-5 * np.arange(1, 8)), 0.75, 1.0])
     knots_phi = (1.0 - knots_t) ** 2
     knots_phi[6] += 1e-9
-    params = spline_params(knots_t, knots_phi)
-    _, slope, convexity = _tabulated_spline(tuple(params), 1.0)
+    phi = unchecked_spline(knots_t, knots_phi, 1.0)
     grid = np.linspace(0.0, 1.0, 10_000)
-    assert np.all(convexity(grid) >= 0.0) and np.all(slope(grid) <= 0.0)
-    assert convexity(0.50004) == pytest.approx(-41.9, abs=0.05)
+    assert np.all(phi.convexity(grid) >= 0.0) and np.all(phi.slope(grid) <= 0.0)
+    assert phi.convexity(0.50004) == pytest.approx(-41.9, abs=0.05)
     with pytest.raises(ValueError, match="admissibility .*: convexity at t = 0.50002"):
-        make_weight("tabulated-spline", params, 1.0)
+        make_weight("tabulated-spline", phi.params, 1.0)
 
 
 def test_slope_peak_inside_a_piece_refused():
@@ -217,30 +242,30 @@ def test_spline_matches_scipy_natural_cubic_spline():
         knots_t[-1] = cap
         knots_phi = rng.standard_normal(k) * rng.uniform(0.1, 10.0)
         # mostly not admissible, so built through the interpolant itself
-        fns = _tabulated_spline(tuple(spline_params(knots_t, knots_phi)), cap)
+        phi = unchecked_spline(knots_t, knots_phi, cap)
         ref = CubicSpline(knots_t, knots_phi, bc_type="natural")
         t = np.concatenate([rng.uniform(0.0, cap, 400), knots_t, [-1e-10, cap + 1e-10]])
-        for nu, fn in enumerate(fns):
+        for nu, fn in enumerate((phi.value, phi.slope, phi.convexity)):
             ours, exact = fn(t), ref(t, nu)
             worst[nu] = max(worst[nu], np.max(np.abs(ours - exact)) / np.max(np.abs(exact)))
     assert np.all(worst <= 1e-12), worst
 
 
 def test_spline_curvatures_match_scipy_solve_banded():
-    # the knots' second derivatives, read back as the convexity at each
-    # interior knot, against LAPACK's tridiagonal solve, bit for bit
+    # the knots' second derivatives, twice the table's half curvature at
+    # each interior knot, against LAPACK's tridiagonal solve, bit for bit
     scipy_linalg = pytest.importorskip("scipy.linalg")
     rng = np.random.default_rng(11)
     for _ in range(200):
         k = int(rng.integers(4, 30))
         knots_t = np.concatenate([[0.0], np.cumsum(rng.uniform(0.05, 1.0, k - 1))])
         knots_phi = rng.standard_normal(k) * rng.uniform(0.1, 10.0)
-        convexity = _tabulated_spline(tuple(spline_params(knots_t, knots_phi)), knots_t[-1])[2]
+        half_curvature = _spline_table(knots_t, knots_phi)[3]
         h = np.diff(knots_t)
         bands = np.zeros((3, k - 2))
         bands[0, 1:], bands[1], bands[2, :-1] = h[1:-1], 2.0 * (h[:-1] + h[1:]), h[1:-1]
         ref = scipy_linalg.solve_banded((1, 1), bands, 6.0 * np.diff(np.diff(knots_phi) / h))
-        assert np.array_equal(convexity(knots_t[1:-1]), ref)
+        assert np.array_equal(2.0 * half_curvature[1:], ref)
 
 
 @pytest.mark.parametrize(
@@ -253,10 +278,14 @@ def test_spline_curvatures_match_scipy_solve_banded():
     ],
 )
 def test_pickle_round_trip(family, params):
-    # the evaluators are closures; a pool worker gets the weight rebuilt
+    # a weight is its family, parameters and cap: a pool worker receives it
+    # by value, and equal arguments make equal weights
     phi = make_weight(family, params, 4.0)
     copy = pickle.loads(pickle.dumps(phi))
-    assert copy.describe() == phi.describe()
+    assert copy == phi and hash(copy) == hash(phi)
+    again = make_weight(family, params, 4.0)
+    assert again == phi and hash(again) == hash(phi)
+    assert make_weight(family, params, 3.0) != phi
     t = np.linspace(0.0, 4.0, 1001)
     for name in ("value", "slope", "convexity"):
         assert getattr(copy, name)(t).tobytes() == getattr(phi, name)(t).tobytes(), name
