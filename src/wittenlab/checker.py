@@ -14,9 +14,9 @@ plane domains go through the mesh/FEM pipeline (either curvature), and
 radially symmetric domains in any dimension go through the Chebyshev
 collocation solver with the mode-degree decomposition, which also solves
 every matched ball.  On the FEM path the triangulated polygon is taken to
-*be* the domain, so its weighted volume is the exact mass-matrix total and
-the only error source is the eigenvalue itself, estimated by two-level
-Richardson comparison.
+*be* the domain, whose weighted volume is an exact boundary integral
+(:func:`weighted_disk_intersection`), so the only error source is the
+eigenvalue itself, estimated by two-level Richardson comparison.
 
 Numerical pass/fail needs a convention.  Ours (``PASS_FACTOR = 3``), formed
 once in :func:`_comparison` for the ``n - 1``-term theorem and the ``n``-term
@@ -46,6 +46,7 @@ from .radial import (
     symmetric_spectrum,
 )
 from .spaceform import BallSpec, SpaceForm, s_kappa, unit_sphere_area, weighted_annulus_volume
+from .spaceform import _chebyshev_integrals
 from .weights import WeightFunction
 
 # Budget of radial eigenvalues.  The collocation solver resolves them to
@@ -58,6 +59,7 @@ RADIUS_MAX_STEPS = 100
 CENTER_RESIDUAL_TOL = 1e-8
 PASS_FACTOR = 3.0  # the pass rule's budget, in estimated relative errors
 HULL_SLACK = 1e-10  # a trial centre may lie this far outside a hull row
+GAUSS_POINTS = 8  # Gauss-Legendre nodes per piece of a boundary side
 
 
 class CheckerError(RuntimeError):
@@ -185,7 +187,6 @@ class CaseSolution:
     space: SpaceForm
     phi: WeightFunction
     dimension: int
-    refinements: int
     options: ShootingOptions
     method: str  # "fem" or "radial"
     describe: str
@@ -252,10 +253,9 @@ def solve_case(
             mesh = refine(mesh)
         coarse = fem.solve_lowest(fem.assemble(mesh, space, phi), count=count)
         mesh = refine(mesh)
-        forms = fem.assemble(mesh, space, phi)
-        eigs = fem.solve_lowest(forms, count, coarse).eigenvalues
+        eigs = fem.solve_lowest(fem.assemble(mesh, space, phi), count, coarse).eigenvalues
         est = float(np.max(np.abs(coarse.eigenvalues - eigs) / (3.0 * eigs)))
-        volume = forms.weighted_volume()
+        volume = weighted_disk_intersection(mesh, space, phi, math.inf)
         method = "fem"
         describe = mesh.domain_tag
 
@@ -264,7 +264,6 @@ def solve_case(
         space=space,
         phi=phi,
         dimension=n,
-        refinements=refinements,
         options=options,
         method=method,
         describe=describe,
@@ -340,77 +339,89 @@ def build_report(sol: CaseSolution, *, sharper: bool = False) -> InequalityRepor
 
 
 # ---------------------------------------------------------------------------
-# sharper bound (flat space only)
+# weighted areas of meshed domains, and the sharper bound (flat space only)
 
 
-def _rule_integrals(corners: np.ndarray, phi: WeightFunction) -> np.ndarray:
-    """Integral of exp(-phi(|x|)) over each triangle ``corners[..., 3, 2]``
-    by the six-point assembly rule, signed by orientation."""
-    xq = _rule_points(corners)
-    vals = np.exp(-phi.value(np.hypot(xq[..., 0], xq[..., 1])))  # (6, ...)
-    # contiguous: over a strided axis the product sums in another order
-    vals = np.ascontiguousarray(np.moveaxis(vals, 0, -1))
-    return _signed_areas(corners) * (vals @ QUAD_WEIGHTS)
+def _area_ratio(space: SpaceForm, phi: WeightFunction, rho: np.ndarray) -> np.ndarray:
+    """``G(rho) / rho^2`` at each ``rho > 0``, ``2 pi G(r)`` the weighted area of
+    the disk ``|x| <= r``: ``G(rho) = int S(t) exp(-phi(t)) dt`` up to the
+    geodesic radius of ``rho``, one :func:`~wittenlab.spaceform._chebyshev_integrals`
+    row per distinct ``rho`` and piece between the weight's knots, scaled by
+    ``1 / rho^2`` to stay regular at the origin."""
+    m, inverse = np.unique(rho, return_inverse=True)
+    t_m = (2.0 * np.arctanh(m) if space.is_hyperbolic else m)[:, None]
+    knots = np.array(phi.breaks(0.0, float(t_m[-1, 0])))
+    lo, hi = np.minimum(knots[:-1], t_m), np.minimum(knots[1:], t_m)
+    scale = (hi - lo) / (m * m)[:, None]
+
+    def integrand(s: np.ndarray) -> np.ndarray:
+        t = lo[..., None] + (hi - lo)[..., None] * s
+        return scale[..., None] * s_kappa(t, space) * np.exp(-phi.value(t))
+
+    ratio = np.sum(_chebyshev_integrals(integrand, [0.0, 1.0]), axis=1)
+    return ratio[inverse].reshape(rho.shape)
 
 
-def weighted_disk_intersection(mesh: Mesh, phi: WeightFunction, radius: float):
-    """Weighted areas of ``mesh ∩ B_radius`` and of the whole mesh (flat 2D).
+def weighted_disk_intersection(
+    mesh: Mesh, space: SpaceForm, phi: WeightFunction, radius: float
+) -> float:
+    """Weighted area of the mesh inside the disk ``B_radius``, ``|x| <= radius``
+    in the mesh's coordinates; ``radius = math.inf`` gives the whole mesh.
 
-    One vectorised pass over the mesh.  Every triangle is integrated by the
-    six-point assembly rule, and the sum is the whole-mesh total.  A triangle
-    with all three vertices in the closed disk adds its integral whole.  A
-    triangle with an edge crossing the circle is cut: its clipped polygon is
-    laid out in 9 slots, per edge the start vertex if inside and then the
-    edge's crossings in order along it, the vertex order of clipping one
-    triangle at a time.  The used slots are moved to the front and the rest
-    repeat slot 0, so fanning all 9 from slot 0 through the same rule adds
-    only triangles of exactly zero area for the padding.  Arcs are replaced
-    with chords, an O(h^3) error per cut element.  Triangles must be small
-    against the disk, which every generated mesh satisfies by construction.
+    With ``2 pi G(r)`` the weighted area of ``B_r`` (see :func:`_area_ratio`),
+    ``F(x) = x G(min(|x|, radius)) / |x|^2`` is continuous and its divergence
+    is the weighted density inside ``B_radius`` and zero outside, since ``x /
+    |x|^2`` is divergence-free in the plane.  So the area is the flux of ``F``
+    out through the boundary, exact for the meshed polygon.  The boundary
+    sides are the triangle sides between boundary nodes whose reverse is not
+    a side; a side on a line through the origin carries no flux.  Each side
+    is cut at ``|x| = radius`` and at the circles through the weight's knots
+    (a circle it misses cuts it at its point nearest the origin).  Along a
+    piece ``p + s d`` inside the disk the flux is ``cross(p, d) int G(rho) /
+    rho^2 ds``, ``rho = |p + s d|``, by the ``GAUSS_POINTS``-point
+    Gauss-Legendre rule; outside it, ``G(radius)`` times the angle the piece
+    subtends at the origin, the flux of ``x / |x|^2``.
     """
-    if np.max(mesh.edge_lengths()) >= 2.0 * radius:
-        raise CheckerError(
-            "triangle edges comparable to the matching radius; the chord "
-            "clipping assumes a fine mesh"
-        )
-    p = mesh.nodes[mesh.triangles]  # (T, 3, 2); edge i runs p_i -> p_{i+1}
-    whole = _rule_integrals(p, phi)
-    d = np.roll(p, -1, axis=1) - p
-    a = np.einsum("tid,tid->ti", d, d)
-    b = 2.0 * np.einsum("tid,tid->ti", p, d)
-    c = np.einsum("tid,tid->ti", p, p) - radius * radius
-    inside = c <= 0.0
-    full = inside.all(axis=1)
+    tri, nxt = mesh.triangles, mesh.triangles[:, [1, 2, 0]]
+    on = np.zeros(len(mesh.nodes), dtype=bool)
+    on[mesh.boundary_nodes] = True
+    both = on[tri] & on[nxt]
+    start, end = tri[both], nxt[both]
+    n = len(mesh.nodes)
+    side = ~np.isin(start * n + end, end * n + start)
+    p = mesh.nodes[start[side]]
+    d = mesh.nodes[end[side]] - p
+    cross = p[:, 0] * d[:, 1] - p[:, 1] * d[:, 0]
+    p, d, cross = p[cross != 0.0], d[cross != 0.0], cross[cross != 0.0]
 
-    # Roots s1 <= s2 of |p + s d|^2 = radius^2.  An edge that enters or
-    # leaves the disk crosses once, at s1 or s2 (clamped to the edge, so a
-    # vertex within round-off of the circle still gets its crossing); an edge
-    # with both ends outside crosses at every root strictly inside it.
-    disc = b * b - 4.0 * a * c
-    root = np.sqrt(np.maximum(disc, 0.0))
-    s = np.stack([(-b - root) / (2 * a), (-b + root) / (2 * a)], axis=-1)
-    out_p, out_q = ~inside, ~np.roll(inside, -1, axis=1)
-    crosses = np.where(
-        (out_p & out_q)[..., None],
-        (disc > 0.0)[..., None] & (s > 0.0) & (s < 1.0),
-        np.stack([out_p & ~out_q, ~out_p & out_q], axis=-1),
-    )  # (T, 3, 2)
+    knots = np.array(phi.breaks(0.0, phi.domain_cap)[1:-1])
+    circles = np.tanh(0.5 * knots) if space.is_hyperbolic else knots
+    circles = circles[circles < min(radius, np.max(np.hypot(p[:, 0], p[:, 1])))]
+    if math.isfinite(radius):
+        circles = np.append(circles, radius)
+    # roots of |p + s d|^2 = c^2, clipped to the side
+    a = np.sum(d * d, axis=1)[:, None]
+    b = np.sum(p * d, axis=1)[:, None]
+    c = np.sum(p * p, axis=1)[:, None] - circles**2
+    root = np.sqrt(np.maximum(b * b - a * c, 0.0))
+    cuts = np.clip(np.concatenate([(-b - root) / a, (-b + root) / a], axis=1), 0.0, 1.0)
+    cuts = np.sort(np.pad(cuts, ((0, 0), (1, 1)), constant_values=(0.0, 1.0)), axis=1)
 
-    cut = ~full & crosses.any(axis=(1, 2))
-    p, d, s = p[cut, :, None], d[cut, :, None], np.clip(s[cut], 0.0, 1.0)[..., None]
-    slots = np.concatenate([p, p + s * d], axis=2).reshape(-1, 9, 2)
-    used = np.concatenate([inside[cut][..., None], crosses[cut]], axis=2).reshape(-1, 9)
-    front = np.argsort(~used, axis=1, kind="stable")
-    poly = np.take_along_axis(slots, front[..., None], axis=1)
-    padding = np.arange(9) >= used.sum(axis=1, keepdims=True)
-    poly = np.where(padding[..., None], poly[:, :1], poly)
-    apex = np.broadcast_to(poly[:, :1], poly[:, 1:-1].shape)
-    fan = np.stack([apex, poly[:, 1:-1], poly[:, 2:]], axis=2)  # (C, 7, 3, 2)
-
-    inter = float(np.sum(whole[full]))
-    if len(fan):
-        inter += float(np.sum(_rule_integrals(fan, phi)))
-    return inter, float(np.sum(whole))
+    ends = p[:, None] + cuts[..., None] * d[:, None]
+    u, v = ends[:, :-1], ends[:, 1:]
+    nodes, weights = np.polynomial.legendre.leggauss(GAUSS_POINTS)
+    x = u[:, :, None] + (v - u)[:, :, None] * (0.5 * (1.0 + nodes))[:, None]
+    rho = np.minimum(np.hypot(x[..., 0], x[..., 1]), radius)
+    ratio = _area_ratio(space, phi, rho)
+    length = np.diff(cuts, axis=1)
+    angle = np.arctan2(u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0], np.sum(u * v, axis=2))
+    # on a piece outside the disk every node has rho = radius, and G = ratio rho^2
+    flux = np.where(
+        rho[..., 0] < radius,
+        cross[:, None] * length * (ratio @ (0.5 * weights)),
+        ratio[..., 0] * rho[..., 0] ** 2 * angle,
+    )
+    return float(np.sum(flux))
 
 
 def _sharper_block(sol: CaseSolution, report: InequalityReport) -> dict:
@@ -436,14 +447,9 @@ def _sharper_block(sol: CaseSolution, report: InequalityReport) -> dict:
         # sits entirely inside the cavity
         a, b = sol.shell.inner_radius, sol.shell.outer_radius
         inner_vol = weighted_annulus_volume(space, n, phi, a, min(max(radius, a), b))
-        outer_vol = sol.volume - inner_vol
     else:
-        inner_vol, total = weighted_disk_intersection(sol.mesh, phi, radius)
-        outer_vol = total - inner_vol
-        if abs(total - sol.volume) > 1e-6 * sol.volume:
-            raise CheckerError(
-                "clip quadrature disagrees with the mass-matrix volume"
-            )
+        inner_vol = weighted_disk_intersection(sol.mesh, space, phi, radius)
+    outer_vol = sol.volume - inner_vol
 
     r1 = match_ball_radius(space, n, phi, inner_vol)[0] if inner_vol > 0 else 0.0
     r2 = match_ball_radius(space, n, phi, outer_vol, radius)[0] if outer_vol > 0 else radius
@@ -491,15 +497,12 @@ def _conjecture_block(sol: CaseSolution) -> dict:
     escalated = not block["passed"]
     if escalated:
         if sol.shell is not None:
-            domain, refs, opts = sol.shell, sol.refinements, sol.options.tightened(10.0)
+            finer = {"domain": sol.shell, "options": sol.options.tightened(10.0)}
         else:
             # levels r + 1 and r + 2 from the finest mesh, whose parents
             # take the V-cycle on down to the generated mesh
-            domain, refs, opts = sol.mesh, 2, sol.options
-        sol = solve_case(
-            domain, sol.space, sol.phi, n,
-            conjecture=True, refinements=refs, options=opts,
-        )
+            finer = {"domain": sol.mesh, "refinements": 2, "options": sol.options}
+        sol = solve_case(space=sol.space, phi=sol.phi, dimension=n, conjecture=True, **finer)
         block = _comparison(sol, n)
     return {
         "eigenvalues": [float(v) for v in sol.eigenvalues],

@@ -301,6 +301,9 @@ def validate_case(case: dict, where: str, fallback_id: str) -> dict:
     is_shell = isinstance(domain, ShellSpec)
     dimension = case.get("dimension")
     if is_shell:
+        for key in ("mesh_size", "refinement_levels"):
+            if key in case:
+                raise ConfigError(f"{where}.{key}: radially symmetric domains are not meshed")
         if dimension is None:
             raise ConfigError(
                 f"{where}.dimension: required for radially symmetric domains"

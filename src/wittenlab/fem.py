@@ -7,7 +7,9 @@ dimensions, so the stiffness integrand carries only the radial weight factor
 ``exp(-phi(t))`` with ``t`` the geodesic distance of the quadrature point
 from the model origin.  The mass integrand additionally picks up the squared
 conformal factor ``(2 / (1 - |x|^2))^2``.  In the flat case both reduce to
-the familiar weighted forms with ``t = |x|``.
+the familiar weighted forms with ``t = |x|``.  The total mass is only the
+six-point rule's estimate of the mesh's weighted area; a verdict reads the
+exact one from :func:`wittenlab.checker.weighted_disk_intersection`.
 
 No boundary terms appear anywhere: leaving the boundary alone *is* the
 natural condition for these forms, and the kernel of the stiffness matrix is
@@ -67,15 +69,6 @@ class AssembledForms:
     @property
     def dimension(self) -> int:
         return self.stiffness.shape[0]
-
-    def weighted_volume(self) -> float:
-        """Weighted volume of the meshed region: the total mass ``sum(M)``.
-
-        For the discrete problem this is exact, not an approximation: the
-        quadrature integrates the weight over the union of the triangles, and
-        that union is the domain the discrete operator lives on.
-        """
-        return float(self.mass.sum())
 
 
 def _geodesic_radii(space: SpaceForm, points: np.ndarray) -> np.ndarray:

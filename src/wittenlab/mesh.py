@@ -1,5 +1,5 @@
 """Planar triangle meshes: structured generators, uniform refinement, text I/O,
-and the six-point rule behind every integral over a mesh.
+and the six-point rule behind the assembly and the trial-centre field.
 
 Centred round shapes are meshed with concentric rings whose point counts are
 multiples of eight; the band triangulation between consecutive rings merges

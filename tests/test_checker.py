@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.spatial import ConvexHull
 
@@ -42,7 +43,7 @@ from wittenlab.checker import (
 )
 from wittenlab.mesh import QUAD_BARY, QUAD_WEIGHTS, DomainSpec, Mesh, generate, refine
 from wittenlab.radial import ShellSpec, shoot_first_mode
-from wittenlab.spaceform import BallSpec, SpaceForm
+from wittenlab.spaceform import BallSpec, SpaceForm, weighted_annulus_volume
 from wittenlab.weights import make_weight
 
 FLAT = SpaceForm(curvature=0)
@@ -390,6 +391,28 @@ CLIP_MESHES = [
     DomainSpec(shape="ellipse", aspect=1.4, target_edge_length=0.15),
     DomainSpec(shape="annulus", inner_radius=0.4, outer_radius=1.2, target_edge_length=0.15),
 ]
+# polygons around the anchor, not symmetric about it: their sides keep more
+# than 0.68 and 0.38 from the origin, and their corners lie within 1.0 and
+# 0.66 of it, the quadrilateral inside the Poincare disk
+PENTAGON = DomainSpec(
+    shape="polygon",
+    vertices=((0.9, -0.2), (0.6, 0.8), (-0.5, 0.7), (-0.8, -0.3), (0.1, -0.9)),
+    target_edge_length=0.2,
+)
+QUADRILATERAL = DomainSpec(
+    shape="polygon",
+    vertices=((0.55, -0.15), (0.35, 0.55), (-0.5, 0.35), (-0.25, -0.55)),
+    target_edge_length=0.1,
+)
+
+
+@pytest.fixture(scope="module")
+def phi_spline():
+    # knots at t = 0.3, 0.6 and 1, which B_0.65 crosses in flat space and
+    # the first two of which B_0.35 crosses in the Poincare disk
+    return make_weight(
+        "tabulated-spline", (0.0, 2.0, 0.3, 1.5, 0.6, 1.1, 1.0, 0.7, 3.0, 0.0), 3.0
+    )
 
 
 class TestDiskIntersection:
@@ -400,7 +423,8 @@ class TestDiskIntersection:
         )
         mesh = generate(spec)
         mesh = refine(mesh)
-        inter, total = weighted_disk_intersection(mesh, phi_exp, 0.75)
+        inter = weighted_disk_intersection(mesh, FLAT, phi_exp, 0.75)
+        total = weighted_disk_intersection(mesh, FLAT, phi_exp, math.inf)
 
         def inside_both(x, y):
             return ((x - 0.3) ** 2 + y**2 <= 0.64) & (x**2 + y**2 <= 0.5625)
@@ -423,78 +447,199 @@ class TestDiskIntersection:
 
     def test_disk_fully_inside_radius(self, phi_zero):
         mesh = generate(DomainSpec(shape="disk", radius=0.5, target_edge_length=0.1))
-        inter, total = weighted_disk_intersection(mesh, phi_zero, 2.0)
-        assert abs(inter - total) < 1e-14
-        assert abs(total - mesh_area(mesh)) < 1e-12
+        inter = weighted_disk_intersection(mesh, FLAT, phi_zero, 2.0)
+        total = weighted_disk_intersection(mesh, FLAT, phi_zero, math.inf)
+        assert abs(inter - total) <= 1e-15 * total
+        assert abs(total - mesh_area(mesh)) <= 1e-14 * total
 
-    def test_coarse_mesh_rejected(self, phi_zero):
-        mesh = generate(DomainSpec(shape="disk", radius=1.0, target_edge_length=0.3))
-        with pytest.raises(CheckerError, match="chord"):
-            weighted_disk_intersection(mesh, phi_zero, 0.05)
+    @pytest.mark.parametrize("spec", [*CLIP_MESHES, PENTAGON], ids=lambda s: s.describe())
+    def test_constant_weight_total_is_the_area(self, spec, phi_zero):
+        # under a constant weight the flux is half the sum of cross(p, d)
+        # over the boundary, the shoelace formula
+        mesh = refine(generate(spec))
+        total = weighted_disk_intersection(mesh, FLAT, phi_zero, math.inf)
+        assert abs(total - mesh_area(mesh)) <= 1e-14 * total
+
+    @pytest.mark.parametrize(
+        "space, spec, radius",
+        [(FLAT, PENTAGON, 0.85), (HYP, QUADRILATERAL, 0.5)],
+        ids=["flat-pentagon", "poincare-quadrilateral"],
+    )
+    @pytest.mark.parametrize("weight", ["phi_exp", "phi_spline"])
+    def test_polygon_is_level_independent(self, space, spec, radius, weight, request):
+        # refinement does not move a polygon's boundary, so neither its total
+        # nor its part inside a disk that cuts it may move
+        phi = request.getfixturevalue(weight)
+        base = generate(spec)
+        levels = [base, refine(base), refine(refine(base))]
+        for r in (radius, math.inf):
+            values = [weighted_disk_intersection(mesh, space, phi, r) for mesh in levels]
+            assert np.ptp(values) <= 1e-14 * values[0]
+
+    @pytest.mark.parametrize(
+        "space, spec, radius",
+        [(FLAT, PENTAGON, 0.65), (HYP, QUADRILATERAL, 0.35)],
+        ids=["flat-pentagon", "poincare-quadrilateral"],
+    )
+    @pytest.mark.parametrize("weight", ["phi_exp", "phi_lin", "phi_spline"])
+    def test_ball_inside_the_domain(self, space, spec, radius, weight, request):
+        # with B_R inside the domain the flux is the weighted area of B_R on
+        # any mesh; R lies beyond two of the spline's knots
+        phi = request.getfixturevalue(weight)
+        t = 2.0 * math.atanh(radius) if space.is_hyperbolic else radius
+        want = weighted_annulus_volume(space, 2, phi, 0.0, t)
+        got = weighted_disk_intersection(generate(spec), space, phi, radius)
+        assert abs(got - want) <= 1e-13 * want
 
     @staticmethod
     def reference(mesh, phi, radius):
+        """The chord-clipping reference's inner volume; a triangle farther
+        from the origin than ``radius`` plus the longest edge misses the
+        disk and is skipped."""
+        p = mesh.nodes[mesh.triangles]
+        reach = radius + np.max(mesh.edge_lengths())
+        near = np.hypot(p[..., 0], p[..., 1]).min(axis=1) < reach
         return disk_intersection_by_triangle(
-            mesh.nodes, mesh.triangles, lambda t: np.exp(-phi.value(t)), radius,
+            mesh.nodes, mesh.triangles[near], lambda t: np.exp(-phi.value(t)), radius,
             QUAD_BARY, QUAD_WEIGHTS,
-        )
+        )[0]
 
     @pytest.mark.parametrize("spec", CLIP_MESHES, ids=lambda s: s.describe())
     @pytest.mark.parametrize("weight", ["phi_zero", "phi_exp"])
     def test_matches_per_triangle_reference(self, spec, weight, request):
+        # The per-triangle reference replaces arcs with chords, O(h^2) in the
+        # inner volume, so it converges to the flux: its error, summed over
+        # two radii, falls at least threefold per level from L0 to L2.  Neither
+        # radius meets a node, where the reference can drop a whole triangle.
         phi = request.getfixturevalue(weight)
-        mesh = refine(generate(spec))
-        for radius in (0.55, 0.75, 1.1):
-            ours = weighted_disk_intersection(mesh, phi, radius)
-            ref = self.reference(mesh, phi, radius)
-            assert 0.0 < ref[0] < ref[1]
-            for x, y in zip(ours, ref):
-                assert abs(x - y) <= 1e-12 * y
+        base = generate(spec)
+        errors = [
+            sum(
+                abs(self.reference(mesh, phi, r) - weighted_disk_intersection(mesh, FLAT, phi, r))
+                for r in (0.55, 0.75)
+            )
+            for mesh in (base, refine(base), refine(refine(base)))
+        ]
+        assert errors[0] >= 3.0 * errors[1] and errors[1] >= 3.0 * errors[2]
 
     @pytest.mark.parametrize("weight", ["phi_zero", "phi_exp"])
     def test_crossings_only_polygons(self, weight, request):
-        # Triangles with all three vertices outside the disk but an edge
-        # crossing it.  Just inside the annulus ring t = 0.8 each chord of
-        # the ring is crossed twice (a polygon of zero area); the middle
-        # triangles of a refined equilateral triangle centred on the origin
-        # have every edge crossed twice (a hexagon).
+        # The equilateral triangle with circumradius 1 and inradius 1/2 against
+        # R = 0.6: all three vertices lie outside the disk and every side
+        # crosses it twice, and the sides (1.73) are longer than the disk's
+        # diameter.  The oracle is the disk less three circular segments on
+        # every level; at R = 0.47 the disk lies inside and the oracle is the
+        # whole disk.  Both are integrated by scipy's adaptive quadrature.
         phi = request.getfixturevalue(weight)
+
+        def density(r):
+            return r * math.exp(-float(phi.value(r)))
+
+        def disk(radius):
+            return 2.0 * math.pi * quad(density, 0.0, radius, epsabs=0.0, epsrel=1e-13)[0]
+
+        def segment(radius, offset):
+            # the part of B_radius beyond a chord at distance offset, in the
+            # polar angle psi = acos(offset / r), which makes it smooth
+            def ring(psi):
+                r = offset / math.cos(psi)
+                return 2.0 * psi * density(r) * r * math.tan(psi)
+
+            top = math.acos(offset / radius)
+            return quad(ring, 0.0, top, epsabs=0.0, epsrel=1e-13)[0]
+
+        want = {0.6: disk(0.6) - 3.0 * segment(0.6, 0.5), 0.47: disk(0.47)}
         corners = np.array([[1.0, 0.0], [-0.5, 0.75**0.5], [-0.5, -(0.75**0.5)]])
         equilateral = Mesh(nodes=corners, triangles=np.array([[0, 1, 2]]),
                            boundary_nodes=np.arange(3), domain_tag="equilateral")
-        cases = [
-            (generate(CLIP_MESHES[3]), 0.7995),
-            (refine(equilateral), 0.47),
-            (refine(refine(equilateral)), 0.24),
-        ]
-        for mesh, radius in cases:
-            p = mesh.nodes[mesh.triangles]
-            d = np.roll(p, -1, axis=1) - p
-            s = np.clip(-np.sum(p * d, axis=-1) / np.sum(d * d, axis=-1), 0.0, 1.0)
-            closest = np.linalg.norm(p + s[..., None] * d, axis=-1)
-            outside = np.all(np.linalg.norm(p, axis=-1) > radius, axis=1)
-            assert np.any(outside & np.any(closest < radius, axis=1))
-            ours = weighted_disk_intersection(mesh, phi, radius)
-            ref = self.reference(mesh, phi, radius)
-            assert ref[0] > 0.0
-            for x, y in zip(ours, ref):
-                assert abs(x - y) <= 1e-12 * y
+        # on the single triangle the chords inside the disk are 0.66 long at
+        # 0.5 from the origin, where the 8-point rule is good to ~1e-11 under
+        # a weight with phi'(0) != 0; refinement halves them
+        levels = [(equilateral, 1e-11), (refine(equilateral), 1e-14),
+                  (refine(refine(equilateral)), 1e-14)]
+        for mesh, tol in levels:
+            for radius, value in want.items():
+                got = weighted_disk_intersection(mesh, FLAT, phi, radius)
+                assert abs(got - value) <= tol * value
 
     @pytest.mark.parametrize("spec", CLIP_MESHES, ids=lambda s: s.describe())
     def test_radius_through_a_node(self, spec, phi_exp):
-        # With a node on the circle the per-triangle reference can drop a whole
-        # triangle (its crossings round to the ends of the edges), so the clip
-        # is held between the reference just inside and just outside.
+        # The flux is continuous in the radius: with the circle through a
+        # boundary node it lies between its values just inside and just
+        # outside, which differ by no more than the disk grows.
         mesh = refine(generate(spec))
-        radii = np.hypot(mesh.nodes[:, 0], mesh.nodes[:, 1])
-        candidates = np.flatnonzero((radii > 0.3) & (radii < 1.1))
-        for node in candidates[:: len(candidates) // 6]:
-            radius = float(radii[node])
-            inter, total = weighted_disk_intersection(mesh, phi_exp, radius)
-            lo = self.reference(mesh, phi_exp, radius * (1.0 - 1e-12))
-            hi = self.reference(mesh, phi_exp, radius * (1.0 + 1e-12))
-            assert lo[0] * (1.0 - 1e-12) <= inter <= hi[0] * (1.0 + 1e-12)
-            assert abs(total - lo[1]) <= 1e-12 * lo[1]
+        radii = np.hypot(*mesh.nodes[mesh.boundary_nodes].T)
+        candidates = radii[(radii > 0.3) & (radii < 1.1)]
+        for radius in candidates[:: max(1, len(candidates) // 6)]:
+            lo, at, hi = (
+                weighted_disk_intersection(mesh, FLAT, phi_exp, radius * f)
+                for f in (1.0 - 1e-12, 1.0, 1.0 + 1e-12)
+            )
+            assert lo <= at <= hi
+            assert hi - lo <= 1e-10 * radius**2  # B_R grows by ~4 pi R^2 1e-12
+
+
+def _moved(mesh: Mesh, nodes: np.ndarray) -> Mesh:
+    """``mesh`` with its nodes at ``nodes``: the same triangles, no shape."""
+    return Mesh(nodes=nodes, triangles=mesh.triangles,
+                boundary_nodes=mesh.boundary_nodes, domain_tag=mesh.domain_tag)
+
+
+# mirror images of themselves under y -> -y, all off the weight's anchor
+MIRROR_DOMAINS = [
+    DomainSpec(shape="translated-disk", radius=0.8, center=(0.4, 0.0), target_edge_length=0.15),
+    DomainSpec(shape="ellipse", semi_axis_x=0.9, semi_axis_y=0.6, center=(0.3, 0.0),
+               target_edge_length=0.15),
+    DomainSpec(shape="perturbed-disk", radius=0.8, perturbation=((3, 0.1),), center=(0.2, 0.0),
+               target_edge_length=0.15),
+    DomainSpec(shape="polygon",
+               vertices=((1.0, 0.0), (0.3, 0.7), (-0.6, 0.4), (-0.6, -0.4), (0.3, -0.7)),
+               target_edge_length=0.15),
+]
+
+
+class TestMetamorphic:
+    """Whole cases under maps that must not change them: a rotation about
+    the weight's anchor, a translation under a constant weight, and a mirror
+    symmetry of the domain."""
+
+    @pytest.mark.parametrize("space", [FLAT, HYP], ids=["flat", "poincare"])
+    def test_rotation_about_the_anchor(self, space, phi_exp):
+        # a generic angle in flat space, which rounds the nodes, and a quarter
+        # turn (x, y) -> (-y, x) in the Poincare disk, which does not
+        mesh = generate(PENTAGON if space is FLAT else QUADRILATERAL)
+        x, y = mesh.nodes.T
+        if space is FLAT:
+            c, s = math.cos(0.7), math.sin(0.7)
+            turned = np.column_stack([c * x - s * y, s * x + c * y])
+        else:
+            turned = np.column_stack([-y, x])
+        sharper = space is FLAT
+        before, after = (
+            build_report(solve_case(m, space, phi_exp), sharper=sharper)
+            for m in (mesh, _moved(mesh, turned))
+        )
+        assert np.allclose(after.eigenvalues, before.eigenvalues, rtol=1e-12, atol=0.0)
+        assert abs(after.volume - before.volume) <= 1e-14 * before.volume
+        if sharper:
+            assert abs(after.sharper["gap"] - before.sharper["gap"]) <= 1e-12 * before.mu1_ball
+
+    @pytest.mark.parametrize("shift", [(0.3, -0.2), (-1.5, 2.0)])
+    def test_translation_under_a_constant_weight(self, shift, phi_zero):
+        mesh = generate(PENTAGON)
+        before, after = (
+            build_report(solve_case(m, FLAT, phi_zero))
+            for m in (mesh, _moved(mesh, mesh.nodes + shift))
+        )
+        assert np.allclose(after.eigenvalues, before.eigenvalues, rtol=1e-12, atol=0.0)
+        assert abs(after.volume - before.volume) <= 1e-14 * before.volume
+
+    @pytest.mark.parametrize("spec", MIRROR_DOMAINS, ids=lambda s: s.shape)
+    def test_mirror_symmetric_domain_centres_on_its_axis(self, spec, phi_exp):
+        sol = solve_case(spec, FLAT, phi_exp)
+        result = find_trial_center(sol.base_mesh, phi_exp, sol.ball_mode)
+        assert result.converged
+        assert abs(result.center[1]) <= 1e-6
 
 
 class TestConjectures:

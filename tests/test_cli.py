@@ -233,6 +233,26 @@ class TestValidation:
         assert code == 1
         assert "sharper" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [("mesh_size", 0.1), ("refinement_levels", 3)])
+    def test_mesh_keys_refused_on_a_shell(self, tmp_path, capsys, key, value):
+        # a shell is solved radially, so neither key would be read
+        cfg = {"schema": 1, "cases": [shell_case(**{key: value})]}
+        code = cli.main(["run", write_config(tmp_path, cfg), "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert f"cases[0].{key}: radially symmetric domains are not meshed" in (
+            capsys.readouterr().err
+        )
+        cfg = {
+            "schema": 1,
+            "base_case": shell_case(**{key: value}),
+            "sweep": {"parameters": [{"path": "domain.outer_radius", "values": [1.0, 1.1]}]},
+        }
+        code = cli.main(["sweep", write_config(tmp_path, cfg), "--out", str(tmp_path / "s")])
+        assert code == 1
+        assert f"base_case.{key}: radially symmetric domains are not meshed" in (
+            capsys.readouterr().err
+        )
+
     def test_center_rejected_on_shell(self, tmp_path, capsys):
         cfg = {"schema": 1, "cases": [shell_case(checks=["main", "center"])]}
         code = cli.main(["run", write_config(tmp_path, cfg), "--out", str(tmp_path / "o")])

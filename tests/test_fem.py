@@ -17,7 +17,7 @@ from scipy.sparse.linalg import eigsh
 from oracles import assemble_by_einsum, lowest_nonzero, poincare_radius
 from wittenlab import fem
 from wittenlab import mesh as msh
-from wittenlab.checker import solve_case
+from wittenlab.checker import solve_case, weighted_disk_intersection
 from wittenlab.fem import AssemblyError, EigsolveError, assemble, solve_lowest
 from wittenlab.mesh import DomainSpec, Mesh, generate, load, refine, save
 from wittenlab.radial import shoot_first_mode
@@ -71,13 +71,34 @@ class TestAssembly:
         mesh = refine(generate(DomainSpec(shape="disk", radius=1.0, target_edge_length=0.1)))
         forms = assemble(mesh, FLAT, make_weight("constant", (0.0,), 50.0))
         # polygon inscribed in the circle: slightly below pi, O(h^2) off
-        assert abs(forms.weighted_volume() - math.pi) < 1e-3
+        assert abs(forms.mass.sum() - math.pi) < 1e-3
 
     def test_mass_total_is_weighted_area_hyperbolic(self, phi_zero):
         rd = poincare_radius(1.0)
         mesh = refine(generate(DomainSpec(shape="disk", radius=rd, target_edge_length=0.02)))
-        area = assemble(mesh, HYP, phi_zero).weighted_volume()
+        area = assemble(mesh, HYP, phi_zero).mass.sum()
         assert abs(area - 2.0 * math.pi * (math.cosh(1.0) - 1.0)) < 1e-3
+
+    def test_mass_total_converges_to_the_boundary_integral(self, phi_zero):
+        # A quadrilateral in the Poincare disk keeps its boundary under
+        # refinement, so its exact area is one number, and the six-point
+        # rule's total of the smooth density (2 / (1 - |x|^2))^2 closes in on
+        # it at least threefold per level (~60-fold: 8.7e-8, 1.5e-9, 2.4e-11
+        # relative).  Under a weight with phi'(0) != 0 the density has a cone
+        # at the origin and the error falls unevenly (1.2e-7 to 6.5e-8 from
+        # L1 to L2 under the exponential weight).
+        spec = DomainSpec(
+            shape="polygon",
+            vertices=((0.55, -0.15), (0.35, 0.55), (-0.5, 0.35), (-0.25, -0.55)),
+            target_edge_length=0.1,
+        )
+        mesh = generate(spec)
+        exact = weighted_disk_intersection(mesh, HYP, phi_zero, math.inf)
+        errors = []
+        for _ in range(3):
+            errors.append(abs(assemble(mesh, HYP, phi_zero).mass.sum() - exact))
+            mesh = refine(mesh)
+        assert errors[0] >= 3.0 * errors[1] and errors[1] >= 3.0 * errors[2]
 
     def test_undersized_weight_domain_rejected(self, unit_triangle):
         small = make_weight("constant", (0.0,), 0.5)
@@ -119,7 +140,7 @@ class TestAssembly:
     def test_rule_points_match_einsum(self):
         mesh = refine(generate(DomainSpec(shape="ellipse", aspect=1.4, target_edge_length=0.1)))
         p = mesh.nodes[mesh.triangles]
-        # (M, 3, 2) as the assembly passes it, (k, M, 3, 2) as the clip does
+        # (M, 3, 2) as the assembly passes it, and with a leading stack axis
         for corners in (p, np.stack([p, p[:, ::-1] + 0.25, 0.5 * p])):
             want = np.einsum("qi,...id->q...d", msh.QUAD_BARY, corners)
             assert np.array_equal(msh._rule_points(corners), want)
