@@ -18,12 +18,12 @@ exactly the constants (checked after every solve).
 The low spectrum is solved on nested meshes.  The coarse level is solved by
 shift-inverted Lanczos, whose shifted matrix is SPD and factorised here, in
 symmetric mode without pivoting (:func:`_factor`), with ARPACK stopped at a
-hundredth of the residual contract; the fine level by LOBPCG, started from
-the coarse modes prolonged to it and preconditioned by one multigrid V-cycle
-over the refinement hierarchy the fine mesh carries (``Mesh.parent`` and
-``Mesh.prolongation``, set by :func:`~wittenlab.mesh.refine`), whose
-smoothing steps are one sparse product each, so no fine-level matrix is
-ever factorised.
+hundredth of the residual contract; the fine level by LOBPCG on row blocks
+with the constant deflated (:func:`_lobpcg`), started from the coarse modes
+prolonged to it and preconditioned by one multigrid V-cycle over the mesh's
+refinement hierarchy (``Mesh.parent`` and ``Mesh.prolongation``, set by
+:func:`~wittenlab.mesh.refine`), whose smoothing steps are one sparse
+product each, so no fine-level matrix is ever factorised.
 """
 
 from __future__ import annotations
@@ -32,7 +32,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import LinearOperator, eigsh, lobpcg, splu
+from scipy.linalg import eigh
+from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
 from .mesh import QUAD_BARY, QUAD_WEIGHTS, Mesh, _rule_points, _signed_areas
 from .spaceform import SpaceForm
@@ -203,7 +204,7 @@ def _smoother(A: sparse.csr_matrix) -> sparse.csr_matrix:
 
 def _vcycle(A: sparse.csr_matrix, mesh: Mesh):
     """One symmetric V-cycle for the SPD matrix ``A`` on ``mesh`` as a
-    function of a right-hand side block.
+    function of a block of right-hand sides, one per row, cycled row by row.
 
     The coarse operators are the Galerkin products ``P^T A P`` with the
     prolongations of ``mesh`` and its parents, down to the root of the
@@ -235,7 +236,7 @@ def _vcycle(A: sparse.csr_matrix, mesh: Mesh):
     # not a nested recursion: a function that calls itself closes over
     # itself, and that reference cycle would keep every level and the LU
     # factor alive after the solve until the garbage collector next runs
-    return lambda f: _cycle(levels, base, 0, f)
+    return lambda rows: np.array([_cycle(levels, base, 0, f) for f in rows])
 
 
 def _cycle(levels: list, base, level: int, f: np.ndarray) -> np.ndarray:
@@ -247,6 +248,65 @@ def _cycle(levels: list, base, level: int, f: np.ndarray) -> np.ndarray:
     x = S @ f
     x += P @ _cycle(levels, base, level + 1, P.T @ (f - A @ x))
     return x + S @ (f - A @ x)
+
+
+def _lobpcg(K, M, X: np.ndarray, precond, tol: float):
+    """Ritz values and mass-normalised rows of the lowest ``len(X)`` pairs of
+    ``K x = lam M x`` off the constants, by LOBPCG (Knyazev, SIAM J. Sci.
+    Comput. 23, 2001) from the rows of ``X`` until every residual norm is at
+    most ``tol``.  Blocks are C-ordered ``(count, n)``, one vector per row,
+    so elementwise work runs along the long axis and each sparse product is
+    a single-vector one.  The constant is deflated from the start rows and
+    each preconditioned residual.  ``S = [X; W; P]``, ``K S`` and ``M S``
+    live in preallocated buffers; a step restarts without ``P`` if its
+    Cholesky or the Rayleigh-Ritz fails."""
+    count, n = X.shape
+    m1 = M @ np.ones(n) / M.sum()
+    S, KS, MS = (np.empty((3 * count, n)) for _ in range(3))
+    S[:count] = X - (X @ m1)[:, None]
+
+    def orthonormalise(rows: slice) -> None:
+        inverse = np.linalg.inv(np.linalg.cholesky(S[rows] @ MS[rows].T))
+        for B in (S, KS, MS):
+            B[rows] = inverse @ B[rows]
+
+    def ritz(k: int) -> np.ndarray:
+        # eigh reads the lower triangles only, so the Gram pair needs no symmetrising
+        lam, C = eigh(S[:k] @ KS[:k].T, S[:k] @ MS[:k].T, subset_by_index=(0, count - 1))
+        for B in (S, KS, MS):
+            p = C[count:].T @ B[count:k]
+            B[:count] = C[:count].T @ B[:count] + p
+            B[2 * count:] = p
+        return lam
+
+    for i in range(count):
+        KS[i], MS[i] = K @ S[i], M @ S[i]
+    # k = 2 count until there is a P: its slice is then empty
+    lam, k = ritz(count), 2 * count
+    for iteration in range(LOBPCG_MAXITER + 1):
+        R = KS[:count] - lam[:, None] * MS[:count]
+        worst = np.max(np.linalg.norm(R, axis=1))
+        if worst <= tol:
+            return lam, S[:count].copy()
+        if iteration == LOBPCG_MAXITER:
+            break
+        W = precond(R)
+        S[count:2 * count] = W - (W @ m1)[:, None] - (W @ MS[:count].T) @ S[:count]
+        for i in range(count, 2 * count):
+            KS[i], MS[i] = K @ S[i], M @ S[i]
+        try:
+            orthonormalise(slice(count, 2 * count))
+            try:
+                orthonormalise(slice(2 * count, k))
+                lam = ritz(k)
+            except np.linalg.LinAlgError:
+                lam = ritz(2 * count)
+        except np.linalg.LinAlgError:
+            break
+        k = 3 * count
+    raise EigsolveError(
+        f"LOBPCG stopped at iteration {iteration} with residual {worst:.3g} > {tol:.3g}"
+    )
 
 
 def solve_lowest(
@@ -262,16 +322,17 @@ def solve_lowest(
     comes out first.  That operator is factorised once by :func:`_factor`
     and handed to ARPACK, which stops at a relative accuracy of a hundredth
     of ``RESIDUAL_TOL`` rather than at machine precision.  With ``coarse``,
-    the result on ``forms.mesh.parent``, LOBPCG starts from the block
-    ``forms.mesh.prolongation @ [1, coarse.modes]`` and is preconditioned by
-    one :func:`_vcycle` on ``K + mu M`` over the parents of ``forms.mesh``,
-    ``mu`` the largest coarse eigenvalue; nothing of the fine level is
-    factorised.  Its
+    the result on ``forms.mesh.parent``, :func:`_lobpcg` starts from the
+    rows of ``(forms.mesh.prolongation @ coarse.modes).T``, with the
+    constant deflated, and is preconditioned by one :func:`_vcycle` on
+    ``K + mu M`` over the parents of ``forms.mesh``, ``mu`` the largest
+    coarse eigenvalue; nothing of the fine level is factorised.  Its
     absolute tolerance is a tenth of ``RESIDUAL_TOL`` times the smallest
     ``|K x|`` of the mass-normalised start modes.
 
-    Either way the constant mode is then verified: its eigenvalue must
-    vanish relative to the spectral gap and its vector must be flat.  Every
+    Either way the constant mode is then verified: its eigenvalue, on the
+    fine level the Rayleigh quotient ``1^T K 1 / 1^T M 1``, must vanish
+    relative to the spectral gap and its vector must be flat.  Every
     returned pair is residual-checked against the original matrices, and
     that check alone decides whether the solve is accepted.
     """
@@ -283,50 +344,49 @@ def solve_lowest(
         raise EigsolveError(
             f"requested {count} modes on a {dim}-node mesh; refine the mesh"
         )
-    try:
-        if coarse is None:
-            sigma = -1e-8 * K.diagonal().sum() / dim
-            # a fixed start vector makes reruns bit-identical; not the
-            # constant vector, which lies in the stiffness kernel
-            v0 = np.random.default_rng(0).standard_normal(dim)
+    if coarse is None:
+        sigma = -1e-8 * K.diagonal().sum() / dim
+        # a fixed start vector makes reruns bit-identical; not the
+        # constant vector, which lies in the stiffness kernel
+        v0 = np.random.default_rng(0).standard_normal(dim)
+        try:
             shifted = _factor(K - sigma * M)
             vals, vecs = eigsh(
                 K, k=count + 1, M=M, sigma=sigma, which="LM", v0=v0,
                 OPinv=LinearOperator((dim, dim), matvec=shifted.solve, dtype=K.dtype),
                 tol=0.01 * RESIDUAL_TOL,
             )
-        else:
-            start = np.column_stack([np.ones(dim), forms.mesh.prolongation @ coarse.modes])
-            start /= np.sqrt(np.einsum("ij,ij->j", start, M @ start))
-            tol = 0.1 * RESIDUAL_TOL * np.min(np.linalg.norm(K @ start[:, 1:], axis=0))
-            precond = _vcycle(K + coarse.eigenvalues[-1] * M, forms.mesh)
-            vals, vecs = lobpcg(
-                K, start, B=M, M=precond, tol=tol, maxiter=LOBPCG_MAXITER, largest=False
-            )
-    except Exception as exc:  # arpack and lobpcg failures come in several flavours
-        raise EigsolveError(f"sparse eigensolve failed: {exc}") from exc
-    order = np.argsort(vals)
-    vals, vecs = vals[order], vecs[:, order]
+        except Exception as exc:  # arpack failures come in several flavours
+            raise EigsolveError(f"sparse eigensolve failed: {exc}") from exc
+        order = np.argsort(vals)
+        zero, flat = vals[order[0]], vecs[:, order[0]]
+        spread = float(np.ptp(flat) / np.max(np.abs(flat)))
+        kept_vals, kept_vecs = vals[order[1:]], vecs[:, order[1:]]
+    else:
+        # the constant is deflated exactly: its Rayleigh quotient, no spread
+        zero, spread = K.sum() / M.sum(), 0.0
+        start = (forms.mesh.prolongation @ coarse.modes).T
+        norms = [np.linalg.norm(K @ x) / np.sqrt(x @ (M @ x)) for x in start]
+        tol = 0.1 * RESIDUAL_TOL * min(norms)
+        precond = _vcycle(K + coarse.eigenvalues[-1] * M, forms.mesh)
+        kept_vals, rows = _lobpcg(K, M, start, precond, tol)
+        kept_vecs = rows.T
 
-    gap = vals[1]
+    gap = kept_vals[0]
     if gap <= 0:
         raise EigsolveError(
             f"first nonzero eigenvalue came out nonpositive ({gap:.3g})"
         )
-    if abs(vals[0]) > ZERO_MODE_REL_TOL * gap:
+    if abs(zero) > ZERO_MODE_REL_TOL * gap:
         raise EigsolveError(
-            f"constant-mode eigenvalue {vals[0]:.3g} is not small against the "
+            f"constant-mode eigenvalue {zero:.3g} is not small against the "
             f"spectral gap {gap:.3g}; the mesh may be disconnected"
         )
-    flat = vecs[:, 0]
-    spread = float(np.ptp(flat) / np.max(np.abs(flat)))
     if spread > 1e-5:
         raise EigsolveError(
             f"constant mode varies by {spread:.3g} across the mesh"
         )
 
-    kept_vals = vals[1:]
-    kept_vecs = vecs[:, 1:]
     residuals = np.empty(count)
     for i in range(count):
         x = kept_vecs[:, i]
@@ -339,7 +399,7 @@ def solve_lowest(
     return SpectrumResult(
         eigenvalues=kept_vals,
         modes=kept_vecs,
-        zero_mode_value=float(vals[0]),
+        zero_mode_value=float(zero),
         zero_mode_spread=spread,
         residuals=residuals,
         dimension=dim,

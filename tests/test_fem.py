@@ -9,6 +9,7 @@ end to end.
 
 import gc
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -294,10 +295,22 @@ class TestSpectra:
 
 
 class TestTwoLevelSolve:
-    """The fine solve of :func:`solve_case`, LOBPCG from the prolonged coarse
-    modes under a V-cycle, against the base solve on the same fine mesh."""
+    """The fine solve of :func:`solve_case`, :func:`fem._lobpcg` from the
+    prolonged coarse modes under a V-cycle, against the base solve on the
+    same fine mesh and against ``eigsh``."""
 
     L_SHAPE = ((0, 0), (1, 0), (1, 0.5), (0.5, 0.5), (0.5, 1), (0, 1))
+
+    @staticmethod
+    def _resolve(domain, tmp_path):
+        """``domain``, or for ``"loaded"`` a perturbed disk saved and loaded
+        back, a mesh without parents."""
+        if domain != "loaded":
+            return domain
+        path = tmp_path / "perturbed.mesh"
+        save(generate(DomainSpec(shape="perturbed-disk", radius=1.0,
+                                 perturbation=((3, 0.1),), target_edge_length=0.15)), path)
+        return load(path)
 
     @pytest.mark.parametrize(
         "domain, space, weight",
@@ -317,20 +330,92 @@ class TestTwoLevelSolve:
             # L2, where mu_2 = 5.84661
             (DomainSpec(shape="ellipse", aspect=1.4, target_edge_length=0.15),
              FLAT, ("exponential-decay", (0.0, 1.1804, 0.509))),
+            # mu_2 = 5.86137 and mu_3 = 5.86166 on L1 swap at L2, where they
+            # are 5.85028 and 5.85617: LOBPCG from the prolonged L1 modes
+            # converges to mu_3, a true eigenpair, so no check fires and the
+            # error of 1.0e-3 exceeds est_rel_error = 4.2e-4
+            pytest.param(
+                DomainSpec(shape="ellipse", aspect=1.3995, target_edge_length=0.15),
+                FLAT, ("exponential-decay", (0.0, 1.1804, 0.509)),
+                marks=pytest.mark.xfail(
+                    strict=True,
+                    reason="mu_2 and mu_3 swap between L1 and L2, and the fine "
+                    "solve from the prolonged L1 modes returns mu_3 as mu_2",
+                ),
+            ),
         ],
-        ids=["disk", "annulus", "polygon", "poincare-ellipse", "loaded-mesh", "crossing-ellipse"],
+        ids=["disk", "annulus", "polygon", "poincare-ellipse", "loaded-mesh", "crossing-ellipse",
+             "crossing-L1-L2"],
     )
     def test_matches_base_solve(self, domain, space, weight, tmp_path):
-        if domain == "loaded":
-            path = tmp_path / "perturbed.mesh"
-            save(generate(DomainSpec(shape="perturbed-disk", radius=1.0,
-                                     perturbation=((3, 0.1),), target_edge_length=0.15)), path)
-            domain = load(path)
+        domain = self._resolve(domain, tmp_path)
         phi = make_weight(*weight, 50.0)
         # count 2: on the disk the double pair mu_1 = mu_2, both members
         sol = solve_case(domain, space, phi, conjecture=True, refinements=2)
         ref = solve_lowest(assemble(sol.mesh, space, phi), count=2)
         assert np.max(np.abs(sol.eigenvalues / ref.eigenvalues - 1.0)) < 1e-10
+
+    def test_small_fine_level_solves_silently(self):
+        # 9 fine nodes, fewer than 5 (count + 1): scipy's lobpcg warned here
+        # and fell back to a dense eigensolver
+        spec = DomainSpec(shape="polygon", vertices=((0, 0), (1, 0), (1, 1), (0, 1)),
+                          target_edge_length=2.0)
+        phi = make_weight("constant", (0.0,), 50.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = solve_case(spec, FLAT, phi, conjecture=True, refinements=1)
+        assert len(sol.mesh.nodes) == 9
+        ref = solve_lowest(assemble(sol.mesh, FLAT, phi), count=2)
+        assert np.max(np.abs(sol.eigenvalues / ref.eigenvalues - 1.0)) < 1e-10
+
+    @pytest.mark.parametrize(
+        "domain, space, weight",
+        [
+            (DomainSpec(shape="ellipse", aspect=1.4, target_edge_length=0.15),
+             FLAT, ("exponential-decay", (0.0, 1.1804, 0.509))),
+            (DomainSpec(shape="ellipse", semi_axis_x=0.5, semi_axis_y=0.35,
+                        target_edge_length=0.07), HYP, ("linear-decreasing", (0.1, 0.4))),
+            ("loaded", FLAT, ("exponential-decay", (0.0, 1.0, 0.5))),
+        ],
+        ids=["crossing-ellipse", "poincare-ellipse", "loaded-mesh"],
+    )
+    def test_lobpcg_against_eigsh(self, domain, space, weight, tmp_path):
+        # the fine problem of solve_case at refinements = 2, set up as
+        # solve_lowest sets it up
+        domain = self._resolve(domain, tmp_path)
+        phi = make_weight(*weight, 50.0)
+        coarse_mesh = refine(domain if isinstance(domain, Mesh) else generate(domain))
+        coarse = solve_lowest(assemble(coarse_mesh, space, phi), count=2)
+        mesh = refine(coarse_mesh)
+        forms = assemble(mesh, space, phi)
+        K, M = forms.stiffness, forms.mass
+        start = (mesh.prolongation @ coarse.modes).T
+        tol = 0.1 * fem.RESIDUAL_TOL * min(
+            np.linalg.norm(K @ x) / np.sqrt(x @ (M @ x)) for x in start
+        )
+        precond = fem._vcycle(K + coarse.eigenvalues[-1] * M, mesh)
+        vals, rows = fem._lobpcg(K, M, start, precond, tol)
+        again = fem._lobpcg(K, M, start, precond, tol)
+        assert vals.tobytes() == again[0].tobytes() and rows.tobytes() == again[1].tobytes()
+
+        dim = forms.dimension
+        sigma = -1e-8 * K.diagonal().sum() / dim
+        v0 = np.random.default_rng(0).standard_normal(dim)
+        want = np.sort(eigsh(K, k=3, M=M, sigma=sigma, which="LM", v0=v0, tol=0)[0])[1:]
+        assert np.max(np.abs(vals / want - 1.0)) <= 1e-10
+        for lam, x in zip(vals, rows):
+            assert np.linalg.norm(K @ x - lam * (M @ x)) <= tol
+        m1 = M @ np.ones(dim)
+        m_norms = np.sqrt(np.einsum("ij,ij->i", rows, rows @ M))
+        assert np.all(np.abs(rows @ m1) <= 1e-12 * m_norms * np.sqrt(m1.sum()))
+
+    def test_iteration_limit_raises(self, monkeypatch):
+        # scipy's lobpcg warned at its limit and returned its best iterate
+        monkeypatch.setattr(fem, "LOBPCG_MAXITER", 1)
+        spec = DomainSpec(shape="ellipse", aspect=1.4, target_edge_length=0.15)
+        phi = make_weight("exponential-decay", (0.0, 1.1804, 0.509), 50.0)
+        with pytest.raises(EigsolveError, match=r"iteration 1 with residual \S+ > "):
+            solve_case(spec, FLAT, phi, conjecture=True, refinements=2)
 
     def test_vcycle_symmetric_positive(self):
         mesh = generate(DomainSpec(shape="ellipse", aspect=1.4, target_edge_length=0.2))
@@ -338,13 +423,15 @@ class TestTwoLevelSolve:
             mesh = refine(mesh)
         forms = assemble(mesh, FLAT, make_weight("exponential-decay", (0.0, 1.0, 0.5), 50.0))
         vcycle = fem._vcycle(forms.stiffness + 5.0 * forms.mass, mesh)
+        # the cycle maps a block of rows to a block of rows
         rng = np.random.default_rng(3)
         x, y = rng.standard_normal((2, forms.dimension))
-        tx, ty = vcycle(x), vcycle(y)
+        tx, ty = vcycle(np.array([x, y]))
         assert abs(x @ ty - y @ tx) <= 1e-12 * abs(x @ ty)
-        block = rng.standard_normal((forms.dimension, 4))
-        assert np.all(np.einsum("ij,ij->j", block, vcycle(block)) > 0)
-        np.testing.assert_allclose(vcycle(block)[:, 0], vcycle(block[:, 0]), rtol=1e-13)
+        block = rng.standard_normal((4, forms.dimension))
+        assert np.all(np.einsum("ij,ij->i", block, vcycle(block)) > 0)
+        rowwise = np.vstack([vcycle(row[None]) for row in block])
+        np.testing.assert_allclose(vcycle(block), rowwise, rtol=1e-13)
 
     def test_smoother_is_the_two_step_chebyshev(self):
         mesh = refine(refine(generate(DomainSpec(shape="ellipse", aspect=1.4,
@@ -375,7 +462,7 @@ class TestTwoLevelSolve:
         gc.disable()
         try:
             vcycle = fem._vcycle(forms.stiffness + forms.mass, mesh)
-            vcycle(np.ones(forms.dimension))
+            vcycle(np.ones((1, forms.dimension)))
             del vcycle
             assert gc.collect() == 0
         finally:
