@@ -251,9 +251,12 @@ def solve_case(
         base_mesh = mesh = _mesh_for(domain)
         for _ in range(refinements - 1):
             mesh = refine(mesh)
+        # the fine level is assembled first, so the factor that the base
+        # solve keeps for the fine solve is not alive through that peak
+        fine = fem.assemble(refine(mesh), space, phi)
         coarse = fem.solve_lowest(fem.assemble(mesh, space, phi), count=count)
-        mesh = refine(mesh)
-        eigs = fem.solve_lowest(fem.assemble(mesh, space, phi), count, coarse).eigenvalues
+        mesh = fine.mesh
+        eigs = fem.solve_lowest(fine, count, coarse).eigenvalues
         est = float(np.max(np.abs(coarse.eigenvalues - eigs) / (3.0 * eigs)))
         volume = weighted_disk_intersection(mesh, space, phi, math.inf)
         method = "fem"
@@ -499,8 +502,8 @@ def _conjecture_block(sol: CaseSolution) -> dict:
         if sol.shell is not None:
             finer = {"domain": sol.shell, "options": sol.options.tightened(10.0)}
         else:
-            # levels r + 1 and r + 2 from the finest mesh, whose parents
-            # take the V-cycle on down to the generated mesh
+            # levels r + 1 and r + 2 from the finest mesh: the escalated
+            # base solve factorises level r + 1 alone
             finer = {"domain": sol.mesh, "refinements": 2, "options": sol.options}
         sol = solve_case(space=sol.space, phi=sol.phi, dimension=n, conjecture=True, **finer)
         block = _comparison(sol, n)

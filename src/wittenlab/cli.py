@@ -560,7 +560,7 @@ def run(config_path: str, out_dir: str, jobs: int = 1, verbose: bool = False) ->
 
 def _resolve_path(case: dict, path: str, where: str):
     """Walk a dotted path; integer segments index lists.  Returns the holder
-    and final segment so the caller can assign."""
+    and final segment, a list index made non-negative, so the caller can assign."""
     segments = path.split(".")
     node = case
     for depth, seg in enumerate(segments[:-1]):
@@ -586,7 +586,7 @@ def _resolve_path(case: dict, path: str, where: str):
             raise ConfigError(f"{where}: {last!r} cannot index a list") from None
         if not -len(node) <= index < len(node):
             raise ConfigError(f"{where}: index {index} out of range")
-        return node, index
+        return node, index % len(node)
     if isinstance(node, dict) and last in node:
         return node, last
     raise ConfigError(f"{where}: {path!r} does not address an existing field")
@@ -605,7 +605,7 @@ def validate_sweep_config(cfg: dict):
     params = cfg["sweep"]["parameters"]
     if not 1 <= len(params) <= 2:
         raise ConfigError("sweep.parameters: expected one or two parameters")
-    axes = []
+    axes, targets = [], []
     for i, param in enumerate(params):
         where = f"sweep.parameters[{i}]"
         _require_keys(param, where, {"path": (str,), "values": (list,)}, ("path", "values"))
@@ -613,11 +613,12 @@ def validate_sweep_config(cfg: dict):
             raise ConfigError(f"{where}.values: must not be empty")
         for j, value in enumerate(param["values"]):
             _as_float(value, f"{where}.values[{j}]")
-        _resolve_path(cfg["base_case"], param["path"], f"{where}.path")
+        targets.append(_resolve_path(cfg["base_case"], param["path"], f"{where}.path"))
         # written as given, so an integer field sweeps over integers
         axes.append((param["path"], param["values"]))
-    if len(axes) == 2 and axes[0][0] == axes[1][0]:
-        raise ConfigError("sweep.parameters: the two parameters share a path")
+    # by holder, not path: weight.params.1 and weight.params.-1 are one field
+    if len({(id(holder), key) for holder, key in targets}) < len(targets):
+        raise ConfigError("sweep.parameters: the two parameters address one field")
     base_id = cfg["base_case"].get("id", "sweep")
 
     grid = []

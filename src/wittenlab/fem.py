@@ -15,15 +15,16 @@ No boundary terms appear anywhere: leaving the boundary alone *is* the
 natural condition for these forms, and the kernel of the stiffness matrix is
 exactly the constants (checked after every solve).
 
-The low spectrum is solved on nested meshes.  The coarse level is solved by
-shift-inverted Lanczos, whose shifted matrix is SPD and factorised here, in
-symmetric mode without pivoting (:func:`_factor`), with ARPACK stopped at a
-hundredth of the residual contract; the fine level by LOBPCG on row blocks
-with the constant deflated (:func:`_lobpcg`), started from the coarse modes
-prolonged to it and preconditioned by one multigrid V-cycle over the mesh's
-refinement hierarchy (``Mesh.parent`` and ``Mesh.prolongation``, set by
-:func:`~wittenlab.mesh.refine`), whose smoothing steps are one sparse
-product each, so no fine-level matrix is ever factorised.
+The low spectrum is solved on two nested meshes.  The coarse level is
+solved by shift-inverted Lanczos, whose shifted matrix is SPD and factorised
+here, in symmetric mode without pivoting (:func:`_factor`), with ARPACK
+stopped at a hundredth of the residual contract; the fine level by LOBPCG
+on row blocks with the constant deflated (:func:`_lobpcg`), started from
+the coarse modes prolonged to it (``Mesh.prolongation``, set by
+:func:`~wittenlab.mesh.refine`) and preconditioned by one two-grid cycle
+(:func:`_two_grid`) whose coarse solve is that same factor and whose
+smoothing steps are one sparse product each.  So each two-level solve
+factorises one matrix, the coarse one, and no fine-level matrix at all.
 """
 
 from __future__ import annotations
@@ -158,7 +159,9 @@ class SpectrumResult:
     """Lowest nonzero modes of one assembled problem.
 
     ``eigenvalues`` excludes the constant mode, whose computed value and
-    spatial spread are recorded separately as solver diagnostics.
+    spatial spread are recorded separately as solver diagnostics.  A base
+    solve keeps its factor of the shifted stiffness as ``factor``, the
+    exact coarse solve of the two-grid cycle one level up.
     """
 
     eigenvalues: np.ndarray
@@ -167,6 +170,7 @@ class SpectrumResult:
     zero_mode_spread: float = 0.0
     residuals: np.ndarray = field(default=None, repr=False)
     dimension: int = 0
+    factor: object = field(default=None, repr=False)
 
 
 def _factor(A: sparse.spmatrix):
@@ -181,7 +185,7 @@ def _factor(A: sparse.spmatrix):
 
 
 def _smoother(A: sparse.csr_matrix) -> sparse.csr_matrix:
-    """The degree-2 Chebyshev smoother of :func:`_vcycle` for ``A`` as one
+    """The degree-2 Chebyshev smoother of :func:`_two_grid` for ``A`` as one
     matrix ``S = p(D^-1 A) D^-1 = c0 D^-1 + c1 D^-1 A D^-1``, ``D`` the
     diagonal of ``A``, so a smoothing step is one sparse product.
 
@@ -189,7 +193,9 @@ def _smoother(A: sparse.csr_matrix) -> sparse.csr_matrix:
     shares its ``indices`` and ``indptr``.  The polynomial's error ``1 - t p(t)`` is the scaled
     Chebyshev ``T_2((theta - t) / delta) / T_2(theta / delta)`` on
     ``[lmax / 10, lmax]``; ``lmax`` is the Gershgorin bound ``max_i sum_j
-    |a_ij| / a_ii``, the row sums taken straight from ``A``'s data.
+    |a_ij| / a_ii``, the row sums taken straight from ``A``'s data: an
+    estimate from below (ten power steps fall ~12% short) lets the smoother
+    amplify the top of the spectrum and stalls the eigensolve.
     """
     dinv = 1.0 / A.diagonal()
     lmax = float(np.max(np.add.reduceat(np.abs(A.data), A.indptr[:-1]) * dinv))
@@ -202,52 +208,28 @@ def _smoother(A: sparse.csr_matrix) -> sparse.csr_matrix:
     return sparse.csr_matrix((data, A.indices, A.indptr), shape=A.shape, copy=False)
 
 
-def _vcycle(A: sparse.csr_matrix, mesh: Mesh):
-    """One symmetric V-cycle for the SPD matrix ``A`` on ``mesh`` as a
+def _two_grid(K: sparse.csr_matrix, P: sparse.csr_matrix, F):
+    """One symmetric two-grid cycle for the fine stiffness ``K`` as a
     function of a block of right-hand sides, one per row, cycled row by row.
 
-    The coarse operators are the Galerkin products ``P^T A P`` with the
-    prolongations of ``mesh`` and its parents, down to the root of the
-    chain, which is solved exactly by LU (:func:`_factor`).  Every other
-    level smooths before and after the coarse correction with the degree-2
-    Chebyshev polynomial of ``D^-1 A`` on ``[lmax / 10, lmax]``, ``D`` the
-    diagonal, precomputed as one matrix (:func:`_smoother`), so each
-    smoothing step is one sparse product.
-    Each coarse level halves h, so its correction already resolves about
-    the bottom quarter of the spectrum and the smoother only has to damp
-    the top.  Against the wider ``[lmax / 30, lmax]`` of aggressive
-    algebraic multigrid (Adams et al., J. Comput. Phys. 188, 2003), which
-    damps the top less, LOBPCG takes ~28% fewer iterations at the same
-    cost per cycle.  ``lmax`` is the Gershgorin bound: an estimate from
-    below (ten power steps fall ~12% short) lets the smoother amplify the
-    top of the spectrum and stalls the eigensolve.
-    With the same smoother on both sides the cycle is symmetric, and it is
-    positive definite because the error polynomial stays inside (-1, 1) on
-    the spectrum: inside (0, 1) below ``lmax / 10``, and at most 81/161 in
-    size above.
+    It smooths with :func:`_smoother` of ``K``, corrects with ``P F^-1
+    P^T``, ``P`` the prolongation and ``F`` the base solve's factor of the
+    coarse ``K_c - sigma M_c``, and smooths again; the coarse level halves
+    h, so its correction resolves about the bottom quarter of the spectrum
+    and the smoother only damps the top.  The cycle is symmetric and
+    positive definite, as the smoother's error polynomial stays inside
+    [0, 1] below ``lmax / 10`` and at most 81/161 in size above.  ``|sigma|``
+    is 1e-8 of the mean diagonal, so a constant part of ``f`` comes back
+    amplified about that much more than the rest, for the caller to deflate.
     """
-    levels = []
-    while mesh.parent is not None:
-        P = mesh.prolongation
-        levels.append((A, _smoother(A), P))
-        A = (P.T @ A @ P).tocsr()
-        mesh = mesh.parent
-    base = _factor(A)
-    # not a nested recursion: a function that calls itself closes over
-    # itself, and that reference cycle would keep every level and the LU
-    # factor alive after the solve until the garbage collector next runs
-    return lambda rows: np.array([_cycle(levels, base, 0, f) for f in rows])
+    S = _smoother(K)
 
+    def cycle(f: np.ndarray) -> np.ndarray:
+        x = S @ f
+        x += P @ F.solve(P.T @ (f - K @ x))
+        return x + S @ (f - K @ x)
 
-def _cycle(levels: list, base, level: int, f: np.ndarray) -> np.ndarray:
-    """The V-cycle of :func:`_vcycle` applied to ``f`` from ``level`` down;
-    ``P.T``, the restriction, is a view of the prolongation."""
-    if level == len(levels):
-        return base.solve(f)
-    A, S, P = levels[level]
-    x = S @ f
-    x += P @ _cycle(levels, base, level + 1, P.T @ (f - A @ x))
-    return x + S @ (f - A @ x)
+    return lambda rows: np.array([cycle(f) for f in rows])
 
 
 def _lobpcg(K, M, X: np.ndarray, precond, tol: float):
@@ -321,14 +303,15 @@ def solve_lowest(
     matrix) so the factorised operator is definite and the constant mode
     comes out first.  That operator is factorised once by :func:`_factor`
     and handed to ARPACK, which stops at a relative accuracy of a hundredth
-    of ``RESIDUAL_TOL`` rather than at machine precision.  With ``coarse``,
-    the result on ``forms.mesh.parent``, :func:`_lobpcg` starts from the
-    rows of ``(forms.mesh.prolongation @ coarse.modes).T``, with the
-    constant deflated, and is preconditioned by one :func:`_vcycle` on
-    ``K + mu M`` over the parents of ``forms.mesh``, ``mu`` the largest
-    coarse eigenvalue; nothing of the fine level is factorised.  Its
-    absolute tolerance is a tenth of ``RESIDUAL_TOL`` times the smallest
-    ``|K x|`` of the mass-normalised start modes.
+    of ``RESIDUAL_TOL`` rather than at machine precision; the result keeps
+    the factor.  With ``coarse``, the base solve on the mesh that
+    ``forms.mesh`` was refined from, :func:`_lobpcg` starts from the rows
+    of ``(forms.mesh.prolongation @ coarse.modes).T``, with the constant
+    deflated, and is preconditioned by one :func:`_two_grid` cycle for
+    ``K`` whose coarse solve is ``coarse.factor``; nothing of the fine
+    level is factorised.  Its absolute tolerance is a tenth of
+    ``RESIDUAL_TOL`` times the smallest ``|K x|`` of the mass-normalised
+    start modes.
 
     Either way the constant mode is then verified: its eigenvalue, on the
     fine level the Rayleigh quotient ``1^T K 1 / 1^T M 1``, must vanish
@@ -368,7 +351,7 @@ def solve_lowest(
         start = (forms.mesh.prolongation @ coarse.modes).T
         norms = [np.linalg.norm(K @ x) / np.sqrt(x @ (M @ x)) for x in start]
         tol = 0.1 * RESIDUAL_TOL * min(norms)
-        precond = _vcycle(K + coarse.eigenvalues[-1] * M, forms.mesh)
+        precond = _two_grid(K, forms.mesh.prolongation, coarse.factor)
         kept_vals, rows = _lobpcg(K, M, start, precond, tol)
         kept_vecs = rows.T
 
@@ -403,4 +386,5 @@ def solve_lowest(
         zero_mode_spread=spread,
         residuals=residuals,
         dimension=dim,
+        factor=shifted if coarse is None else None,
     )

@@ -206,9 +206,8 @@ def _rule_points(corners: np.ndarray) -> np.ndarray:
 class Mesh:
     """Conforming triangulation with positively oriented triangles.
 
-    A mesh made by :func:`refine` keeps the mesh it split as ``parent`` and
-    the P1 prolongation from it as ``prolongation``; generated and loaded
-    meshes have neither.
+    A mesh made by :func:`refine` keeps the P1 prolongation from the mesh
+    it split as ``prolongation``; generated and loaded meshes have none.
     """
 
     nodes: np.ndarray
@@ -216,7 +215,6 @@ class Mesh:
     boundary_nodes: np.ndarray
     domain_tag: str
     spec: DomainSpec | None = field(default=None, repr=False)
-    parent: Mesh | None = field(default=None, repr=False, compare=False)
     prolongation: sparse.csr_matrix | None = field(default=None, repr=False, compare=False)
 
     def signed_areas(self) -> np.ndarray:
@@ -451,10 +449,10 @@ def _polygon_mesh(spec: DomainSpec) -> Mesh:
     h = spec.target_edge_length
     while np.max(mesh.edge_lengths()) > 1.9 * h:
         mesh = refine(mesh)
-    if mesh.parent is None:
+    if mesh.prolongation is None:
         validate(mesh)  # no split ran; each refine validates the mesh it makes
     # these splits make the mesh; they are not levels to solve on
-    mesh.parent = mesh.prolongation = None
+    mesh.prolongation = None
     return mesh
 
 
@@ -497,10 +495,10 @@ def refine(mesh: Mesh) -> Mesh:
     triangles ``4t .. 4t + 3``, the three corner triangles and then the
     middle one.
 
-    The result keeps ``mesh`` as its ``parent`` and the P1 prolongation
-    ``[I; half the edge incidence]`` from it, rows in that node order; a
-    projected boundary midpoint gets the plain average of its edge's ends,
-    which is all the multilevel solve needs.
+    The result keeps the P1 prolongation ``[I; half the edge incidence]``
+    from ``mesh``, rows in that node order; a projected boundary midpoint
+    gets the plain average of its edge's ends, which is all the two-level
+    solve needs.
     """
     from scipy import sparse
 
@@ -527,7 +525,6 @@ def refine(mesh: Mesh) -> Mesh:
         boundary_nodes=np.sort(np.concatenate([mesh.boundary_nodes, n + boundary])),
         domain_tag=mesh.domain_tag,
         spec=mesh.spec,
-        parent=mesh,
         prolongation=sparse.csr_matrix((vals, (rows, cols)), shape=(n + m, n)),
     )
     validate(out)

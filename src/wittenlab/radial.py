@@ -189,8 +189,6 @@ def _piecewise(nodes: np.ndarray, values: np.ndarray, t) -> np.ndarray:
     """Barycentric interpolant of per-piece samples ``values[piece, node, ...]``."""
     t = np.asarray(t, dtype=float)
     flat = t.reshape(-1)
-    if len(nodes) == 1:
-        return _barycentric(nodes[0], values[0], flat).reshape(t.shape + values.shape[2:])
     piece = np.searchsorted(nodes[1:, 0], flat, side="right")
     out = np.empty(flat.shape + values.shape[2:])
     for k in range(len(nodes)):

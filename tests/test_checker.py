@@ -681,13 +681,13 @@ class TestConjectures:
         assert c["verdict"] == "counterexample-candidate"
         assert report.notes  # escalation is recorded on the report
 
-    def test_escalation_vcycle_reaches_generated_mesh(self, phi_exp, monkeypatch):
+    def test_escalation_factorises_one_level_per_solve(self, phi_exp, monkeypatch):
         # every factorisation, ours and any inside ARPACK's shift-invert:
-        # the base solve factorises the coarse level L1 and the V-cycle the
-        # generated mesh L0; the escalated solve continues from the finest
-        # mesh, which keeps its parents, so its base solve factorises L3 and
-        # its V-cycle L0 again, not the old finest level.  All four are
-        # fem's own: the base solve hands its factor to ARPACK
+        # the base solve factorises the coarse level L1, and the two-grid
+        # cycle of the fine solve reuses that factor; the escalated solve
+        # continues from the finest mesh, so its base solve factorises L3
+        # alone.  Both are fem's own: the base solve hands its factor to
+        # ARPACK
         spec = DomainSpec(
             shape="translated-disk", radius=0.8, center=(0.5, 0.0),
             target_edge_length=0.15,
@@ -704,8 +704,8 @@ class TestConjectures:
         levels = [generate(spec)]
         for _ in range(3):
             levels.append(refine(levels[-1]))
-        n0, n1, _, n3 = (len(mesh.nodes) for mesh in levels)
-        assert sizes[fem] == [n1, n0, n3, n0]
+        _, n1, _, n3 = (len(mesh.nodes) for mesh in levels)
+        assert sizes[fem] == [n1, n3]
         assert sizes[arpack] == []
 
     @pytest.mark.parametrize("conjecture", [False, True])

@@ -990,6 +990,30 @@ class TestSweep:
         assert code == 1
         assert "does not address an existing field" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "first, second",
+        [("weight.params.1", "weight.params.-1"), ("weight.params.1", "weight.params.01"),
+         ("domain.inner_radius", "domain.inner_radius")],
+    )
+    def test_two_paths_to_one_field_rejected(self, first, second):
+        # both members ran with the second axis's value while sweep.csv
+        # labelled them with the first's
+        cfg = self.sweep_config()
+        cfg["sweep"]["parameters"] = [
+            {"path": first, "values": [0.2, 0.3]}, {"path": second, "values": [0.4]}
+        ]
+        with pytest.raises(cli.ConfigError, match="address one field"):
+            cli.validate_sweep_config(cfg)
+
+    def test_negative_index_addresses_its_own_field(self):
+        cfg = self.sweep_config()
+        cfg["sweep"]["parameters"] = [
+            {"path": "weight.params.0", "values": [0.1]}, {"path": "weight.params.-1", "values": [0.4]}
+        ]
+        (case, params), = cli.validate_sweep_config(cfg)[1]
+        assert params == {"weight.params.0": 0.1, "weight.params.-1": 0.4}
+        assert case["weight"].params == (0.1, 0.4)
+
     def test_integer_field_sweeps_over_integers(self, tmp_path):
         cfg = self.sweep_config()
         cfg["sweep"]["parameters"] = [{"path": "dimension", "values": [2, 3, 4]}]

@@ -431,21 +431,20 @@ REFINE_SPECS = [
 
 class TestRefineAgainstReference:
     """``refine`` reproduces the dict-based reference bit for bit, and
-    records the mesh it split as ``parent`` with the P1 prolongation."""
+    records the P1 prolongation from the mesh it split."""
 
     @staticmethod
     def assert_levels_match(m, project):
-        assert m.parent is None and m.prolongation is None
+        assert m.prolongation is None
         for _ in range(3):
             nodes, tris, boundary = refine_by_dict(
                 m.nodes, m.triangles, m.boundary_nodes, project
             )
             P = prolongation_by_dict(len(m.nodes), m.triangles)
-            parent, m = m, refine(m)
+            m = refine(m)
             assert np.array_equal(m.nodes, nodes)
             assert np.array_equal(m.triangles, tris)
             assert np.array_equal(m.boundary_nodes, boundary)
-            assert m.parent is parent
             assert (m.prolongation != P).nnz == 0
 
     @pytest.mark.parametrize("spec", REFINE_SPECS, ids=lambda s: s.shape)

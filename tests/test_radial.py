@@ -196,6 +196,25 @@ def test_extension_values(phi_zero, disk_solution):
     assert np.array_equal(fprime, [T(1.0)[1], 0.0, 0.0])
 
 
+@pytest.mark.parametrize("ball, weight", [
+    (BallSpec(1.0, 2, FLAT), ("constant", [0.0], 12.0)),
+    # knots at 0.4 and 0.8 split the radius into three pieces
+    (BallSpec(1.2, 3, HYP),
+     ("tabulated-spline", [0.0, 2.0, 0.4, 1.3, 0.8, 0.8, 1.5, 0.35, 3.0, 0.0], 3.0)),
+], ids=["ball", "spline"])
+def test_piecewise_is_each_piece_barycentric(ball, weight):
+    # one loop serves a single piece too: bit for bit the direct call
+    sol = shoot_first_mode(ball, make_weight(*weight))
+    t = np.linspace(0.0, ball.radius, 301).reshape(7, 43)
+    got = radial._piecewise(sol.nodes, sol.samples, t)
+    flat = t.reshape(-1)
+    piece = np.searchsorted(sol.nodes[1:, 0], flat, side="right")
+    assert len(np.unique(piece)) == len(sol.nodes) == (1 if ball.radius == 1.0 else 3)
+    for k in range(len(sol.nodes)):
+        want = radial._barycentric(sol.nodes[k], sol.samples[k], flat[piece == k])
+        assert got.reshape(-1, 2)[piece == k].tobytes() == want.tobytes()
+
+
 def test_rayleigh_quotient_identity(phi_zero, disk_solution):
     A, B = ball_rayleigh_integrals(disk_solution, 0.0, 1.0)
     assert A / B == pytest.approx(disk_solution.mu, rel=1e-8)
