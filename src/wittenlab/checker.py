@@ -376,24 +376,20 @@ def weighted_disk_intersection(
     is the weighted density inside ``B_radius`` and zero outside, since ``x /
     |x|^2`` is divergence-free in the plane.  So the area is the flux of ``F``
     out through the boundary, exact for the meshed polygon.  The boundary
-    sides are the triangle sides between boundary nodes whose reverse is not
-    a side; a side on a line through the origin carries no flux.  Each side
-    is cut at ``|x| = radius`` and at the circles through the weight's knots
-    (a circle it misses cuts it at its point nearest the origin).  Along a
-    piece ``p + s d`` inside the disk the flux is ``cross(p, d) int G(rho) /
-    rho^2 ds``, ``rho = |p + s d|``, by the ``GAUSS_POINTS``-point
-    Gauss-Legendre rule; outside it, ``G(radius)`` times the angle the piece
-    subtends at the origin, the flux of ``x / |x|^2``.
+    sides are the triangle sides whose edge has count 1 in the mesh's edge
+    table, in triangle order; a side on a line through the origin carries no
+    flux.  Each side is cut at ``|x| = radius`` and at the circles through
+    the weight's knots (a circle it misses cuts it at its point nearest the
+    origin).  Along a piece ``p + s d`` inside the disk the flux is
+    ``cross(p, d) int G(rho) / rho^2 ds``, ``rho = |p + s d|``, by the
+    ``GAUSS_POINTS``-point Gauss-Legendre rule; outside it, ``G(radius)``
+    times the angle the piece subtends at the origin, the flux of ``x /
+    |x|^2``.
     """
-    tri, nxt = mesh.triangles, mesh.triangles[:, [1, 2, 0]]
-    on = np.zeros(len(mesh.nodes), dtype=bool)
-    on[mesh.boundary_nodes] = True
-    both = on[tri] & on[nxt]
-    start, end = tri[both], nxt[both]
-    n = len(mesh.nodes)
-    side = ~np.isin(start * n + end, end * n + start)
-    p = mesh.nodes[start[side]]
-    d = mesh.nodes[end[side]] - p
+    _, counts, side = mesh.table()
+    t, k = np.nonzero(counts[side] == 1)
+    p = mesh.nodes[mesh.triangles[t, k]]
+    d = mesh.nodes[mesh.triangles[t, (k + 1) % 3]] - p
     cross = p[:, 0] * d[:, 1] - p[:, 1] * d[:, 0]
     p, d, cross = p[cross != 0.0], d[cross != 0.0], cross[cross != 0.0]
 

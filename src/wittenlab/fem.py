@@ -15,6 +15,15 @@ No boundary terms appear anywhere: leaving the boundary alone *is* the
 natural condition for these forms, and the kernel of the stiffness matrix is
 exactly the constants (checked after every solve).
 
+Assembly is vectorised over triangles in struct-of-arrays form (in the
+spirit of Cuvelier, Japhet and Scarella, BIT Numer. Math. 56, 2016): each
+triangle's three diagonal and three side entries are rows of ``(3, M)``
+arrays, the six-point rule visits them one point at a time, and
+``np.bincount`` adds them onto the nodes and onto the edges of the mesh's
+carried edge table (``Mesh.edge_table``, which :func:`~wittenlab.mesh.refine`
+derives level by level).  So each matrix is built from one entry per node
+and two per edge, not nine per triangle.
+
 The low spectrum is solved on two nested meshes.  The coarse level is
 solved by shift-inverted Lanczos, whose shifted matrix is SPD and factorised
 here, in symmetric mode without pivoting (:func:`_factor`), with ARPACK
@@ -36,7 +45,7 @@ from scipy import sparse
 from scipy.linalg import eigh
 from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
-from .mesh import QUAD_BARY, QUAD_WEIGHTS, Mesh, _rule_points, _signed_areas
+from .mesh import QUAD_BARY, QUAD_WEIGHTS, Mesh
 from .spaceform import SpaceForm
 from .weights import WeightFunction
 
@@ -48,11 +57,6 @@ class AssemblyError(RuntimeError):
 class EigsolveError(RuntimeError):
     """The sparse eigensolve did not produce a trustworthy spectrum."""
 
-
-# _MASS_TABLE[q, 3 i + j] = w_q bary_q[i] bary_q[j]
-_MASS_TABLE = (
-    QUAD_WEIGHTS[:, None, None] * QUAD_BARY[:, :, None] * QUAD_BARY[:, None, :]
-).reshape(6, 9)
 
 RESIDUAL_TOL = 1e-8
 ZERO_MODE_REL_TOL = 1e-6
@@ -73,8 +77,8 @@ class AssembledForms:
         return self.stiffness.shape[0]
 
 
-def _geodesic_radii(space: SpaceForm, points: np.ndarray) -> np.ndarray:
-    r = np.hypot(points[..., 0], points[..., 1])
+def _geodesic_radii(space: SpaceForm, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = np.hypot(x, y)
     if not space.is_hyperbolic:
         return r
     if np.max(r) >= 1.0 - POINCARE_MARGIN:
@@ -85,72 +89,75 @@ def _geodesic_radii(space: SpaceForm, points: np.ndarray) -> np.ndarray:
     return 2.0 * np.arctanh(r)
 
 
-def _weighted_rules(p: np.ndarray, area: np.ndarray, space: SpaceForm, weight: WeightFunction):
-    """Per triangle, the stiffness coefficient ``area * sum_q w_q rho(x_q)`` and
-    the flattened 3x3 mass matrix, from the six-point rule; the quadrature
-    arrays live only inside this call."""
-    quad_xy = _rule_points(p)  # (6, M, 2)
-    density = np.exp(-weight.value(_geodesic_radii(space, quad_xy)))  # (6, M)
-    stiff_coeff = area * np.einsum("q,qm->m", QUAD_WEIGHTS, density)
-    if space.is_hyperbolic:
-        rr = np.hypot(quad_xy[..., 0], quad_xy[..., 1])
-        lam = 2.0 / (1.0 - rr * rr)
-        density = density * lam * lam
-    # Mloc[i, j] = area * sum_q w_q bary_q[i] bary_q[j] rho(x_q)
-    return stiff_coeff, (density * area).T @ _MASS_TABLE
-
-
-def _local_stiffness(p: np.ndarray, two_area: np.ndarray, coeff: np.ndarray) -> np.ndarray:
-    """``coeff * grad(hat_i) . grad(hat_j)`` per triangle, from the constant P1
-    gradients ``b[:, i]`` of the hats; ``b b^T`` is two broadcast products
-    summed in place, cheaper than a batched 3x2 by 2x3 matmul."""
-    b = np.empty_like(p)
-    b[:, 0, 0] = p[:, 1, 1] - p[:, 2, 1]
-    b[:, 0, 1] = p[:, 2, 0] - p[:, 1, 0]
-    b[:, 1, 0] = p[:, 2, 1] - p[:, 0, 1]
-    b[:, 1, 1] = p[:, 0, 0] - p[:, 2, 0]
-    b[:, 2, 0] = p[:, 0, 1] - p[:, 1, 1]
-    b[:, 2, 1] = p[:, 1, 0] - p[:, 0, 0]
-    b /= two_area[:, None, None]
-    bx, by = b[:, :, 0, None], b[:, :, 1, None]
-    local = bx * bx.transpose(0, 2, 1)
-    local += by * by.transpose(0, 2, 1)
-    local *= coeff[:, None, None]
-    return local
-
-
-def _csr(local: np.ndarray, rows: np.ndarray, cols: np.ndarray, n: int) -> sparse.csr_matrix:
-    return sparse.coo_matrix((local.ravel(), (rows, cols)), shape=(n, n)).tocsr()
-
-
 def assemble(mesh: Mesh, space: SpaceForm, weight: WeightFunction) -> AssembledForms:
     """Build the weighted stiffness and mass matrices on a mesh.
 
     The weight's domain must cover the farthest mesh node (measured
     geodesically for the hyperbolic case).
+
+    Each matrix holds one entry per node and two per edge, from the mesh's
+    :meth:`~wittenlab.mesh.Mesh.table`.  Per triangle its three diagonal
+    entries and its three side entries (nodes ``k, k + 1``) are rows of
+    ``(3, M)`` arrays, filled by the six-point rule one point at a time, and
+    ``np.bincount`` adds them onto the nodes and the edges.  With ``e_k``
+    the edge vector from corner ``k`` to ``k + 1`` and ``A`` the area, the
+    stiffness entries are ``e_{i+1} . e_{j+1}`` times ``sum_q w_q rho(x_q) /
+    4A``, the mass entries ``A sum_q w_q b_q[i] b_q[j] rho(x_q)``.
     """
-    node_t = _geodesic_radii(space, mesh.nodes)
+    node_t = _geodesic_radii(space, *mesh.nodes.T)
     if np.max(node_t) > weight.domain_cap:
         raise AssemblyError(
             f"weight is only defined up to t = {weight.domain_cap:g} but the "
             f"mesh reaches geodesic radius {np.max(node_t):.6g}"
         )
 
-    p = mesh.nodes[mesh.triangles]  # (M, 3, 2)
-    area = _signed_areas(p)
+    x, y = np.ascontiguousarray(mesh.nodes.T)[:, mesh.triangles.T]  # (3, M) each
+    ex, ey = x[[1, 2, 0]] - x, y[[1, 2, 0]] - y  # e_k, from corner k to k + 1
+    area = 0.5 * (ex[0] * -ey[2] - ey[0] * -ex[2])
     if np.min(area) <= 0:
         raise AssemblyError("mesh contains a non-positive triangle")
-    stiff_coeff, m_local = _weighted_rules(p, area, space, weight)
+    # the stiffness geometry row by row, with no rotated copy of the edge
+    # vectors, and each input dropped once used: the quadrature loop and the
+    # CSR conversions then hold no more than they need
+    stiff_diag, stiff_side = np.empty_like(x), np.empty_like(x)
+    for i in range(3):
+        j, k = (i + 1) % 3, (i + 2) % 3
+        stiff_diag[i] = ex[j] * ex[j] + ey[j] * ey[j]
+        stiff_side[i] = ex[j] * ex[k] + ey[j] * ey[k]
+    del ex, ey
 
-    # the local matrices are released as soon as their CSR exists, so the
-    # two conversions' temporaries never overlap; the indices are int32, the
-    # dtype scipy would otherwise copy them to
-    tris = mesh.triangles.astype(np.int32)
-    rows = np.repeat(tris, 3, axis=1).ravel()
-    cols = np.tile(tris, (1, 3)).ravel()
+    coeff = np.zeros(len(area))
+    mass_diag, mass_side = np.zeros_like(x), np.zeros_like(x)
+    for w, bary in zip(QUAD_WEIGHTS, QUAD_BARY):
+        px, py = bary @ x, bary @ y
+        rho = np.exp(-weight.value(_geodesic_radii(space, px, py)))
+        coeff += w * rho
+        if space.is_hyperbolic:
+            rho *= (2.0 / (1.0 - px * px - py * py)) ** 2
+        mass_diag += (w * bary * bary)[:, None] * rho
+        mass_side += (w * bary * bary[[1, 2, 0]])[:, None] * rho
+    del x, y
+    coeff /= 4.0 * area
+    stiff_diag *= coeff
+    stiff_side *= coeff
+    mass_diag *= area
+    mass_side *= area
+
+    edges, _, side = mesh.table()
     n = len(mesh.nodes)
-    stiffness = _csr(_local_stiffness(p, 2.0 * area, stiff_coeff), rows, cols, n)
-    mass = _csr(m_local, rows, cols, n)
+    node_of, edge_of = mesh.triangles.T.ravel(), side.T.ravel()
+    rows = np.concatenate([np.arange(n, dtype=np.int32), edges[:, 0], edges[:, 1]])
+    cols = np.concatenate([np.arange(n, dtype=np.int32), edges[:, 1], edges[:, 0]])
+
+    def csr(diag: np.ndarray, off: np.ndarray) -> sparse.csr_matrix:
+        on_edges = np.bincount(edge_of, off.ravel(), minlength=len(edges))
+        data = np.concatenate(
+            [np.bincount(node_of, diag.ravel(), minlength=n), on_edges, on_edges]
+        )
+        return sparse.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
+
+    stiffness = csr(stiff_diag, stiff_side)
+    mass = csr(mass_diag, mass_side)
     return AssembledForms(stiffness=stiffness, mass=mass, mesh=mesh)
 
 

@@ -206,8 +206,13 @@ def _rule_points(corners: np.ndarray) -> np.ndarray:
 class Mesh:
     """Conforming triangulation with positively oriented triangles.
 
-    A mesh made by :func:`refine` keeps the P1 prolongation from the mesh
-    it split as ``prolongation``; generated and loaded meshes have none.
+    ``edge_table`` is the ``(edges, counts, side)`` of :func:`_edges` for
+    ``triangles``, int32 ``edges`` and ``side`` and int8 ``counts``.  A root
+    mesh, generated or loaded, sorts it out of its triangles once;
+    :func:`refine` derives each child's from its parent's with no sort; a
+    mesh built by hand may carry none (see :meth:`table`).  A mesh made by
+    :func:`refine` also keeps the P1 prolongation from the mesh it split as
+    ``prolongation``; generated and loaded meshes have none.
     """
 
     nodes: np.ndarray
@@ -216,6 +221,7 @@ class Mesh:
     domain_tag: str
     spec: DomainSpec | None = field(default=None, repr=False)
     prolongation: sparse.csr_matrix | None = field(default=None, repr=False, compare=False)
+    edge_table: tuple | None = field(default=None, repr=False, compare=False)
 
     def signed_areas(self) -> np.ndarray:
         return _signed_areas(self.nodes[self.triangles])
@@ -227,6 +233,11 @@ class Mesh:
         )
         return np.hypot(e[:, 0], e[:, 1])
 
+    def table(self):
+        """``edge_table``, or, on a mesh that carries none, the table sorted
+        out of its triangles (and not kept)."""
+        return self.edge_table if self.edge_table is not None else _edges(self.triangles)
+
 
 def _edges(triangles: np.ndarray):
     """Unique edges of a triangulation, numbered in first-appearance order.
@@ -234,7 +245,8 @@ def _edges(triangles: np.ndarray):
     Returns ``(edges, counts, side)``: the ``(E, 2)`` sorted node pairs in the
     order a walk over the sides ``ab, bc, ca`` of each triangle first meets
     them, the number of triangles sharing each edge, and ``side[t, k]``, the
-    edge number of side ``k`` of triangle ``t``.
+    edge number of side ``k`` of triangle ``t``; the dtypes of
+    ``Mesh.edge_table``.
     """
     pairs = np.sort(triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
     keys = pairs[:, 0] * (int(triangles.max()) + 1) + pairs[:, 1]
@@ -244,11 +256,83 @@ def _edges(triangles: np.ndarray):
     order = np.argsort(first)
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order))
-    return pairs[first[order]], counts[order], rank[inverse].reshape(-1, 3)
+    return (
+        pairs[first[order]].astype(np.int32),
+        counts[order].astype(np.int8),
+        rank[inverse].reshape(-1, 3).astype(np.int32),
+    )
+
+
+def _split_table(triangles: np.ndarray, table, n: int):
+    """The edge table of the triangles :func:`refine` splits ``triangles``
+    into, ``n`` nodes and ``table`` their own, in O(M) and with no sort;
+    equal entry for entry to a fresh :func:`_edges` of the children.
+
+    Side ``k`` of corner child ``c`` of triangle ``t`` is slot ``3 c + k``
+    of the nine of ``t``; the middle child's sides repeat slots 1, 4 and 7.
+    Each parent edge gives two half-edges, which inherit its count, and each
+    triangle three interior edges of count 2, the middle sides of its corner
+    children.  A half-edge first appears in the children of the triangle
+    where its parent edge first appears, so a cumulative count over the slots
+    that meet an edge first numbers the child edges in first-appearance order.
+    """
+    _, counts, side = table
+    m = len(side)
+    flat = side.ravel()
+    # under first-appearance numbering a side meets its edge first exactly
+    # when its number exceeds every number before it
+    first = np.empty(len(flat), dtype=bool)
+    first[0] = True
+    np.greater(flat[1:], np.maximum.accumulate(flat)[:-1], out=first[1:])
+    first = first.reshape(m, 3)
+    rot = [2, 0, 1]  # slots 2, 5, 8 hold the halves at the second nodes of sides ca, ab, bc
+    new = np.empty((m, 9), dtype=bool)
+    new[:, 0::3], new[:, 1::3], new[:, 2::3] = first, True, first[:, rot]
+    at_new = np.flatnonzero(new)
+    number = np.empty((m, 9), dtype=np.int32)  # read only where new
+    number.ravel()[at_new] = np.arange(len(at_new), dtype=np.int32)
+
+    # half[2 e + i]: the child edge of parent edge e at its end edges[e, i],
+    # numbered in the triangle where e first appears
+    at_first, interior = number[:, 0::3], number[:, 1::3]
+    at_second = number[:, 2::3][:, [1, 2, 0]]
+    upper = triangles > triangles[:, [1, 2, 0]]  # a side runs from its edge's upper end
+    half = np.column_stack([
+        np.where(upper, at_second, at_first)[first], np.where(upper, at_first, at_second)[first]
+    ]).ravel()
+    at = 2 * side + upper  # the half at each side's first node
+    child_side = np.empty((m, 4, 3), dtype=np.int32)
+    child_side[:, :3, 0] = half[at]
+    child_side[:, :3, 1] = interior
+    at ^= 1
+    child_side[:, :3, 2] = half[at][:, rot]
+    child_side[:, 3] = interior[:, [1, 2, 0]]
+
+    mid = n + side
+    pairs = np.empty((m, 9, 2), dtype=np.int32)
+    pairs[:, 0::3, 0] = pairs[:, 2::3, 0] = triangles
+    pairs[:, 0::3, 1], pairs[:, 2::3, 1] = mid, mid[:, rot]
+    np.minimum(mid, mid[:, rot], out=pairs[:, 1::3, 0])
+    np.maximum(mid, mid[:, rot], out=pairs[:, 1::3, 1])
+    parent_counts = counts[side]
+    child_counts = np.empty((m, 9), dtype=np.int8)
+    child_counts[:, 0::3], child_counts[:, 1::3] = parent_counts, 2
+    child_counts[:, 2::3] = parent_counts[:, rot]
+    return (
+        pairs.reshape(-1, 2).take(at_new, axis=0),
+        child_counts.ravel().take(at_new),
+        child_side.reshape(-1, 3),
+    )
 
 
 def validate(mesh: Mesh) -> None:
-    """Raise :class:`MeshInvariantError` on any broken structural invariant."""
+    """Raise :class:`MeshInvariantError` on any broken structural invariant.
+
+    The edge incidence comes from the mesh's :meth:`Mesh.table`, checked
+    against the triangles in O(M) instead of sorted again: each side's edge
+    must hold that side's two nodes, and ``counts`` must be the bincount of
+    ``side``.
+    """
     if not np.all(np.isfinite(mesh.nodes)):
         # a NaN area would slip past the area check below
         raise MeshInvariantError("node with a non-finite coordinate")
@@ -261,7 +345,18 @@ def validate(mesh: Mesh) -> None:
             f"{MIN_TRIANGLE_AREA:g}; a folded, clockwise or degenerate triangle"
         )
 
-    edges, counts, _ = _edges(mesh.triangles)
+    edges, counts, side = mesh.table()
+    tri = mesh.triangles
+    nxt = tri[:, [1, 2, 0]]
+    if (
+        side.shape != tri.shape
+        or side.min() < 0
+        or side.max() >= len(edges)
+        or not np.array_equal(edges[side, 0], np.minimum(tri, nxt))
+        or not np.array_equal(edges[side, 1], np.maximum(tri, nxt))
+        or not np.array_equal(np.bincount(side.ravel(), minlength=len(edges)), counts)
+    ):
+        raise MeshInvariantError("edge table disagrees with the triangles")
     if np.max(counts) > 2:
         raise MeshInvariantError("an edge is shared by more than two triangles")
     expected_boundary = np.unique(edges[counts == 1])
@@ -327,12 +422,14 @@ def _ring_mesh(spec: DomainSpec, rings: list[np.ndarray], center=None) -> Mesh:
     for inner, outer in zip(ring_indices[:-1], ring_indices[1:]):
         tris.extend(_band_triangles(inner, outer))
 
+    triangles = np.asarray(tris, dtype=int)
     mesh = Mesh(
         nodes=nodes,
-        triangles=np.asarray(tris, dtype=int),
+        triangles=triangles,
         boundary_nodes=np.sort(boundary),
         domain_tag=spec.describe(),
         spec=spec,
+        edge_table=_edges(triangles),
     )
     validate(mesh)
     return mesh
@@ -444,6 +541,7 @@ def _polygon_mesh(spec: DomainSpec) -> Mesh:
         boundary_nodes=np.arange(len(verts)),  # every vertex is a corner of an ear
         domain_tag=spec.describe(),
         spec=spec,
+        edge_table=_edges(tris),
     )
     # split until the coarse ears meet the pitch; boundary stays polygonal
     h = spec.target_edge_length
@@ -498,11 +596,14 @@ def refine(mesh: Mesh) -> Mesh:
     The result keeps the P1 prolongation ``[I; half the edge incidence]``
     from ``mesh``, rows in that node order; a projected boundary midpoint
     gets the plain average of its edge's ends, which is all the two-level
-    solve needs.
+    solve needs.  It also carries its edge table, derived from ``mesh``'s
+    by :func:`_split_table` without a sort, which :func:`validate` then
+    checks against the new triangles.
     """
     from scipy import sparse
 
-    edges, counts, side = _edges(mesh.triangles)
+    table = mesh.table()
+    edges, counts, side = table
     n, m = len(mesh.nodes), len(edges)
     mids = 0.5 * (mesh.nodes[edges[:, 0]] + mesh.nodes[edges[:, 1]])
     boundary = np.flatnonzero(counts == 1)
@@ -516,8 +617,10 @@ def refine(mesh: Mesh) -> Mesh:
         [a, mab, mca, b, mbc, mab, c, mca, mbc, mab, mbc, mca], axis=1
     ).reshape(-1, 3)
 
-    rows = np.concatenate([np.arange(n), np.repeat(np.arange(n, n + m), 2)])
-    cols = np.concatenate([np.arange(n), edges.ravel()])
+    # in CSR form directly: a coarse node's row holds itself, a midpoint's
+    # the two ends of its edge, already in ascending order
+    indptr = np.concatenate([np.arange(n, dtype=np.int32), n + 2 * np.arange(m + 1, dtype=np.int32)])
+    cols = np.concatenate([np.arange(n, dtype=np.int32), edges.ravel()])
     vals = np.concatenate([np.ones(n), np.full(2 * m, 0.5)])
     out = Mesh(
         nodes=nodes,
@@ -525,7 +628,8 @@ def refine(mesh: Mesh) -> Mesh:
         boundary_nodes=np.sort(np.concatenate([mesh.boundary_nodes, n + boundary])),
         domain_tag=mesh.domain_tag,
         spec=mesh.spec,
-        prolongation=sparse.csr_matrix((vals, (rows, cols)), shape=(n + m, n)),
+        prolongation=sparse.csr_matrix((vals, cols, indptr), shape=(n + m, n)),
+        edge_table=_split_table(mesh.triangles, table, n),
     )
     validate(out)
     return out
@@ -583,6 +687,7 @@ def load(path) -> Mesh:
         boundary_nodes=np.sort(boundary),
         domain_tag="external",
         spec=None,
+        edge_table=_edges(tris),
     )
     validate(mesh)
     return mesh

@@ -463,6 +463,83 @@ class TestRefineAgainstReference:
         self.assert_levels_match(m, None)
 
 
+TABLE_SPECS = {
+    "disk": DomainSpec(shape="disk", radius=1.0, target_edge_length=0.25),
+    "ellipse": DomainSpec(shape="ellipse", aspect=1.4, target_edge_length=0.25),
+    "annulus": DomainSpec(shape="annulus", inner_radius=0.4, outer_radius=1.2,
+                          target_edge_length=0.25),
+    "unit-square": DomainSpec(shape="polygon", vertices=((0, 0), (1, 0), (1, 1), (0, 1)),
+                              target_edge_length=0.25),
+    "L-shape": DomainSpec(shape="polygon",
+                          vertices=((0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)),
+                          target_edge_length=0.4),
+    "perturbed-disk": DomainSpec(shape="perturbed-disk", radius=1.0, perturbation=((3, 0.1),),
+                                 target_edge_length=0.25),
+    "translated-disk": DomainSpec(shape="translated-disk", radius=0.8, center=(0.3, 0.1),
+                                  target_edge_length=0.25),
+    "poincare-ellipse": DomainSpec(shape="ellipse", semi_axis_x=0.5, semi_axis_y=0.35,
+                                   target_edge_length=0.1),
+}
+
+
+def assert_tables_equal(got, want):
+    for a, b in zip(got, want, strict=True):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+class TestEdgeTable:
+    """A root mesh sorts its edge table once; ``refine`` derives each
+    child's from its parent's, equal entry for entry to a fresh sort."""
+
+    @staticmethod
+    def assert_derived_tables_sort_alike(m):
+        assert_tables_equal(m.edge_table, msh._edges(m.triangles))
+        for _ in range(3):
+            m = refine(m)
+            assert_tables_equal(m.edge_table, msh._edges(m.triangles))
+
+    @pytest.mark.parametrize("name", TABLE_SPECS)
+    def test_generated_meshes(self, name):
+        self.assert_derived_tables_sort_alike(generate(TABLE_SPECS[name]))
+
+    def test_loaded_mesh_file(self, tmp_path):
+        p = tmp_path / "m.wslmesh"
+        save(generate(TABLE_SPECS["ellipse"]), p)
+        self.assert_derived_tables_sort_alike(load(p))
+
+    def test_mesh_without_table_refines(self):
+        m = generate(TABLE_SPECS["disk"])
+        bare = Mesh(nodes=m.nodes, triangles=m.triangles,
+                    boundary_nodes=m.boundary_nodes, domain_tag=m.domain_tag, spec=m.spec)
+        assert bare.edge_table is None
+        r = refine(bare)
+        assert np.array_equal(r.triangles, refine(m).triangles)
+        assert_tables_equal(r.edge_table, msh._edges(r.triangles))
+
+    @staticmethod
+    def refined():
+        return refine(generate(TABLE_SPECS["annulus"]))
+
+    def test_side_pointing_at_the_wrong_edge_refused(self):
+        m = self.refined()
+        edges, counts, side = m.edge_table
+        side = side.copy()
+        side[7, 1] = side[7, 0]
+        m.edge_table = (edges, counts, side)
+        with pytest.raises(MeshInvariantError, match="edge table"):
+            validate(m)
+
+    @pytest.mark.parametrize("step", [1, -1])
+    def test_count_off_by_one_refused(self, step):
+        m = self.refined()
+        edges, counts, side = m.edge_table
+        counts = counts.copy()
+        counts[side[7, 1]] += step
+        m.edge_table = (edges, counts, side)
+        with pytest.raises(MeshInvariantError, match="edge table"):
+            validate(m)
+
+
 class TestFileFormat:
     def test_roundtrip_bit_exact(self, tmp_path):
         m = generate(DomainSpec(shape="disk", radius=1.0, target_edge_length=0.15))
