@@ -30,12 +30,13 @@ block carries its verdict as ``passed``.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .mesh import QUAD_WEIGHTS, DomainSpec, Mesh, _rule_points, _signed_areas, generate, refine
+from .mesh import QUAD_WEIGHTS, DomainSpec, Mesh, _rule_points, generate, refine
 from .radial import (
     DEFAULT_OPTIONS,
     RadialSolution,
@@ -113,9 +114,14 @@ def match_ball_radius(
 
     The weighted volume ``V(r)`` is strictly increasing in the radius, with
     the exact derivative ``dV/dr = |S^{n-1}| S(r)^{n-1} exp(-phi(r))``, so a
-    Newton iteration on ``log V(r) - log target``, started at the weight's
-    ``domain_cap`` and kept inside a bracket of the root, either finds the
-    radius or the volume out to the cap proves the weight's range too small.
+    Newton iteration on ``log V(r) - log target``, kept inside a bracket of
+    the root, either finds the radius or the volume out to the cap proves the
+    weight's range too small.  It starts at ``r0 = (inner^n + n target /
+    (|S^{n-1}| exp(-phi(inner))))^(1/n)``, or at the weight's ``domain_cap``
+    when ``r0`` is past it.  As ``phi`` is non-increasing and ``S(t) >= t``
+    in both curvatures, ``V(r) >= |S^{n-1}| exp(-phi(inner)) (r^n - inner^n)
+    / n``, so ``V(r0) >= target`` and ``r0`` bounds the root from above:
+    only a start at the cap can fall short of the target, and that raises.
     Log-space steps cross the exponential growth of hyperbolic volumes in a
     few iterations; where one would leave the bracket the plain Newton step
     on ``V`` is taken, which stays above the root because ``V`` is convex
@@ -129,17 +135,20 @@ def match_ball_radius(
         raise ValueError("target_volume must be positive and finite")
     cap = phi.domain_cap
     area = unit_sphere_area(dimension)
+    density = area * math.exp(-phi.value(inner)) / dimension  # V(r) >= density (r^n - inner^n)
     radius = cap
-    volume = weighted_annulus_volume(space, dimension, phi, inner, cap)
-    if volume < target_volume:
+    if density > 0.0:
+        radius = min((inner**dimension + target_volume / density) ** (1 / dimension), cap)
+    volume = weighted_annulus_volume(space, dimension, phi, inner, radius)
+    if volume < target_volume and radius == cap:
         raise CheckerError(
             f"target volume {target_volume:.6g} exceeds the volume "
             f"{volume:.6g} out to the weight's certified range {cap:g}"
         )
     lo, hi = inner, cap
     for _ in range(RADIUS_MAX_STEPS):
-        if volume == target_volume:
-            break
+        if volume == target_volume or radius == inner:
+            break  # hit exactly, or the root is the inner radius to round-off
         if volume < target_volume:
             lo = radius
         else:
@@ -158,10 +167,11 @@ def match_ball_radius(
         radius -= step
         volume = weighted_annulus_volume(space, dimension, phi, inner, radius)
     mismatch = volume - target_volume
-    core = weighted_annulus_volume(space, dimension, phi, 0.0, inner) if inner > 0 else 0.0
-    rel = abs(mismatch) / (core + target_volume)
-    if rel > VOLUME_MATCH_TOL:
-        raise CheckerError(f"volume matching stalled at relative error {rel:.3g}")
+    if abs(mismatch) > VOLUME_MATCH_TOL * target_volume:  # else rel is below it too
+        core = weighted_annulus_volume(space, dimension, phi, 0.0, inner) if inner > 0 else 0.0
+        rel = abs(mismatch) / (core + target_volume)
+        if rel > VOLUME_MATCH_TOL:
+            raise CheckerError(f"volume matching stalled at relative error {rel:.3g}")
     return float(radius), mismatch
 
 
@@ -365,6 +375,12 @@ def _area_ratio(space: SpaceForm, phi: WeightFunction, rho: np.ndarray) -> np.nd
     return ratio[inverse].reshape(rho.shape)
 
 
+@functools.cache
+def _gauss_rule() -> tuple[np.ndarray, np.ndarray]:
+    """The ``GAUSS_POINTS``-point Gauss-Legendre rule, solved for on first use."""
+    return np.polynomial.legendre.leggauss(GAUSS_POINTS)
+
+
 def weighted_disk_intersection(
     mesh: Mesh, space: SpaceForm, phi: WeightFunction, radius: float
 ) -> float:
@@ -408,7 +424,7 @@ def weighted_disk_intersection(
 
     ends = p[:, None] + cuts[..., None] * d[:, None]
     u, v = ends[:, :-1], ends[:, 1:]
-    nodes, weights = np.polynomial.legendre.leggauss(GAUSS_POINTS)
+    nodes, weights = _gauss_rule()
     x = u[:, :, None] + (v - u)[:, :, None] * (0.5 * (1.0 + nodes))[:, None]
     rho = np.minimum(np.hypot(x[..., 0], x[..., 1]), radius)
     ratio = _area_ratio(space, phi, rho)
@@ -610,7 +626,7 @@ def find_trial_center(
     mesh = _mesh_for(domain)
     p = mesh.nodes[mesh.triangles]
     xq = _rule_points(p).reshape(-1, 2)
-    wq = (QUAD_WEIGHTS[:, None] * _signed_areas(p)[None, :]).reshape(-1)
+    wq = (QUAD_WEIGHTS[:, None] * mesh.signed_areas()[None, :]).reshape(-1)
     density = wq * np.exp(-phi.value(np.hypot(xq[:, 0], xq[:, 1])))
 
     eqs = hull_equations(mesh.nodes[mesh.boundary_nodes])

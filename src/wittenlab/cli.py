@@ -519,9 +519,9 @@ def _write_profiles(records: list[dict], out: Path) -> None:
         rows = record.get("profile_data")
         if not rows:
             continue
-        lines = ["t,T,Tprime,f_over_S"]
-        lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-        (plots / f"{record['id']}_profile.csv").write_text("\n".join(lines) + "\n")
+        lines = ["t,T,Tprime,f_over_S\n"]
+        lines.extend("%.17g,%.17g,%.17g,%.17g\n" % tuple(row) for row in rows)
+        (plots / f"{record['id']}_profile.csv").write_text("".join(lines))
 
 
 def _execute(cases: list[dict], out: Path, jobs: int) -> list[dict]:

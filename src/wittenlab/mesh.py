@@ -164,13 +164,6 @@ class DomainSpec:
         return f"{self.shape}({body})"
 
 
-def _signed_areas(corners: np.ndarray) -> np.ndarray:
-    """Signed areas of triangles ``corners[..., 3, 2]``, counter-clockwise positive."""
-    d1 = corners[..., 1, :] - corners[..., 0, :]
-    d2 = corners[..., 2, :] - corners[..., 0, :]
-    return 0.5 * (d1[..., 0] * d2[..., 1] - d1[..., 1] * d2[..., 0])
-
-
 # Six-point rule, exact through polynomial degree four, weights sum to one.
 _A1, _W1 = 0.445948490915965, 0.223381589678011
 _A2, _W2 = 0.091576213509771, 0.109951743655322
@@ -224,7 +217,9 @@ class Mesh:
     edge_table: tuple | None = field(default=None, repr=False, compare=False)
 
     def signed_areas(self) -> np.ndarray:
-        return _signed_areas(self.nodes[self.triangles])
+        """Signed areas, counter-clockwise positive, from ``(3, M)`` corner coordinates."""
+        x, y = np.ascontiguousarray(self.nodes.T)[:, self.triangles.T]
+        return 0.5 * ((x[1] - x[0]) * (y[2] - y[0]) - (y[1] - y[0]) * (x[2] - x[0]))
 
     def edge_lengths(self) -> np.ndarray:
         p = self.nodes[self.triangles]

@@ -28,6 +28,7 @@ oscillation theory, so a spurious eigenvalue cannot silently shift ``which``.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field, replace
@@ -41,7 +42,7 @@ from .spaceform import (
 from .weights import WeightFunction
 
 _SERIES_BELOW = 0.1  # hyperbolic corrections switch to their series below
-PROFILE_SAMPLES = 2048  # the grid on which zeros and residuals are checked
+PROFILE_SAMPLES = 2048  # check-grid points per piece: zeros, residuals, monotone mode
 MONOTONE_GRID_POINTS = 2000  # the grid of check_lemma_monotone
 
 
@@ -121,24 +122,19 @@ class RadialSolution:
         ``T'(t)`` for ``t <= R``, else 0.  On ``[0, R]`` these are ``T`` and
         ``T'`` themselves."""
         t = np.asarray(t, dtype=float)
-        R = self.ball.radius
-        value, deriv = _profile(self.nodes, self.samples, self._power, np.minimum(t, R))
-        return value, np.where(t <= R, deriv, 0.0)
+        t_in = np.minimum(t, self.ball.radius)
+        value, deriv = _times_power(t_in, self._power, _piecewise(self.nodes, self.samples, t_in))
+        return value, np.where(t <= self.ball.radius, deriv, 0.0)
 
     @property
     def _power(self) -> int:
         return self.mode_degree if self.inner_radius == 0.0 else 0
 
 
-def _profile(nodes, samples, s: int, t):
-    """``T = t^s u`` and ``T'`` at ``t`` from the piecewise interpolants of
-    ``samples = (u, u')`` on the last axis; other trailing axes are carried
-    along."""
-    t = np.asarray(t, dtype=float)
-    both = _piecewise(nodes, samples, t)
-    t = t.reshape(t.shape + (1,) * (samples.ndim - 3))
-    dT = t ** s * both[..., 1]
-    return t ** s * both[..., 0], dT if s == 0 else dT + s * t ** (s - 1) * both[..., 0]
+def _times_power(t, s: int, both):
+    """``T = t^s u`` and ``T' = t^s u' + s t^(s-1) u`` from ``both = (u, u')``, last axis."""
+    u, dT = both[..., 0], t ** s * both[..., 1]
+    return t ** s * u, dT if s == 0 else dT + s * t ** (s - 1) * u
 
 
 @dataclass
@@ -185,9 +181,26 @@ def _barycentric(x: np.ndarray, values: np.ndarray, t: np.ndarray) -> np.ndarray
     return out.reshape(t.shape + values.shape[1:])
 
 
+def _lobatto_grid(a, b, m: int) -> np.ndarray:
+    """``m`` Lobatto points of ``[a, b]``, ascending, ends exact; a row per ``a, b`` pair."""
+    a, b = np.asarray(a, dtype=float)[..., None], np.asarray(b, dtype=float)[..., None]
+    grid = a + 0.5 * (b - a) * (1.0 - np.cos(math.pi * np.arange(m) / (m - 1)))
+    grid[..., :1], grid[..., -1:] = a, b
+    return grid
+
+
+@functools.cache
+def _check_matrix(N: int) -> np.ndarray:
+    """Barycentric interpolation from the ``N + 1`` Lobatto nodes of ``[-1,
+    1]`` to its ``PROFILE_SAMPLES`` Lobatto points, read-only, once per degree."""
+    x = _chebyshev(-1.0, 1.0, N)[0]
+    matrix = _barycentric(x, np.eye(N + 1), _lobatto_grid(-1.0, 1.0, PROFILE_SAMPLES))
+    matrix.setflags(write=False)
+    return matrix
+
+
 def _piecewise(nodes: np.ndarray, values: np.ndarray, t) -> np.ndarray:
-    """Barycentric interpolant of per-piece samples ``values[piece, node, ...]``."""
-    t = np.asarray(t, dtype=float)
+    """Barycentric interpolant of per-piece samples ``values[piece, node, ...]`` at array ``t``."""
     flat = t.reshape(-1)
     piece = np.searchsorted(nodes[1:, 0], flat, side="right")
     out = np.empty(flat.shape + values.shape[2:])
@@ -315,16 +328,12 @@ def _solve_degree(
             f"above tolerance at the degree cap {CHEBYSHEV_DEGREES[-1]}"
         )
 
-    m = PROFILE_SAMPLES
-    grid = inner + 0.5 * length * (1.0 - np.cos(math.pi * np.arange(m) / (m - 1)))
-    grid[0], grid[-1] = inner, outer
-    # every mode at once on the check grid; sign: positive next to the inner
-    # end; scale: max |T| = 1
+    # every mode on each piece's check grid; sign: positive next to the inner end; max |T| = 1
     samples = np.stack([vecs, np.einsum("pij,cpj->cpi", diffs, vecs)], axis=-1)
-    values, derivs = _profile(nodes, np.moveaxis(samples, 0, 2), s, grid)
-    factor = np.sign(vecs[:, 0, 0]) / np.max(np.abs(values), axis=0)
+    values, derivs = _on_check_grid(breaks, samples, s)
+    factor = np.sign(vecs[:, 0, 0]) / np.max(np.abs(values), axis=1)
     samples = samples * factor[:, None, None, None]
-    values, derivs = (values * factor).T, (derivs * factor).T
+    values, derivs = values * factor[:, None], derivs * factor[:, None]
     solutions = []
     for k in range(count):
         zeros = _count_interior_zeros(values[k, :-1])
@@ -367,11 +376,19 @@ def _solve_degree(
     return solutions
 
 
+def _on_check_grid(breaks, samples: np.ndarray, s: int):
+    """``T`` and ``T'`` of ``samples[..., piece, node, (u, u')]`` on
+    ``PROFILE_SAMPLES`` Lobatto points of each piece between ``breaks``, last
+    axis: every mode, row and piece in one product with :func:`_check_matrix`."""
+    both = np.tensordot(_check_matrix(samples.shape[-2] - 1), samples, (1, -2))
+    both = np.moveaxis(both, 0, -2).reshape(samples.shape[:-3] + (-1, 2))
+    grid = _lobatto_grid(breaks[:-1], breaks[1:], PROFILE_SAMPLES).reshape(-1)
+    return _times_power(grid, s, both)
+
+
 def _count_interior_zeros(values: np.ndarray) -> int:
     scale = np.max(np.abs(values))
     live = values[np.abs(values) > 1e-9 * scale]
-    if live.size < 2:
-        return 0
     return int(np.sum(np.signbit(live[:-1]) != np.signbit(live[1:])))
 
 

@@ -11,6 +11,7 @@ rule, which raises :class:`QuadratureError` when it cannot converge.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -110,23 +111,24 @@ def unit_sphere_area(dimension: int) -> float:
 
 def dct(values: np.ndarray, kind: int) -> np.ndarray:
     """Unnormalised DCT of type ``kind`` (1 or 2) along the last axis, in
-    ``scipy.fft.dct``'s convention, as the real FFT of the even extension.
-
-    Type 1 (values on ``N + 1`` Chebyshev points of the second kind, ends
-    included) extends ``x_0 .. x_N`` to the period ``x_0 .. x_N, x_{N-1} .. x_1``.
-    Type 2 (values on ``M`` Chebyshev points of the first kind, half a sample
-    off that grid) puts ``x`` on the odd slots of a period of ``4M`` and mirrors
-    it there, so the transform is real term by term and needs no complex
-    twiddle factor.
-    """
+    ``scipy.fft.dct``'s convention, as one product with a cached matrix."""
     x = np.asarray(values, dtype=float)
+    return x @ _cosine_matrix(kind, x.shape[-1])
+
+
+@functools.lru_cache(maxsize=16)  # the package asks for 2 kinds x 6 degrees
+def _cosine_matrix(kind: int, length: int) -> np.ndarray:
+    """``C`` with ``dct(x, kind) = x @ C``, read-only: ``c_j cos(pi j k / N)``,
+    ``c_j`` 1 at the ends and 2 inside, for type 1 on ``N + 1`` values;
+    ``2 cos(pi (2j + 1) k / 2M)`` for type 2 on ``M``.  Each angle's multiple
+    of ``pi`` is reduced modulo 2 in integers, so no cosine sees a large angle."""
+    j = np.arange(length)[:, None]
+    half, rows = (length - 1, j) if kind == 1 else (2 * length, 2 * j + 1)
+    matrix = 2.0 * np.cos(math.pi * (rows * j.T % (2 * half)) / half)
     if kind == 1:
-        return np.fft.rfft(np.concatenate([x, x[..., -2:0:-1]], axis=-1), axis=-1).real
-    m = x.shape[-1]
-    ext = np.zeros(x.shape[:-1] + (4 * m,))
-    ext[..., 1 : 2 * m : 2] = x
-    ext[..., 2 * m + 1 :: 2] = x[..., ::-1]
-    return np.fft.rfft(ext, axis=-1)[..., :m].real
+        matrix[[0, -1]] *= 0.5
+    matrix.setflags(write=False)
+    return matrix
 
 
 def _chebyshev_integrals(integrand, breaks) -> np.ndarray:

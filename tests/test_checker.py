@@ -15,6 +15,7 @@ pointwise reciprocal bound is property-tested.
 import importlib
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -43,8 +44,8 @@ from wittenlab.checker import (
 )
 from wittenlab.mesh import QUAD_BARY, QUAD_WEIGHTS, DomainSpec, Mesh, generate, refine
 from wittenlab.radial import ShellSpec, shoot_first_mode
-from wittenlab.spaceform import BallSpec, SpaceForm, weighted_annulus_volume
-from wittenlab.weights import make_weight
+from wittenlab.spaceform import BallSpec, SpaceForm, unit_sphere_area, weighted_annulus_volume
+from wittenlab.weights import FAMILIES, make_weight
 
 FLAT = SpaceForm(curvature=0)
 HYP = SpaceForm(curvature=-1)
@@ -144,6 +145,59 @@ class TestMatchBallRadius:
             assert abs(ours - oracle) <= 1e-12 * oracle
             assert abs(mismatch) <= 1e-13 * target
             assert ours_calls < len(calls), (r_true, ours_calls, len(calls))
+
+    @given(
+        family=st.sampled_from(FAMILIES),
+        space=st.sampled_from([FLAT, HYP]),
+        n=st.integers(2, 5),
+        scale=st.floats(0.1, 2.0),
+        cap=st.floats(1.0, 6.0),
+        inner_frac=st.just(0.0) | st.floats(0.0, 0.9),
+        root_frac=st.floats(1e-3, 1.0),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_start_is_an_upper_bound_of_the_root(
+        self, family, space, n, scale, cap, inner_frac, root_frac
+    ):
+        # phi non-increasing and S(t) >= t make the start r0 an upper bound:
+        # V(r0) >= target, up to the volume's own round-off
+        params = {
+            "constant": (scale,),
+            "linear-decreasing": (scale, 0.4 * scale),
+            "exponential-decay": (0.0, scale, 0.5 * scale),
+            "tabulated-spline": (0.0, 2.0 * scale, cap / 3, 0.9 * scale,
+                                 2 * cap / 3, 0.35 * scale, cap, 0.0),
+        }[family]
+        phi = make_weight(family, params, cap)
+        inner = inner_frac * cap
+        root = inner + root_frac * (cap - inner)
+        target = weighted_annulus_volume(space, n, phi, inner, root)
+        with mock.patch.object(
+            checker, "weighted_annulus_volume", wraps=weighted_annulus_volume
+        ) as spy:
+            radius, _ = match_ball_radius(space, n, phi, target, inner)
+        start = spy.call_args_list[0].args[-1]
+        density = unit_sphere_area(n) * math.exp(-phi.value(inner)) / n
+        assert start == min((inner**n + target / density) ** (1 / n), cap)
+        assert start >= radius * (1.0 - 1e-14)
+        if start < cap:
+            assert weighted_annulus_volume(space, n, phi, inner, start) >= target * (1 - 1e-13)
+
+    @pytest.mark.parametrize("space", [FLAT, HYP], ids=["flat", "hyperbolic"])
+    @pytest.mark.parametrize("inner", [0.0, 1.0])
+    def test_target_past_the_cap_raises(self, phi_lin, space, inner):
+        # the start is then past the cap, so the match starts at the cap and
+        # its volume there proves the weight's range too small
+        target = weighted_annulus_volume(space, 3, phi_lin, inner, 50.0) * (1.0 + 1e-9)
+        with pytest.raises(CheckerError, match="certified range 50"):
+            match_ball_radius(space, 3, phi_lin, target, inner)
+
+    def test_underflowing_weight_starts_at_the_cap(self):
+        # exp(-phi(inner)) underflows to 0, so no bound is formed: the match
+        # starts at the cap, whose zero volume raises the cap error
+        phi = make_weight("constant", (800.0,), 50.0)
+        with pytest.raises(CheckerError, match="certified range"):
+            match_ball_radius(FLAT, 2, phi, 1.0)
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
     def test_rejects_bad_targets(self, phi_zero, bad):

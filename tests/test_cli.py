@@ -488,6 +488,15 @@ class TestRun:
             assert first[0] < last[0]
             assert abs(last[2]) < 1e-6  # free boundary: T' vanishes at R
 
+    def test_profile_rows_keep_their_bytes(self, tmp_path):
+        # one format per row gives byte for byte the per-field _fmt join
+        record = cli._run_case(cli.validate_case(shell_case(), "case", "x"))
+        rows = record["profile_data"]
+        cli._write_profiles([record], tmp_path)
+        fields = [",".join(cli._fmt(v) for v in row) for row in rows]
+        want = "\n".join(["t,T,Tprime,f_over_S", *fields]) + "\n"
+        assert (tmp_path / "plots" / "ball3_profile.csv").read_bytes() == want.encode()
+
     def test_failing_verdict_exits_two(self, tmp_path):
         case = {
             "id": "offset",
@@ -875,17 +884,82 @@ class TestOneSolvePerCase:
         assert any("re-examined at higher resolution" in note for note in report["notes"])
 
 
+def count_match_volumes(monkeypatch) -> list[int]:
+    """Spy on the checker: each radius match appends to the returned list
+    the number of weighted volumes it evaluated."""
+    counts, inside = [], []
+    match, volume = checker.match_ball_radius, checker.weighted_annulus_volume
+
+    def counted_match(*args):
+        inside.append(0)
+        try:
+            return match(*args)
+        finally:
+            counts.append(inside.pop())
+
+    def counted_volume(*args):
+        if inside:
+            inside[-1] += 1
+        return volume(*args)
+
+    monkeypatch.setattr(checker, "match_ball_radius", counted_match)
+    monkeypatch.setattr(checker, "weighted_annulus_volume", counted_volume)
+    return counts
+
+
 @pytest.fixture(scope="module")
-def bundled_records(tmp_path_factory):
-    """The records of the bundled suite and the off-centre probe, by config."""
+def bundled_runs(tmp_path_factory):
+    """The records of the bundled suite and the off-centre probe, by config,
+    and the volumes each of their radius matches evaluated."""
     records = {}
-    for config, expected in (("theorem_suite", 0), ("offcenter_probe", 2)):
-        out = tmp_path_factory.mktemp(config)
-        code = cli.main(["run", str(ROOT / "configs" / f"{config}.json"), "--out", str(out)])
-        assert code == expected, config
-        lines = (out / "reports.jsonl").read_text().splitlines()
-        records[config] = [json.loads(line) for line in lines]
-    return records
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        volumes = count_match_volumes(monkeypatch)
+        for config, expected in (("theorem_suite", 0), ("offcenter_probe", 2)):
+            out = tmp_path_factory.mktemp(config)
+            code = cli.main(["run", str(ROOT / "configs" / f"{config}.json"), "--out", str(out)])
+            assert code == expected, config
+            lines = (out / "reports.jsonl").read_text().splitlines()
+            records[config] = [json.loads(line) for line in lines]
+    return records, volumes
+
+
+@pytest.fixture(scope="module")
+def bundled_records(bundled_runs):
+    return bundled_runs[0]
+
+
+# the radial benchmark's balls and shells, one seed's draw: a flat ball, a
+# flat shell with the sharper block (which matches from an inner radius),
+# and two hyperbolic shells, the second under a tabulated spline
+RADIAL_BENCHMARK_CASES = [
+    ("euclidean", 2, 0.0, 1.0588, {"family": "constant", "params": [0.0]}),
+    ("euclidean", 4, 0.4367, 1.1027,
+     {"family": "exponential-decay", "params": [0.0, 0.9689, 0.4317]}),
+    ("hyperbolic", 3, 0.2851, 1.0204,
+     {"family": "linear-decreasing", "params": [0.1971, 0.2964]}),
+    ("hyperbolic", 5, 0.3067, 0.978,
+     {"family": "tabulated-spline", "domain_cap": 3.0,
+      "params": [0.0, 1.8028, 1.0, 0.81126, 2.0, 0.31549, 3.0, 0.0]}),
+]
+
+
+def test_radius_matches_start_near_their_root(bundled_runs, tmp_path, monkeypatch):
+    # each match starts at a proven upper bound of its root instead of the
+    # weight's cap (12 to 16 volumes from there): up to five volumes reach
+    # the root, and the stopping rules may take up to two more steps of an
+    # ulp or two at the volume's round-off
+    volumes = list(bundled_runs[1])
+    spied = count_match_volumes(monkeypatch)
+    cases = [
+        {"id": f"r{i}", "space": space, "dimension": n,
+         "domain": {"shape": "shell", "inner_radius": inner, "outer_radius": outer},
+         "weight": weight, "checks": ["main", "sharper"] if i == 1 else ["main"]}
+        for i, (space, n, inner, outer, weight) in enumerate(RADIAL_BENCHMARK_CASES)
+    ]
+    config = write_config(tmp_path, {"schema": 1, "cases": cases})
+    assert cli.main(["run", config, "--out", str(tmp_path / "out")]) == 0
+    assert len(spied) == 6 and len(volumes) >= 10
+    assert max(volumes + spied) <= 7, (volumes, spied)
 
 
 @pytest.mark.parametrize("config", ["theorem_suite", "offcenter_probe"])

@@ -183,7 +183,8 @@ def test_extension_values(phi_zero, disk_solution):
     sol = disk_solution
 
     def T(t):  # the unextended interpolant
-        return radial._profile(sol.nodes, sol.samples, sol._power, t)
+        t = np.asarray(t, dtype=float)
+        return radial._times_power(t, sol._power, radial._piecewise(sol.nodes, sol.samples, t))
 
     f, fprime = sol.profile(0.5)
     assert float(f) == pytest.approx(float(T(0.5)[0]), rel=1e-12)
@@ -354,3 +355,55 @@ def test_eigenpairs_match_scipy_on_the_full_pencil():
     # conditions exactly as eliminated
     residual = A @ V - (t[:, None] * V) * np.where(condition, 0.0, 1.0)[:, None] * w
     assert np.max(np.abs(residual[:, np.abs(w) < 1e3])) < 1e-13 * np.max(np.abs(A))
+
+
+def test_check_matrix_is_cached_barycentric_interpolation():
+    # one read-only matrix per degree, exact on polynomials of that degree
+    E = radial._check_matrix(24)
+    assert E is radial._check_matrix(24)
+    assert E.shape == (radial.PROFILE_SAMPLES, 25) and not E.flags.writeable
+    x = radial._chebyshev(-1.0, 1.0, 24)[0]
+    y = radial._lobatto_grid(-1.0, 1.0, radial.PROFILE_SAMPLES)
+    np.testing.assert_allclose(E @ x ** 24, y ** 24, rtol=0.0, atol=1e-14)
+    assert np.array_equal(E[[0, -1]], np.eye(25)[[0, -1]])
+
+
+@pytest.mark.parametrize("space", [FLAT, HYP], ids=["flat", "hyperbolic"])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("inner, outer", [(0.0, 1.0), (0.3, 1.1)], ids=["ball", "shell"])
+def test_check_grid_on_one_piece_is_the_interval_grid(space, n, inner, outer):
+    # on a one-piece interval the check grid is the interval's own Lobatto
+    # grid, and the cached matrix gives what the profile's interpolant gives
+    phi = make_weight("exponential-decay", [0.0, 1.0, 0.5], 12.0)
+    m = radial.PROFILE_SAMPLES
+    grid = inner + 0.5 * (outer - inner) * (1.0 - np.cos(math.pi * np.arange(m) / (m - 1)))
+    grid[0], grid[-1] = inner, outer
+    assert np.array_equal(radial._lobatto_grid([inner], [outer], m).reshape(-1), grid)
+    for l in (0, 1, 2):
+        for mode in radial._solve_degree(l, inner, outer, n, space, phi, 2, DEFAULT_OPTIONS):
+            got = radial._on_check_grid([inner, outer], mode.samples, mode._power)
+            want = mode.profile(grid)
+            for g, w in zip(got, want):
+                assert np.max(np.abs(g - w)) <= 1e-14 * np.max(np.abs(w)), (l, mode.mu)
+
+
+def test_spline_ball_is_checked_on_every_piece():
+    # knots at 0.4 and 0.8 split the ball into three pieces, each with its
+    # own check grid; the degree-0 modes keep their zero counts and Neumann
+    # residuals there, the first mode its positive derivative
+    spline = make_weight(
+        "tabulated-spline", [0.0, 2.0, 0.4, 1.3, 0.8, 0.8, 1.5, 0.35, 3.0, 0.0], 3.0
+    )
+    breaks = spline.breaks(0.0, 1.2)
+    assert len(breaks) == 4
+    for k, mode in enumerate(radial._solve_degree(0, 0.0, 1.2, 3, HYP, spline, 3,
+                                                  DEFAULT_OPTIONS)):
+        values, derivs = radial._on_check_grid(breaks, mode.samples, 0)
+        assert values.shape == (3 * radial.PROFILE_SAMPLES,)
+        assert radial._count_interior_zeros(values[:-1]) == k + 1
+        assert abs(derivs[-1]) <= DEFAULT_OPTIONS.residual_tol * np.max(np.abs(derivs))
+        assert mode.residual <= DEFAULT_OPTIONS.residual_tol
+    first = shoot_first_mode(BallSpec(1.2, 3, HYP), spline)
+    assert first.first_mode_monotone
+    assert first.residual <= DEFAULT_OPTIONS.residual_tol
+    assert np.all(radial._on_check_grid(breaks, first.samples, 1)[1][:-1] > 0.0)
