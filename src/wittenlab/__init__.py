@@ -14,11 +14,9 @@ from .spaceform import (
     BallSpec,
     QuadratureError,
     SpaceForm,
-    c_kappa,
     s_kappa,
     unit_sphere_area,
     weighted_annulus_volume,
-    weighted_ball_volume,
 )
 from .weights import WeightFunction, make_weight
 
@@ -31,10 +29,8 @@ __all__ = [
     "QuadratureError",
     "SpaceForm",
     "WeightFunction",
-    "c_kappa",
     "make_weight",
     "s_kappa",
     "unit_sphere_area",
     "weighted_annulus_volume",
-    "weighted_ball_volume",
 ]

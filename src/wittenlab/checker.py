@@ -122,6 +122,9 @@ def match_ball_radius(
     in both curvatures, ``V(r) >= |S^{n-1}| exp(-phi(inner)) (r^n - inner^n)
     / n``, so ``V(r0) >= target`` and ``r0`` bounds the root from above:
     only a start at the cap can fall short of the target, and that raises.
+    A float ``r0`` below the cap can still fall short by the rounding of
+    ``r0`` (a few ``ulp(r0)`` times ``dV/dr``); the iteration then goes on
+    from below.
     Log-space steps cross the exponential growth of hyperbolic volumes in a
     few iterations; where one would leave the bracket the plain Newton step
     on ``V`` is taken, which stays above the root because ``V`` is convex
@@ -402,7 +405,7 @@ def weighted_disk_intersection(
     times the angle the piece subtends at the origin, the flux of ``x /
     |x|^2``.
     """
-    _, counts, side = mesh.table()
+    _, counts, side = mesh.edge_table
     t, k = np.nonzero(counts[side] == 1)
     p = mesh.nodes[mesh.triangles[t, k]]
     d = mesh.nodes[mesh.triangles[t, (k + 1) % 3]] - p
@@ -527,33 +530,6 @@ def _conjecture_block(sol: CaseSolution) -> dict:
         ),
         "escalated": escalated,
     }
-
-
-def check_pointwise_bound(mu, xi) -> tuple[bool, float]:
-    """Weighted-reciprocal comparison behind the trial-function argument.
-
-    For ascending positive ``mu`` and a unit vector ``xi``, with weights
-    ``a_i = 1 - xi_i^2`` (which sum to n-1), checks
-
-        sum_i a_i / mu_i  <=  sum_{i<n} 1 / mu_i
-
-    and returns ``(holds, slack)`` with slack the right side minus the left.
-    """
-    mu = np.asarray(mu, dtype=float)
-    xi = np.asarray(xi, dtype=float)
-    if mu.ndim != 1 or xi.shape != mu.shape:
-        raise ValueError("mu and xi must be vectors of equal length")
-    if np.any(mu <= 0):
-        raise ValueError("eigenvalues must be positive")
-    if np.any(np.diff(mu) < 0):
-        raise ValueError("eigenvalues must be ascending")
-    if abs(float(xi @ xi) - 1.0) > 1e-9:
-        raise ValueError("xi must be a unit vector")
-    a = 1.0 - xi * xi
-    lhs = float(np.sum(a / mu))
-    rhs = float(np.sum(1.0 / mu[:-1]))
-    slack = rhs - lhs
-    return bool(slack >= -1e-12 * max(1.0, abs(rhs))), slack
 
 
 def hull_equations(points: np.ndarray) -> np.ndarray:

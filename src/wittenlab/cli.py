@@ -44,7 +44,7 @@ import numpy as np
 from .checker import build_report, find_trial_center, solve_case
 from .mesh import SHAPE_FIELDS, DomainSpec, MeshInvariantError, generate, load as load_mesh
 from .radial import ShellSpec, ShootingOptions, check_lemma_monotone
-from .spaceform import SpaceForm
+from .spaceform import SpaceForm, s_kappa
 from .weights import FAMILIES, make_weight
 
 SCHEMA_VERSION = 1
@@ -389,7 +389,7 @@ def _run_case(case: dict) -> dict:
 
     ts = np.linspace(0.0, radius, PROFILE_SAMPLES)
     values, derivs = mode.profile(ts)
-    metric = space.s(ts)
+    metric = s_kappa(ts, space)
     # at the centre f/S takes its limit T'(0)/C(0) = T'(0)
     ratio = np.divide(values, metric, out=derivs.copy(), where=metric > 0.0)
     record["profile_data"] = [

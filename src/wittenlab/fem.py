@@ -143,7 +143,7 @@ def assemble(mesh: Mesh, space: SpaceForm, weight: WeightFunction) -> AssembledF
     mass_diag *= area
     mass_side *= area
 
-    edges, _, side = mesh.table()
+    edges, _, side = mesh.edge_table
     n = len(mesh.nodes)
     node_of, edge_of = mesh.triangles.T.ravel(), side.T.ravel()
     rows = np.concatenate([np.arange(n, dtype=np.int32), edges[:, 0], edges[:, 1]])

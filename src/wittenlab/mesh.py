@@ -199,22 +199,36 @@ def _rule_points(corners: np.ndarray) -> np.ndarray:
 class Mesh:
     """Conforming triangulation with positively oriented triangles.
 
+    A mesh stores its ``nodes``, ``triangles`` and generating ``spec``
+    (``None`` when loaded or built by hand); the rest is derived.
     ``edge_table`` is the ``(edges, counts, side)`` of :func:`_edges` for
-    ``triangles``, int32 ``edges`` and ``side`` and int8 ``counts``.  A root
-    mesh, generated or loaded, sorts it out of its triangles once;
-    :func:`refine` derives each child's from its parent's with no sort; a
-    mesh built by hand may carry none (see :meth:`table`).  A mesh made by
-    :func:`refine` also keeps the P1 prolongation from the mesh it split as
-    ``prolongation``; generated and loaded meshes have none.
+    ``triangles``, int32 ``edges`` and ``side`` and int8 ``counts``, sorted
+    out of the triangles on construction unless given: :func:`refine` gives
+    each child the one it derives from its parent's with no sort.  A mesh
+    made by :func:`refine` also keeps the P1 prolongation from the mesh it
+    split as ``prolongation``; generated and loaded meshes have none.
     """
 
     nodes: np.ndarray
     triangles: np.ndarray
-    boundary_nodes: np.ndarray
-    domain_tag: str
     spec: DomainSpec | None = field(default=None, repr=False)
     prolongation: sparse.csr_matrix | None = field(default=None, repr=False, compare=False)
-    edge_table: tuple | None = field(default=None, repr=False, compare=False)
+    edge_table: tuple = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.edge_table is None:
+            self.edge_table = _edges(self.triangles)
+
+    @property
+    def boundary_nodes(self) -> np.ndarray:
+        """Sorted nodes of the edges that only one triangle has."""
+        edges, counts, _ = self.edge_table
+        return np.unique(edges[counts == 1])
+
+    @property
+    def domain_tag(self) -> str:
+        """Record tag: the spec's :meth:`DomainSpec.describe`, or ``"external"``."""
+        return self.spec.describe() if self.spec is not None else "external"
 
     def signed_areas(self) -> np.ndarray:
         """Signed areas, counter-clockwise positive, from ``(3, M)`` corner coordinates."""
@@ -227,11 +241,6 @@ class Mesh:
             [p[:, 1] - p[:, 0], p[:, 2] - p[:, 1], p[:, 0] - p[:, 2]], axis=0
         )
         return np.hypot(e[:, 0], e[:, 1])
-
-    def table(self):
-        """``edge_table``, or, on a mesh that carries none, the table sorted
-        out of its triangles (and not kept)."""
-        return self.edge_table if self.edge_table is not None else _edges(self.triangles)
 
 
 def _edges(triangles: np.ndarray):
@@ -323,10 +332,11 @@ def _split_table(triangles: np.ndarray, table, n: int):
 def validate(mesh: Mesh) -> None:
     """Raise :class:`MeshInvariantError` on any broken structural invariant.
 
-    The edge incidence comes from the mesh's :meth:`Mesh.table`, checked
-    against the triangles in O(M) instead of sorted again: each side's edge
-    must hold that side's two nodes, and ``counts`` must be the bincount of
-    ``side``.
+    The edge incidence comes from ``mesh.edge_table``, checked against the
+    triangles in O(M) instead of sorted again: each side's edge must hold
+    that side's two nodes, and ``counts`` must be the bincount of ``side``.
+    :attr:`Mesh.boundary_nodes` is read from the same table, so a valid
+    table is a valid boundary.
     """
     if not np.all(np.isfinite(mesh.nodes)):
         # a NaN area would slip past the area check below
@@ -340,7 +350,7 @@ def validate(mesh: Mesh) -> None:
             f"{MIN_TRIANGLE_AREA:g}; a folded, clockwise or degenerate triangle"
         )
 
-    edges, counts, side = mesh.table()
+    edges, counts, side = mesh.edge_table
     tri = mesh.triangles
     nxt = tri[:, [1, 2, 0]]
     if (
@@ -354,9 +364,6 @@ def validate(mesh: Mesh) -> None:
         raise MeshInvariantError("edge table disagrees with the triangles")
     if np.max(counts) > 2:
         raise MeshInvariantError("an edge is shared by more than two triangles")
-    expected_boundary = np.unique(edges[counts == 1])
-    if not np.array_equal(np.sort(mesh.boundary_nodes), expected_boundary):
-        raise MeshInvariantError("boundary node list disagrees with edge incidence")
 
     # disk-like or annulus-like topology only
     V, F = len(mesh.nodes), len(mesh.triangles)
@@ -408,24 +415,13 @@ def _ring_mesh(spec: DomainSpec, rings: list[np.ndarray], center=None) -> Mesh:
     ring_indices = [np.arange(a, b) for a, b in zip(ends[:-1], ends[1:])]
 
     tris: list[tuple[int, int, int]] = []
-    if center is None:
-        boundary = np.concatenate([ring_indices[0], ring_indices[-1]])
-    else:
-        boundary = ring_indices[-1]
+    if center is not None:
         first = ring_indices[0]
         tris.extend((0, first[j], first[(j + 1) % len(first)]) for j in range(len(first)))
     for inner, outer in zip(ring_indices[:-1], ring_indices[1:]):
         tris.extend(_band_triangles(inner, outer))
 
-    triangles = np.asarray(tris, dtype=int)
-    mesh = Mesh(
-        nodes=nodes,
-        triangles=triangles,
-        boundary_nodes=np.sort(boundary),
-        domain_tag=spec.describe(),
-        spec=spec,
-        edge_table=_edges(triangles),
-    )
+    mesh = Mesh(nodes=nodes, triangles=np.asarray(tris, dtype=int), spec=spec)
     validate(mesh)
     return mesh
 
@@ -529,21 +525,13 @@ def _polygon_mesh(spec: DomainSpec) -> Mesh:
     if np.sum((nxt[:, 0] - verts[:, 0]) * (nxt[:, 1] + verts[:, 1])) > 0:
         verts = verts[::-1]
 
-    tris = np.asarray(_ear_clip(verts), dtype=int)
-    mesh = Mesh(
-        nodes=verts.copy(),
-        triangles=tris,
-        boundary_nodes=np.arange(len(verts)),  # every vertex is a corner of an ear
-        domain_tag=spec.describe(),
-        spec=spec,
-        edge_table=_edges(tris),
-    )
-    # split until the coarse ears meet the pitch; boundary stays polygonal
+    mesh = Mesh(nodes=verts.copy(), triangles=np.asarray(_ear_clip(verts), dtype=int), spec=spec)
+    validate(mesh)
+    # split until the coarse ears meet the pitch; boundary stays polygonal,
+    # and each refine validates the mesh it makes
     h = spec.target_edge_length
     while np.max(mesh.edge_lengths()) > 1.9 * h:
         mesh = refine(mesh)
-    if mesh.prolongation is None:
-        validate(mesh)  # no split ran; each refine validates the mesh it makes
     # these splits make the mesh; they are not levels to solve on
     mesh.prolongation = None
     return mesh
@@ -593,12 +581,12 @@ def refine(mesh: Mesh) -> Mesh:
     gets the plain average of its edge's ends, which is all the two-level
     solve needs.  It also carries its edge table, derived from ``mesh``'s
     by :func:`_split_table` without a sort, which :func:`validate` then
-    checks against the new triangles.
+    checks against the new triangles; its boundary and tag follow from that
+    table and the shared ``spec``.
     """
     from scipy import sparse
 
-    table = mesh.table()
-    edges, counts, side = table
+    edges, counts, side = mesh.edge_table
     n, m = len(mesh.nodes), len(edges)
     mids = 0.5 * (mesh.nodes[edges[:, 0]] + mesh.nodes[edges[:, 1]])
     boundary = np.flatnonzero(counts == 1)
@@ -620,11 +608,9 @@ def refine(mesh: Mesh) -> Mesh:
     out = Mesh(
         nodes=nodes,
         triangles=tris,
-        boundary_nodes=np.sort(np.concatenate([mesh.boundary_nodes, n + boundary])),
-        domain_tag=mesh.domain_tag,
         spec=mesh.spec,
         prolongation=sparse.csr_matrix((vals, cols, indptr), shape=(n + m, n)),
-        edge_table=_split_table(mesh.triangles, table, n),
+        edge_table=_split_table(mesh.triangles, mesh.edge_table, n),
     )
     validate(out)
     return out
@@ -632,13 +618,13 @@ def refine(mesh: Mesh) -> Mesh:
 
 def save(mesh: Mesh, path) -> None:
     """Write the exchange format; floats use shortest round-trip decimals."""
-    lines = [FORMAT_HEADER]
-    lines.append(f"{len(mesh.nodes)} {len(mesh.triangles)} {len(mesh.boundary_nodes)}")
+    boundary = mesh.boundary_nodes
+    lines = [FORMAT_HEADER, f"{len(mesh.nodes)} {len(mesh.triangles)} {len(boundary)}"]
     for x, y in mesh.nodes:
         lines.append(f"{float(x)!r} {float(y)!r}")
     for a, b, c in mesh.triangles:
         lines.append(f"{int(a)} {int(b)} {int(c)}")
-    for b in mesh.boundary_nodes:
+    for b in boundary:
         lines.append(str(int(b)))
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -647,8 +633,10 @@ def save(mesh: Mesh, path) -> None:
 def load(path) -> Mesh:
     """Read the exchange format and validate the result.
 
-    Loaded meshes carry no generating shape, so refinement will not project
-    their boundary midpoints.
+    The file's boundary list comes from outside the program, so it must
+    equal the boundary the triangles' edge table gives, which the mesh then
+    uses.  Loaded meshes carry no generating shape, so their tag is
+    ``"external"`` and refinement will not project their boundary midpoints.
     """
     with open(path, "r", encoding="ascii") as fh:
         raw = [line.strip() for line in fh if line.strip()]
@@ -676,13 +664,8 @@ def load(path) -> Mesh:
         raise MeshFormatError(f"malformed record: {exc}") from exc
     if nodes.shape != (nv, 2) or tris.shape != (nt, 3):
         raise MeshFormatError("record arity mismatch")
-    mesh = Mesh(
-        nodes=nodes,
-        triangles=tris,
-        boundary_nodes=np.sort(boundary),
-        domain_tag="external",
-        spec=None,
-        edge_table=_edges(tris),
-    )
+    mesh = Mesh(nodes=nodes, triangles=tris)
     validate(mesh)
+    if not np.array_equal(np.sort(boundary), mesh.boundary_nodes):
+        raise MeshInvariantError("boundary node list disagrees with edge incidence")
     return mesh

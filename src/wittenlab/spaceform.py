@@ -51,9 +51,6 @@ class SpaceForm:
     def is_hyperbolic(self) -> bool:
         return self.curvature == HYPERBOLIC
 
-    def s(self, t):
-        return s_kappa(t, self)
-
 
 @dataclass(frozen=True)
 class BallSpec:
@@ -83,17 +80,6 @@ def s_kappa(t, space: SpaceForm):
         out = np.sinh(arr)
     else:
         out = arr.copy()
-    return out if out.ndim else float(out)
-
-
-def c_kappa(t, space: SpaceForm):
-    """Derivative of :func:`s_kappa`: ``1`` in flat space, ``cosh t`` otherwise."""
-    arr = np.asarray(t, dtype=float)
-    _check_nonnegative(arr)
-    if space.is_hyperbolic:
-        out = np.cosh(arr)
-    else:
-        out = np.ones_like(arr)
     return out if out.ndim else float(out)
 
 
@@ -188,8 +174,3 @@ def weighted_annulus_volume(
 
     breaks = phi.breaks(inner_radius, outer_radius)
     return unit_sphere_area(dimension) * float(_chebyshev_integrals(integrand, breaks))
-
-
-def weighted_ball_volume(ball: BallSpec, phi: WeightFunction) -> float:
-    """Weighted volume of a centred geodesic ball; see :func:`weighted_annulus_volume`."""
-    return weighted_annulus_volume(ball.space, ball.dimension, phi, 0.0, ball.radius)

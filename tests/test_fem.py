@@ -40,8 +40,7 @@ def phi_zero():
 def unit_triangle():
     nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     tris = np.array([[0, 1, 2]])
-    return Mesh(nodes=nodes, triangles=tris,
-                boundary_nodes=np.array([0, 1, 2]), domain_tag="unit-triangle")
+    return Mesh(nodes=nodes, triangles=tris)
 
 
 class TestAssembly:
@@ -114,15 +113,16 @@ class TestAssembly:
     @pytest.mark.parametrize("curvature", [0, -1])
     def test_matches_einsum_assembly(self, curvature):
         # flat and Poincare ellipses, each read through its carried edge
-        # table and, built by hand without one, through a fresh sort
+        # table and, built by hand without one, through the table its
+        # construction sorts out of the triangles
         space = SpaceForm(curvature=curvature)
         radius = 1.0 if curvature == 0 else poincare_radius(1.0)
         spec = DomainSpec(shape="ellipse", semi_axis_x=1.4 * radius,
                           semi_axis_y=radius / 1.4, target_edge_length=0.1 * radius)
         carried = refine(generate(spec))
-        bare = Mesh(nodes=carried.nodes, triangles=carried.triangles,
-                    boundary_nodes=carried.boundary_nodes, domain_tag=carried.domain_tag)
-        assert bare.edge_table is None
+        bare = Mesh(nodes=carried.nodes, triangles=carried.triangles)
+        for got, want in zip(bare.edge_table, msh._edges(carried.triangles), strict=True):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
         weight = make_weight("exponential-decay", (0.0, 1.0, 0.7), 50.0)
 
         def stiff_density(xq):

@@ -289,14 +289,14 @@ class TestPolygon:
         assert abs(mesh_area(m) - 3.0) < 1e-12
 
     def test_final_mesh_validated_once(self, monkeypatch):
-        # every refine validates the mesh it makes, so only a polygon that
-        # needs no split is validated after the loop
+        # the ear-clipped mesh is validated before the splits and every
+        # refine validates the mesh it makes: each mesh once
         calls = []
         spy = lambda m: calls.append(len(m.triangles)) or validate(m)
         monkeypatch.setattr(msh, "validate", spy)
         square = ((0, 0), (1, 0), (1, 1), (0, 1))
         generate(DomainSpec(shape="polygon", vertices=square, target_edge_length=0.1))
-        assert calls == [8, 32, 128]  # three splits of the two ears
+        assert calls == [2, 8, 32, 128]  # the two ears and three splits of them
         calls.clear()
         generate(DomainSpec(shape="polygon", vertices=square, target_edge_length=1.0))
         assert calls == [2]
@@ -509,9 +509,8 @@ class TestEdgeTable:
 
     def test_mesh_without_table_refines(self):
         m = generate(TABLE_SPECS["disk"])
-        bare = Mesh(nodes=m.nodes, triangles=m.triangles,
-                    boundary_nodes=m.boundary_nodes, domain_tag=m.domain_tag, spec=m.spec)
-        assert bare.edge_table is None
+        bare = Mesh(nodes=m.nodes, triangles=m.triangles, spec=m.spec)
+        assert_tables_equal(bare.edge_table, msh._edges(m.triangles))
         r = refine(bare)
         assert np.array_equal(r.triangles, refine(m).triangles)
         assert_tables_equal(r.edge_table, msh._edges(r.triangles))
@@ -538,6 +537,53 @@ class TestEdgeTable:
         m.edge_table = (edges, counts, side)
         with pytest.raises(MeshInvariantError, match="edge table"):
             validate(m)
+
+
+class TestDerivedBoundaryAndTag:
+    """A mesh stores its nodes, triangles and spec: its boundary is read from
+    its edge table and its tag from its spec, at every level and after a
+    save and load."""
+
+    @staticmethod
+    def count_one_nodes(m):
+        pairs = np.sort(m.triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+        edges, counts = np.unique(pairs, axis=0, return_counts=True)
+        return np.unique(edges[counts == 1])
+
+    @staticmethod
+    def on_ring_boundary(m, spec):
+        # nodes on the analytic boundary: the outer ring, and the annulus' inner ring
+        if spec.shape == "annulus":
+            r = np.hypot(*m.nodes.T)
+            return np.flatnonzero(np.minimum(abs(r - spec.inner_radius),
+                                             abs(r - spec.outer_radius)) < 1e-12)
+        rel = m.nodes - np.asarray(spec.center)
+        rho = spec.boundary_radius(np.arctan2(rel[:, 1], rel[:, 0]))
+        return np.flatnonzero(abs(np.hypot(*rel.T) - rho) < 1e-12)
+
+    @pytest.mark.parametrize("name", TABLE_SPECS)
+    def test_boundary_and_tag(self, name, tmp_path):
+        spec = TABLE_SPECS[name]
+        m = generate(spec)
+        save(m, tmp_path / "m.wslmesh")
+        meshes = [m, refine(m), refine(refine(m)), load(tmp_path / "m.wslmesh")]
+        tags = [spec.describe()] * 3 + ["external"]
+        ring = spec.shape != "polygon"
+        if ring:
+            # nodes are numbered centre first, then ring by ring outwards
+            n = len(m.nodes)
+            if spec.shape == "annulus":
+                k = np.sum(abs(np.hypot(*m.nodes.T) - spec.inner_radius) < 1e-12)
+                rings = np.concatenate([np.arange(k), np.arange(n - k, n)])
+            else:
+                outer = (math.isqrt(n) - 1) // 2  # 1 + 4 R (R + 1) nodes for R rings
+                rings = np.arange(n - 8 * outer, n)
+            assert np.array_equal(m.boundary_nodes, rings)
+        for mesh, tag in zip(meshes, tags, strict=True):
+            assert np.array_equal(mesh.boundary_nodes, self.count_one_nodes(mesh))
+            if ring:
+                assert np.array_equal(mesh.boundary_nodes, self.on_ring_boundary(mesh, spec))
+            assert mesh.domain_tag == tag
 
 
 class TestFileFormat:
@@ -589,8 +635,7 @@ class TestValidate:
     def unit_triangle(self):
         nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         tris = np.array([[0, 1, 2]])
-        return Mesh(nodes=nodes, triangles=tris,
-                    boundary_nodes=np.array([0, 1, 2]), domain_tag="t")
+        return Mesh(nodes=nodes, triangles=tris)
 
     def test_accepts_single_triangle(self):
         validate(self.unit_triangle())
@@ -608,17 +653,18 @@ class TestValidate:
         with pytest.raises(MeshInvariantError, match="non-finite coordinate"):
             validate(m)
 
-    def test_rejects_wrong_boundary_list(self):
-        m = self.unit_triangle()
-        m.boundary_nodes = np.array([0, 1])
+    def test_rejects_wrong_boundary_list(self, tmp_path):
+        # a mesh reads its boundary from its edge table; only a file's
+        # boundary list, which comes from outside, can disagree with it
+        p = tmp_path / "bad.wslmesh"
+        p.write_text("WSLMESH 1\n3 1 2\n0.0 0.0\n1.0 0.0\n0.0 1.0\n0 1 2\n0\n1\n")
         with pytest.raises(MeshInvariantError, match="boundary"):
-            validate(m)
+            load(p)
 
     def test_rejects_overshared_edge(self):
         nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.4, 0.4], [1.0, 1.0]])
         tris = np.array([[0, 1, 2], [0, 1, 3], [0, 1, 4]])
-        m = Mesh(nodes=nodes, triangles=tris,
-                 boundary_nodes=np.arange(5), domain_tag="t")
+        m = Mesh(nodes=nodes, triangles=tris)
         with pytest.raises(MeshInvariantError, match="more than two"):
             validate(m)
 
@@ -631,7 +677,6 @@ class TestValidate:
     def test_rejects_unexpected_topology(self):
         nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0],
                           [3.0, 0.0], [4.0, 0.0], [3.0, 1.0]])
-        m = Mesh(nodes=nodes, triangles=np.array([[0, 1, 2], [3, 4, 5]]),
-                 boundary_nodes=np.arange(6), domain_tag="t")
+        m = Mesh(nodes=nodes, triangles=np.array([[0, 1, 2], [3, 4, 5]]))
         with pytest.raises(MeshInvariantError, match="Euler characteristic 2"):
             validate(m)

@@ -13,12 +13,10 @@ from oracles import geodesic_distance_poincare, poincare_radius
 from wittenlab import (
     BallSpec,
     SpaceForm,
-    c_kappa,
     make_weight,
     s_kappa,
     unit_sphere_area,
     weighted_annulus_volume,
-    weighted_ball_volume,
 )
 from wittenlab.spaceform import CHEBYSHEV_DEGREES, QuadratureError, _chebyshev_integrals, dct
 
@@ -29,8 +27,6 @@ HYP = SpaceForm(-1)
 def test_metric_coefficient_values():
     assert s_kappa(1.0, FLAT) == 1.0
     assert s_kappa(1.0, HYP) == pytest.approx(math.sinh(1.0), rel=1e-15)
-    assert c_kappa(2.0, FLAT) == 1.0
-    assert c_kappa(2.0, HYP) == pytest.approx(math.cosh(2.0), rel=1e-15)
     arr = np.linspace(0.0, 3.0, 7)
     np.testing.assert_allclose(s_kappa(arr, HYP), np.sinh(arr), rtol=1e-15)
 
@@ -39,7 +35,7 @@ def test_negative_distance_rejected():
     with pytest.raises(ValueError):
         s_kappa(-0.5, FLAT)
     with pytest.raises(ValueError):
-        c_kappa(np.array([0.2, -0.1]), HYP)
+        s_kappa(np.array([0.2, -0.1]), HYP)
 
 
 def test_positive_curvature_rejected():
@@ -52,11 +48,11 @@ def test_positive_curvature_rejected():
 @settings(max_examples=60, deadline=None)
 @given(st.floats(min_value=1e-3, max_value=5.0))
 def test_c_is_derivative_of_s(t):
-    # centred difference of S matches C to high relative accuracy
+    # centred difference of S matches C = 1 or cosh t to high relative accuracy
     h = 1e-6 * max(1.0, t)
-    for space in (FLAT, HYP):
+    for space, c in ((FLAT, 1.0), (HYP, math.cosh(t))):
         fd = (s_kappa(t + h, space) - s_kappa(t - h, space)) / (2 * h)
-        assert fd == pytest.approx(c_kappa(t, space), rel=1e-7)
+        assert fd == pytest.approx(c, rel=1e-7)
 
 
 def test_poincare_distance_values():
@@ -90,26 +86,25 @@ def test_unit_sphere_area():
 
 def test_flat_ball_volumes_unweighted():
     phi = make_weight("constant", [0.0], 10.0)
-    vol2 = weighted_ball_volume(BallSpec(1.0, 2, FLAT), phi)
+    vol2 = weighted_annulus_volume(FLAT, 2, phi, 0.0, 1.0)
     assert vol2 == pytest.approx(math.pi, rel=1e-10)
-    vol3 = weighted_ball_volume(BallSpec(2.0, 3, FLAT), phi)
+    vol3 = weighted_annulus_volume(FLAT, 3, phi, 0.0, 2.0)
     assert vol3 == pytest.approx(4.0 / 3.0 * math.pi * 8.0, rel=1e-10)
 
 
 def test_hyperbolic_volumes_match_closed_forms():
     phi = make_weight("constant", [0.0], 10.0)
-    vol2 = weighted_ball_volume(BallSpec(1.0, 2, HYP), phi)
+    vol2 = weighted_annulus_volume(HYP, 2, phi, 0.0, 1.0)
     assert vol2 == pytest.approx(oracles.hyperbolic_ball_area(1.0), rel=1e-10)
-    vol3 = weighted_ball_volume(BallSpec(1.5, 3, HYP), phi)
+    vol3 = weighted_annulus_volume(HYP, 3, phi, 0.0, 1.5)
     assert vol3 == pytest.approx(oracles.hyperbolic_ball_volume_3d(1.5), rel=1e-10)
 
 
 def test_constant_shift_scales_volume():
     base = make_weight("constant", [0.0], 10.0)
     shifted = make_weight("constant", [0.7], 10.0)
-    ball = BallSpec(1.3, 3, FLAT)
-    v0 = weighted_ball_volume(ball, base)
-    v1 = weighted_ball_volume(ball, shifted)
+    v0 = weighted_annulus_volume(FLAT, 3, base, 0.0, 1.3)
+    v1 = weighted_annulus_volume(FLAT, 3, shifted, 0.0, 1.3)
     assert v1 == pytest.approx(math.exp(-0.7) * v0, rel=1e-12)
 
 
@@ -117,14 +112,14 @@ def test_volume_strictly_increasing_in_radius():
     phi = make_weight("exponential-decay", [0.0, 1.0, 1.0], 6.0)
     radii = np.linspace(0.1, 5.0, 40)
     for space, n in ((FLAT, 2), (HYP, 2), (FLAT, 4)):
-        vols = [weighted_ball_volume(BallSpec(float(r), n, space), phi) for r in radii]
+        vols = [weighted_annulus_volume(space, n, phi, 0.0, float(r)) for r in radii]
         assert np.all(np.diff(vols) > 0)
 
 
 def test_annulus_volume_is_difference_of_balls():
     phi = make_weight("linear-decreasing", [0.2, 0.4], 8.0)
-    full = weighted_ball_volume(BallSpec(2.0, 3, FLAT), phi)
-    inner = weighted_ball_volume(BallSpec(0.75, 3, FLAT), phi)
+    full = weighted_annulus_volume(FLAT, 3, phi, 0.0, 2.0)
+    inner = weighted_annulus_volume(FLAT, 3, phi, 0.0, 0.75)
     ann = weighted_annulus_volume(FLAT, 3, phi, 0.75, 2.0)
     assert ann == pytest.approx(full - inner, rel=1e-10)
 
@@ -177,7 +172,7 @@ def test_quadrature_raises_at_degree_cap_on_a_kink():
 def test_radius_beyond_cap_rejected():
     phi = make_weight("constant", [0.0], 1.0)
     with pytest.raises(ValueError):
-        weighted_ball_volume(BallSpec(2.0, 2, FLAT), phi)
+        weighted_annulus_volume(FLAT, 2, phi, 0.0, 2.0)
 
 
 def test_ball_spec_validation():
