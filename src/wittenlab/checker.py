@@ -1,6 +1,5 @@
 """Inequality verification: volume matching, reciprocal-sum bounds, sharper
-gap terms, open-question sweeps, and the pointwise vector-field facts behind
-them.
+gap terms, open-question sweeps, and the trial-centre search.
 
 The central object compares a domain against the centred geodesic ball of
 equal weighted volume.  With ``mu_1 <= ... <= mu_{n-1}`` the first nonzero
@@ -25,14 +24,15 @@ open question alike: a comparison passes when
     gap >= -PASS_FACTOR * (relative eigenvalue error estimate) * max(LHS, RHS),
 
 and the same budget governs the equality checks at the ball.  Every check
-block carries its verdict as ``passed``.
+block carries its verdict as ``passed``, and each is built as the dict that
+``reports.jsonl`` writes.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,40 +65,6 @@ GAUSS_POINTS = 8  # Gauss-Legendre nodes per piece of a boundary side
 
 class CheckerError(RuntimeError):
     """A verification pipeline could not produce a trustworthy report."""
-
-
-@dataclass
-class InequalityReport:
-    """Everything one comparison produced, JSON-friendly via :meth:`as_dict`."""
-
-    domain: str
-    dimension: int
-    curvature: int
-    weight: str
-    method: str  # "fem" or "radial"
-    volume: float
-    matched_radius: float
-    volume_match_rel_err: float
-    eigenvalues: list[float]
-    mu1_ball: float
-    # the matched-ball solve: Chebyshev degree per piece, trailing
-    # coefficient ratio and Neumann endpoint residual
-    mu1_ball_degree: int
-    mu1_ball_tail: float
-    mu1_ball_residual: float
-    lhs: float
-    rhs: float
-    gap: float
-    est_rel_error: float
-    tol_budget: float
-    passed: bool
-    mu1_domain_below_ball: bool
-    sharper: dict | None = None
-    conjecture: dict | None = None
-    notes: list[str] = field(default_factory=list)
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 def match_ball_radius(
@@ -191,18 +157,17 @@ class CaseSolution:
     """One case solved once: the domain's low spectrum and the matched ball.
 
     Every check of a case reads this object, so the domain is meshed once,
-    its spectrum is solved once, and the matched ball is solved once.  On the
-    FEM path ``eigenvalues`` come from the finest mesh and ``est_rel_error``
-    is the two-level Richardson estimate over all of them; on the radial
-    path the meshes are ``None`` and the estimate is a fixed floor.
+    its spectrum is solved once, and the matched ball is solved once; the
+    record's blocks are built from it.  On the FEM path ``eigenvalues`` come
+    from the finest mesh and ``est_rel_error`` is the two-level Richardson
+    estimate over all of them; on the radial path the meshes are ``None``
+    and the estimate is a fixed floor.
     """
 
     space: SpaceForm
     phi: WeightFunction
     dimension: int
     options: ShootingOptions
-    method: str  # "fem" or "radial"
-    describe: str
     shell: ShellSpec | None
     base_mesh: Mesh | None
     mesh: Mesh | None
@@ -245,12 +210,6 @@ def solve_case(
         volume = weighted_annulus_volume(
             space, n, phi, shell.inner_radius, shell.outer_radius
         )
-        method = "radial"
-        describe = (
-            f"ball(radius={shell.outer_radius:g})"
-            if shell.inner_radius == 0.0
-            else f"shell({shell.inner_radius:g}, {shell.outer_radius:g})"
-        )
     else:
         # scipy's sparse linear algebra loads with the first meshed case
         from . import fem
@@ -272,8 +231,6 @@ def solve_case(
         eigs = fem.solve_lowest(fine, count, coarse).eigenvalues
         est = float(np.max(np.abs(coarse.eigenvalues - eigs) / (3.0 * eigs)))
         volume = weighted_disk_intersection(mesh, space, phi, math.inf)
-        method = "fem"
-        describe = mesh.domain_tag
 
     radius, mismatch = match_ball_radius(space, n, phi, volume)
     return CaseSolution(
@@ -281,8 +238,6 @@ def solve_case(
         phi=phi,
         dimension=n,
         options=options,
-        method=method,
-        describe=describe,
         shell=shell,
         base_mesh=base_mesh,
         mesh=mesh,
@@ -312,44 +267,47 @@ def _comparison(sol: CaseSolution, terms: int) -> dict:
     }
 
 
-def build_report(sol: CaseSolution, *, sharper: bool = False) -> InequalityReport:
-    """The report of a solved case: the reciprocal-sum comparison against
-    the volume-matched centred ball, plus the sharper block when asked for
-    and the open-question block when the case was solved for it (``n``
-    eigenvalues, not ``n - 1``).  ``build_report(solve_case(...), ...)`` is
-    the one way to a verdict."""
+def build_report(sol: CaseSolution, *, sharper: bool = False) -> dict:
+    """The record's ``report`` block of a solved case: the reciprocal-sum
+    comparison against the volume-matched centred ball, plus the
+    ``sharper`` block when asked for and the ``conjecture`` block when the
+    case was solved for it (``n`` eigenvalues, not ``n - 1``); each is
+    ``None`` otherwise.  ``build_report(solve_case(...), ...)`` is the one
+    way to a verdict."""
     n = sol.dimension
     eigs = sol.eigenvalues
-    mu_ball = sol.ball_mode.mu
-    report = InequalityReport(
-        domain=sol.describe,
-        dimension=n,
-        curvature=sol.space.curvature,
-        weight=sol.phi.describe(),
-        method=sol.method,
-        volume=sol.volume,
-        matched_radius=sol.matched_radius,
-        volume_match_rel_err=sol.volume_match_rel_err,
-        eigenvalues=[float(v) for v in eigs],
-        mu1_ball=mu_ball,
-        mu1_ball_degree=sol.ball_mode.degree,
-        mu1_ball_tail=sol.ball_mode.tail,
-        mu1_ball_residual=sol.ball_mode.residual,
-        est_rel_error=sol.est_rel_error,
-        mu1_domain_below_ball=bool(
-            eigs[0] <= mu_ball * (1.0 + PASS_FACTOR * sol.est_rel_error)
-        ),
-        notes=[],
+    mode = sol.ball_mode
+    report = {
+        "domain": sol.shell.describe() if sol.shell is not None else sol.mesh.domain_tag,
+        "dimension": n,
+        "curvature": sol.space.curvature,
+        "weight": sol.phi.describe(),
+        "method": "radial" if sol.shell is not None else "fem",
+        "volume": sol.volume,
+        "matched_radius": sol.matched_radius,
+        "volume_match_rel_err": sol.volume_match_rel_err,
+        "eigenvalues": [float(v) for v in eigs],
+        "mu1_ball": mode.mu,
+        # the matched-ball solve: Chebyshev degree per piece, trailing
+        # coefficient ratio and Neumann endpoint residual
+        "mu1_ball_degree": mode.degree,
+        "mu1_ball_tail": mode.tail,
+        "mu1_ball_residual": mode.residual,
+        "est_rel_error": sol.est_rel_error,
         **_comparison(sol, n - 1),
-    )
+        "mu1_domain_below_ball": bool(eigs[0] <= mode.mu * (1.0 + PASS_FACTOR * sol.est_rel_error)),
+        "sharper": None,
+        "conjecture": None,
+        "notes": [],
+    }
     if sharper:
-        report.sharper = _sharper_block(sol, report)
+        report["sharper"] = _sharper_block(sol, report)
     if len(eigs) == n:
-        report.conjecture = _conjecture_block(sol)
-        if report.conjecture["escalated"]:
-            report.notes.append(
+        conjecture = report["conjecture"] = _conjecture_block(sol)
+        if conjecture["escalated"]:
+            report["notes"].append(
                 "negative open-question margin re-examined at higher resolution; "
-                f"final verdict {report.conjecture['verdict']}"
+                f"final verdict {conjecture['verdict']}"
             )
     return report
 
@@ -442,7 +400,7 @@ def weighted_disk_intersection(
     return float(np.sum(flux))
 
 
-def _sharper_block(sol: CaseSolution, report: InequalityReport) -> dict:
+def _sharper_block(sol: CaseSolution, report: dict) -> dict:
     """The annulus correction that strengthens the main comparison.
 
     Flat space only.  Two more radii are matched: ``r1`` captures the
@@ -481,8 +439,9 @@ def _sharper_block(sol: CaseSolution, report: InequalityReport) -> dict:
 
     # rearranged strengthening: mu1(ball) - (n-1)/LHS >= correction >= 0;
     # the main budget on LHS carries over to (n-1)/LHS to first order
-    sharper_gap = (mu_ball - (n - 1) / report.lhs) - sharper_rhs
-    budget = (n - 1) * report.tol_budget / report.lhs**2
+    lhs = report["lhs"]
+    sharper_gap = (mu_ball - (n - 1) / lhs) - sharper_rhs
+    budget = (n - 1) * report["tol_budget"] / lhs**2
     nonneg_ok = bool(sharper_rhs >= -budget)
     return {
         "r1": r1,
@@ -561,25 +520,15 @@ def hull_equations(points: np.ndarray) -> np.ndarray:
     return np.column_stack([normals, -np.einsum("ij,ij->i", normals, corners)])
 
 
-@dataclass
-class TrialCenterResult:
-    center: tuple[float, float]
-    residual: float
-    iterations: int
-    converged: bool
-    passed: bool  # the check's verdict: the search converged
-    escaped_hull: bool
-    note: str = "weight held radial about the ambient origin"
-
-
 def find_trial_center(
     domain,
     phi: WeightFunction,
     mode: RadialSolution,
     start: tuple[float, float] | None = None,
     max_iterations: int = 100,
-) -> TrialCenterResult:
-    """Zero of the profile-weighted direction field over a plane domain.
+) -> dict:
+    """Zero of the profile-weighted direction field over a plane domain, as
+    the record's ``center`` block.
 
     Searches for a point ``o`` inside the convex hull of the domain where
 
@@ -596,7 +545,8 @@ def find_trial_center(
         dV/do = -integral of [f'(r) e e^T + f(r)/r (I - e e^T)] dm(x).
 
     A step that would leave the hull is cut where the step crosses the
-    hull, and reported, not fatal.  Without convergence ``iterations`` is
+    hull, and reported (``escaped_hull``), not fatal.  The check passes when
+    the search converges; without convergence ``iterations`` is
     ``max_iterations``.
     """
     mesh = _mesh_for(domain)
@@ -651,11 +601,12 @@ def find_trial_center(
             damping *= 0.5
         else:
             break
-    return TrialCenterResult(
-        center=(float(o[0]), float(o[1])),
-        residual=float(np.linalg.norm(v) / scale),
-        iterations=iterations,
-        converged=converged,
-        passed=converged,
-        escaped_hull=escaped,
-    )
+    return {
+        "center": (float(o[0]), float(o[1])),
+        "residual": float(np.linalg.norm(v) / scale),
+        "iterations": iterations,
+        "converged": converged,
+        "passed": converged,
+        "escaped_hull": escaped,
+        "note": "weight held radial about the ambient origin",
+    }

@@ -36,7 +36,6 @@ import os
 import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -368,7 +367,7 @@ def _run_case(case: dict) -> dict:
         refinements=case["refinements"],
         options=case["options"],
     )
-    report = build_report(solution, sharper="sharper" in checks).as_dict()
+    report = build_report(solution, sharper="sharper" in checks)
     mode = solution.ball_mode
     radius = solution.matched_radius
 
@@ -379,9 +378,9 @@ def _run_case(case: dict) -> dict:
         "report": report,
     }
     if "lemma23" in checks:
-        record["lemma23"] = asdict(check_lemma_monotone(mode))
+        record["lemma23"] = check_lemma_monotone(mode)
     if "center" in checks:
-        record["center"] = asdict(find_trial_center(solution.base_mesh, phi, mode))
+        record["center"] = find_trial_center(solution.base_mesh, phi, mode)
     # every check's block carries ``passed``: the main one is the report, the
     # sharper and conjecture ones sit in it, lemma23 and center in the record
     blocks = {**report, **record, "main": report}

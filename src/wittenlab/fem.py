@@ -96,13 +96,13 @@ def assemble(mesh: Mesh, space: SpaceForm, weight: WeightFunction) -> AssembledF
     geodesically for the hyperbolic case).
 
     Each matrix holds one entry per node and two per edge, from the mesh's
-    :meth:`~wittenlab.mesh.Mesh.table`.  Per triangle its three diagonal
-    entries and its three side entries (nodes ``k, k + 1``) are rows of
-    ``(3, M)`` arrays, filled by the six-point rule one point at a time, and
-    ``np.bincount`` adds them onto the nodes and the edges.  With ``e_k``
-    the edge vector from corner ``k`` to ``k + 1`` and ``A`` the area, the
-    stiffness entries are ``e_{i+1} . e_{j+1}`` times ``sum_q w_q rho(x_q) /
-    4A``, the mass entries ``A sum_q w_q b_q[i] b_q[j] rho(x_q)``.
+    ``Mesh.edge_table``.  Per triangle its three diagonal entries and its
+    three side entries (nodes ``k, k + 1``) are rows of ``(3, M)`` arrays,
+    filled by the six-point rule one point at a time, and ``np.bincount``
+    adds them onto the nodes and the edges.  With ``e_k`` the edge vector
+    from corner ``k`` to ``k + 1`` and ``A`` the area, the stiffness entries
+    are ``e_{i+1} . e_{j+1}`` times ``sum_q w_q rho(x_q) / 4A``, the mass
+    entries ``A sum_q w_q b_q[i] b_q[j] rho(x_q)``.
     """
     node_t = _geodesic_radii(space, *mesh.nodes.T)
     if np.max(node_t) > weight.domain_cap:

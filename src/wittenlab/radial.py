@@ -91,6 +91,12 @@ class ShellSpec:
         if not np.isfinite(self.outer_radius):
             raise ValueError("outer_radius must be finite")
 
+    def describe(self) -> str:
+        """Record tag: ``ball(radius=...)`` or ``shell(inner, outer)``."""
+        if self.inner_radius == 0.0:
+            return f"ball(radius={self.outer_radius:g})"
+        return f"shell({self.inner_radius:g}, {self.outer_radius:g})"
+
 
 @dataclass
 class RadialSolution:
@@ -135,19 +141,6 @@ def _times_power(t, s: int, both):
     """``T = t^s u`` and ``T' = t^s u' + s t^(s-1) u`` from ``both = (u, u')``, last axis."""
     u, dT = both[..., 0], t ** s * both[..., 1]
     return t ** s * u, dT if s == 0 else dT + s * t ** (s - 1) * u
-
-
-@dataclass
-class MonotonicityReport:
-    """Outcome of the extended-profile monotonicity check."""
-
-    passed: bool
-    tol: float
-    grid_points: int
-    worst_increase: float
-    worst_interval: tuple[float, float]
-    min_fprime: float
-    min_fprime_t: float
 
 
 # ---------------------------------------------------------------------------
@@ -444,14 +437,15 @@ def shoot_first_mode(
     )
 
 
-def check_lemma_monotone(mode: RadialSolution) -> MonotonicityReport:
+def check_lemma_monotone(mode: RadialSolution) -> dict:
     """Verify the two structural facts the comparison argument rests on.
 
     With ``f, f' = mode.profile``, the ratio ``f(t)/S(t)`` must be
     non-increasing on ``(0, R]`` and ``f'`` must be nonnegative on ``[0, R]``,
     both within ``tol = 1e-8 * max |f|`` on a grid of
     ``MONOTONE_GRID_POINTS`` samples.  Past ``R`` the ratio ``T(R)/S(t)``
-    decreases by construction.  Failures report the worst violating interval.
+    decreases by construction.  Returns the record's ``lemma23`` block, which
+    reports the worst violating interval and the smallest ``f'``.
     """
     R = mode.ball.radius
     ts = np.linspace(R / MONOTONE_GRID_POINTS, R, MONOTONE_GRID_POINTS)
@@ -467,16 +461,15 @@ def check_lemma_monotone(mode: RadialSolution) -> MonotonicityReport:
     fp = np.asarray(mode.profile(inside)[1], dtype=float)
     fp_idx = int(np.argmin(fp))
 
-    passed = bool(worst <= tol and fp[fp_idx] >= -tol)
-    return MonotonicityReport(
-        passed=passed,
-        tol=tol,
-        grid_points=MONOTONE_GRID_POINTS,
-        worst_increase=worst,
-        worst_interval=(float(ts[worst_idx]), float(ts[worst_idx + 1])),
-        min_fprime=float(fp[fp_idx]),
-        min_fprime_t=float(inside[fp_idx]),
-    )
+    return {
+        "passed": bool(worst <= tol and fp[fp_idx] >= -tol),
+        "tol": tol,
+        "grid_points": MONOTONE_GRID_POINTS,
+        "worst_increase": worst,
+        "worst_interval": (float(ts[worst_idx]), float(ts[worst_idx + 1])),
+        "min_fprime": float(fp[fp_idx]),
+        "min_fprime_t": float(inside[fp_idx]),
+    }
 
 
 def ball_rayleigh_integrals(

@@ -285,15 +285,15 @@ def test_criterion_03_radial_solver_cross_checks(weights3, phi_const, capsys):
 
 
 def test_criterion_04_main_inequality_centred_corpus(flat_reports, weights3, phi_const, capsys):
-    failures = [label for label, rep, _phi in flat_reports if not rep.passed]
-    min_slack = min(rep.gap + rep.tol_budget for _l, rep, _p in flat_reports)
+    failures = [label for label, rep, _phi in flat_reports if not rep["passed"]]
+    min_slack = min(rep["gap"] + rep["tol_budget"] for _l, rep, _p in flat_reports)
 
     ball_ok = True
     for _wlabel, phi in weights3:
         rep = build_report(solve_case(
             ShellSpec(0.0, 1.0), FLAT, phi, dimension=3, refinements=2, options=CORPUS_OPTIONS
         ))
-        ball_ok = ball_ok and abs(rep.gap) <= rep.tol_budget
+        ball_ok = ball_ok and abs(rep["gap"]) <= rep["tol_budget"]
 
     translated_ok = True
     for offset in (0.3, 0.5):
@@ -302,7 +302,7 @@ def test_criterion_04_main_inequality_centred_corpus(flat_reports, weights3, phi
             target_edge_length=0.1,
         )
         rep = build_report(solve_case(dom, FLAT, phi_const, refinements=2))
-        translated_ok = translated_ok and rep.passed
+        translated_ok = translated_ok and rep["passed"]
 
     ok = not failures and ball_ok and translated_ok
     detail = (
@@ -322,11 +322,11 @@ def test_criterion_04_offcentre_violation_is_resolved(weights3, capsys):
         shape="translated-disk", radius=0.8, center=(0.5, 0.0), target_edge_length=0.1
     )
     rep = build_report(solve_case(dom, FLAT, phi, refinements=2))
-    ok = rep.gap < -10.0 * rep.tol_budget
+    ok = rep["gap"] < -10.0 * rep["tol_budget"]
     criterion(
         capsys, "4-note", ok,
         f"off-centre disk under a decaying weight violates the comparison by "
-        f"{rep.gap:.2e}, more than 10x the numerical budget {rep.tol_budget:.2e}",
+        f"{rep['gap']:.2e}, more than 10x the numerical budget {rep['tol_budget']:.2e}",
     )
 
 
@@ -350,8 +350,8 @@ def test_criterion_04_translated_disks_nonconstant_weights(weights3, capsys):
         )
         for _wlabel, phi in weights3:
             rep = build_report(solve_case(dom, FLAT, phi, refinements=2))
-            ok = ok and rep.passed
-            worst = min(worst, rep.gap)
+            ok = ok and rep["passed"]
+            worst = min(worst, rep["gap"])
     with capsys.disabled():
         print(
             f"\n[XFAIL] criterion 4 (off-centre x non-constant): worst gap {worst:.2e}"
@@ -360,13 +360,13 @@ def test_criterion_04_translated_disks_nonconstant_weights(weights3, capsys):
 
 
 def test_criterion_05_hyperbolic_corpus(hyper_reports, capsys):
-    failures = [label for label, rep, _phi in hyper_reports if not rep.passed]
+    failures = [label for label, rep, _phi in hyper_reports if not rep["passed"]]
     ball_ok = all(
-        abs(rep.gap) <= rep.tol_budget
+        abs(rep["gap"]) <= rep["tol_budget"]
         for label, rep, _phi in hyper_reports
         if label.startswith("h-ball")
     )
-    min_slack = min(rep.gap + rep.tol_budget for _l, rep, _p in hyper_reports)
+    min_slack = min(rep["gap"] + rep["tol_budget"] for _l, rep, _p in hyper_reports)
     ok = not failures and ball_ok
     detail = (
         f"hyperbolic analogue holds on {len(hyper_reports)} case/weight pairs "
@@ -419,22 +419,22 @@ def test_criterion_06_refined_flat_bound(weights3, capsys):
         rep = build_report(solve_case(
             domain, FLAT, phi, dimension=dim, refinements=2, options=CORPUS_OPTIONS
         ), sharper=True)
-        sharp = rep.sharper
-        if not (sharp["nonnegative_ok"] and sharp["passed"] and rep.passed):
+        sharp = rep["sharper"]
+        if not (sharp["nonnegative_ok"] and sharp["passed"] and rep["passed"]):
             failures.append(label)
 
     ball = build_report(solve_case(
         ShellSpec(0.0, 1.0), FLAT, wl["linear"], dimension=3, refinements=2,
         options=CORPUS_OPTIONS,
     ), sharper=True)
-    ball_ok = ball.sharper["rhs"] <= 1e-9 and abs(ball.sharper["gap"]) <= max(
-        ball.tol_budget, 1e-6
+    ball_ok = ball["sharper"]["rhs"] <= 1e-9 and abs(ball["sharper"]["gap"]) <= max(
+        ball["tol_budget"], 1e-6
     )
     ok = not failures and ball_ok
     detail = (
         f"refined comparison holds on {len(cases)} centred cases with a "
         f"nonnegative correction term; on the ball the correction vanishes "
-        f"({ball.sharper['rhs']:.1e})"
+        f"({ball['sharper']['rhs']:.1e})"
     )
     if failures:
         detail += f"; violations: {failures}"
@@ -445,11 +445,11 @@ def test_criterion_07_profile_monotone_on_corpus(flat_reports, hyper_reports, ca
     failures = []
     worst = -np.inf
     for label, rep, phi in list(flat_reports) + list(hyper_reports):
-        space = FLAT if rep.curvature == 0 else HYPER
-        mode = shoot_first_mode(BallSpec(rep.matched_radius, rep.dimension, space), phi)
+        space = FLAT if rep["curvature"] == 0 else HYPER
+        mode = shoot_first_mode(BallSpec(rep["matched_radius"], rep["dimension"], space), phi)
         mono = check_lemma_monotone(mode)
-        worst = max(worst, mono.worst_increase)
-        if not mono.passed:
+        worst = max(worst, mono["worst_increase"])
+        if not mono["passed"]:
             failures.append(label)
     ok = not failures
     detail = (
@@ -537,7 +537,7 @@ def test_criterion_10_square_sum_and_sweeps(phi_const, capsys):
     )
     sol = solve_case(square, FLAT, phi_const, conjecture=True, refinements=2)
     rep = build_report(sol)
-    conj = rep.conjecture
+    conj = rep["conjecture"]
     lhs_rel = abs(conj["lhs"] - SQUARE_SUM_LHS) / SQUARE_SUM_LHS
     rhs_rel = abs(conj["rhs"] - SQUARE_SUM_RHS) / SQUARE_SUM_RHS
     square_ok = lhs_rel <= 5e-3 and rhs_rel <= 5e-3 and conj["verdict"] == "conjecture-consistent"
@@ -548,8 +548,8 @@ def test_criterion_10_square_sum_and_sweeps(phi_const, capsys):
         dom = DomainSpec(shape="ellipse", aspect=float(aspect), target_edge_length=0.12)
         sol = solve_case(dom, FLAT, phi_const, conjecture=True, refinements=2)
         r = build_report(sol)
-        margins.append(r.conjecture["gap"])
-        if r.conjecture["verdict"] != "conjecture-consistent":
+        margins.append(r["conjecture"]["gap"])
+        if r["conjecture"]["verdict"] != "conjecture-consistent":
             candidates.append(f"aspect={aspect:g}")
     round_is_minimal = int(np.argmin(margins)) == 0
 
@@ -559,7 +559,7 @@ def test_criterion_10_square_sum_and_sweeps(phi_const, capsys):
         dom = DomainSpec(shape="ellipse", aspect=1.4, target_edge_length=0.12)
         sol = solve_case(dom, FLAT, phi, conjecture=True, refinements=2)
         r = build_report(sol)
-        if r.conjecture["verdict"] != "conjecture-consistent":
+        if r["conjecture"]["verdict"] != "conjecture-consistent":
             slope_ok = False
             candidates.append(f"slope={slope:g}")
 

@@ -220,29 +220,29 @@ class TestTheoremMain:
     def test_ball_equality_fem(self, phi_zero):
         spec = DomainSpec(shape="disk", radius=1.0, target_edge_length=0.1)
         report = build_report(solve_case(spec, FLAT, phi_zero))
-        assert report.method == "fem"
-        assert report.passed
-        assert abs(report.gap) <= report.tol_budget
-        assert abs(report.matched_radius - 1.0) < 1e-3
-        assert report.volume_match_rel_err <= 1e-8
+        assert report["method"] == "fem"
+        assert report["passed"]
+        assert abs(report["gap"]) <= report["tol_budget"]
+        assert abs(report["matched_radius"] - 1.0) < 1e-3
+        assert report["volume_match_rel_err"] <= 1e-8
 
     def test_ball_equality_radial_weighted(self, phi_lin):
         report = build_report(solve_case(
             ShellSpec(0.0, 1.0), FLAT, phi_lin, dimension=3
         ))
-        assert report.method == "radial"
-        assert report.passed
-        assert abs(report.gap) <= report.tol_budget
-        assert abs(report.matched_radius - 1.0) < 1e-9
+        assert report["method"] == "radial"
+        assert report["passed"]
+        assert abs(report["gap"]) <= report["tol_budget"]
+        assert abs(report["matched_radius"] - 1.0) < 1e-9
 
     def test_ellipse_reproduces_classical_gap(self, phi_zero):
         spec = DomainSpec(shape="ellipse", aspect=1.2, target_edge_length=0.1)
         report = build_report(solve_case(spec, FLAT, phi_zero))
-        assert report.passed
-        assert report.gap > report.tol_budget  # strictly inside for a non-ball
-        assert report.mu1_domain_below_ball
+        assert report["passed"]
+        assert report["gap"] > report["tol_budget"]  # strictly inside for a non-ball
+        assert report["mu1_domain_below_ball"]
         # area pi up to mesh chord deficit, so the matched ball is the unit disk
-        assert abs(1.0 / report.rhs - MU1_DISK) / MU1_DISK < 2e-3
+        assert abs(1.0 / report["rhs"] - MU1_DISK) / MU1_DISK < 2e-3
 
     def test_square_gap_matches_analytic_values(self, phi_zero):
         square = DomainSpec(
@@ -251,42 +251,42 @@ class TestTheoremMain:
             target_edge_length=0.08,
         )
         report = build_report(solve_case(square, FLAT, phi_zero))
-        assert report.passed
+        assert report["passed"]
         mu_square = math.pi**2
         mu_ball = MU1_DISK * math.pi  # unit-area disk: mu scales by 1/R^2
         expected = 1.0 / mu_square - 1.0 / mu_ball
-        assert abs(report.gap - expected) < 5e-4
-        assert abs(report.eigenvalues[0] - mu_square) / mu_square < 0.01
+        assert abs(report["gap"] - expected) < 5e-4
+        assert abs(report["eigenvalues"][0] - mu_square) / mu_square < 0.01
 
     def test_shell_three_dimensional(self, phi_zero):
         outer = (1.0 + 0.6**3) ** (1.0 / 3.0)
         report = build_report(solve_case(
             ShellSpec(0.6, outer), FLAT, phi_zero, dimension=3
         ))
-        assert report.passed
-        assert report.gap > report.tol_budget
-        assert abs(report.matched_radius - 1.0) < 1e-9
-        assert len(report.eigenvalues) == 2
+        assert report["passed"]
+        assert report["gap"] > report["tol_budget"]
+        assert abs(report["matched_radius"] - 1.0) < 1e-9
+        assert len(report["eigenvalues"]) == 2
 
     def test_hyperbolic_ellipse(self, phi_zero):
         spec = DomainSpec(
             shape="ellipse", semi_axis_x=0.5, semi_axis_y=0.38, target_edge_length=0.05
         )
         report = build_report(solve_case(spec, HYP, phi_zero))
-        assert report.curvature == -1
-        assert report.passed
-        assert report.gap > 0
+        assert report["curvature"] == -1
+        assert report["passed"]
+        assert report["gap"] > 0
 
     def test_hyperbolic_weighted_ball_equality(self, phi_lin):
         report = build_report(solve_case(ShellSpec(0.0, 0.8), HYP, phi_lin, dimension=3))
-        assert report.passed
-        assert abs(report.gap) <= report.tol_budget
+        assert report["passed"]
+        assert abs(report["gap"]) <= report["tol_budget"]
 
     def test_centred_weighted_disk_passes(self, phi_exp):
         spec = DomainSpec(shape="disk", radius=0.8, target_edge_length=0.1)
         report = build_report(solve_case(spec, FLAT, phi_exp))
-        assert report.passed
-        assert abs(report.gap) <= report.tol_budget  # equality case again
+        assert report["passed"]
+        assert abs(report["gap"]) <= report["tol_budget"]  # equality case again
 
     def test_shell_requires_dimension(self, phi_zero):
         with pytest.raises(ValueError, match="dimension"):
@@ -305,7 +305,7 @@ class TestTheoremMain:
 
     def test_report_serialises(self, phi_zero):
         report = build_report(solve_case(ShellSpec(0.0, 1.0), FLAT, phi_zero, dimension=4))
-        blob = json.dumps(report.as_dict(), sort_keys=True)
+        blob = json.dumps(report, sort_keys=True)
         back = json.loads(blob)
         assert back["dimension"] == 4
         assert back["passed"] is True
@@ -330,19 +330,34 @@ class TestOffCenterAnchoredWeight:
 
     def test_violation_is_resolved_not_marginal(self, offset_report):
         report = offset_report
-        assert not report.passed
-        assert report.gap < -10.0 * report.tol_budget
+        assert not report["passed"]
+        assert report["gap"] < -10.0 * report["tol_budget"]
         # both sides pinned against independent solves (dense 1D finite
         # differences for the ball, a global polynomial Galerkin basis for
         # the domain), so the negative gap is not a discretisation artifact
-        assert abs(report.eigenvalues[0] - 5.01338087) / 5.01338087 < 2e-3
-        assert abs(report.mu1_ball - 4.718752968188861) / 4.718752968188861 < 2e-4
-        assert abs(report.matched_radius - 0.81998) < 5e-4
+        assert abs(report["eigenvalues"][0] - 5.01338087) / 5.01338087 < 2e-3
+        assert abs(report["mu1_ball"] - 4.718752968188861) / 4.718752968188861 < 2e-4
+        assert abs(report["matched_radius"] - 0.81998) < 5e-4
+
+    def test_first_eigenvalue_beats_the_ball_only_off_centre(self, phi_exp):
+        # mu_1 of the domain against mu_1 of the matched ball: above it (past
+        # the budget) for the disk moved off the anchor, whose comparison
+        # fails, and below it for a centred ellipse, whose comparison passes
+        spec = DomainSpec(
+            shape="translated-disk", radius=0.8, center=(0.5, 0.0), target_edge_length=0.12,
+        )
+        moved = build_report(solve_case(spec, FLAT, phi_exp))
+        assert not moved["passed"]
+        assert not moved["mu1_domain_below_ball"]
+        spec = DomainSpec(shape="ellipse", aspect=1.4, target_edge_length=0.15)
+        centred = build_report(solve_case(spec, FLAT, phi_exp))
+        assert centred["passed"]
+        assert centred["mu1_domain_below_ball"]
 
     def test_same_disk_centred_is_equality(self, phi_exp):
         spec = DomainSpec(shape="disk", radius=0.8, target_edge_length=0.1)
         report = build_report(solve_case(spec, FLAT, phi_exp))
-        assert report.passed
+        assert report["passed"]
 
     def test_unweighted_translation_is_equality(self, phi_zero):
         spec = DomainSpec(
@@ -350,8 +365,8 @@ class TestOffCenterAnchoredWeight:
             target_edge_length=0.1,
         )
         report = build_report(solve_case(spec, FLAT, phi_zero))
-        assert report.passed
-        assert abs(report.gap) <= report.tol_budget
+        assert report["passed"]
+        assert abs(report["gap"]) <= report["tol_budget"]
 
     def test_direction_field_does_not_vanish_at_anchor(self, phi_exp):
         spec = DomainSpec(
@@ -368,24 +383,24 @@ class TestOffCenterAnchoredWeight:
         mode = shoot_first_mode(BallSpec(radius, 2, FLAT), phi_exp)
         at_anchor = find_trial_center(spec, phi_exp, mode, start=(0.0, 0.0),
                                       max_iterations=0)
-        assert at_anchor.residual > 1e-3  # orthogonality premise fails here
+        assert at_anchor["residual"] > 1e-3  # orthogonality premise fails here
         solved = find_trial_center(spec, phi_exp, mode)
-        assert solved.converged
-        assert solved.iterations <= 3  # Newton with the exact Jacobian
+        assert solved["converged"]
+        assert solved["iterations"] <= 3  # Newton with the exact Jacobian
         # a non-increasing weight puts more mass on the side far from the
         # anchor, so the field's zero lands past the disk center, not at it
-        assert 0.5 < solved.center[0] < 0.65
-        assert abs(solved.center[1]) < 1e-6
+        assert 0.5 < solved["center"][0] < 0.65
+        assert abs(solved["center"][1]) < 1e-6
 
 
 class TestSharper:
     def test_ball_itself_all_corrections_vanish(self, phi_lin):
         sol = solve_case(ShellSpec(0.0, 1.0), FLAT, phi_lin, dimension=3)
         report = build_report(sol, sharper=True)
-        s = report.sharper
+        s = report["sharper"]
         assert s["passed"] and s["nonnegative_ok"]
-        assert abs(s["r1"] - report.matched_radius) < 1e-9
-        assert abs(s["r2"] - report.matched_radius) < 1e-9
+        assert abs(s["r1"] - report["matched_radius"]) < 1e-9
+        assert abs(s["r2"] - report["matched_radius"]) < 1e-9
         assert abs(s["rhs"]) < 1e-9
         assert abs(s["gap"]) < 1e-6
 
@@ -394,24 +409,24 @@ class TestSharper:
         report = build_report(solve_case(
             ShellSpec(0.6, outer), FLAT, phi_zero, dimension=3
         ), sharper=True)
-        s = report.sharper
+        s = report["sharper"]
         assert s["passed"]
         assert s["rhs"] > 0  # strictly, since the shell is not the ball
         assert abs(s["r2"] - outer) < 1e-9  # outside part is already an annulus
-        assert s["r1"] < report.matched_radius
+        assert s["r1"] < report["matched_radius"]
 
     def test_centred_ellipse_passes(self, phi_zero):
         spec = DomainSpec(shape="ellipse", aspect=1.3, target_edge_length=0.1)
         report = build_report(solve_case(spec, FLAT, phi_zero), sharper=True)
-        s = report.sharper
+        s = report["sharper"]
         assert s["passed"]
         assert s["rhs"] > 0
-        assert s["r1"] < report.matched_radius < s["r2"]
+        assert s["r1"] < report["matched_radius"] < s["r2"]
 
     def test_centred_ellipse_weighted_passes(self, phi_lin):
         spec = DomainSpec(shape="ellipse", aspect=1.3, target_edge_length=0.1)
         report = build_report(solve_case(spec, FLAT, phi_lin), sharper=True)
-        assert report.sharper["passed"]
+        assert report["sharper"]["passed"]
 
     def test_offset_disk_unweighted_fails_strengthened_form(self, phi_zero):
         # Translation leaves the spectrum alone, so the strengthened
@@ -423,8 +438,8 @@ class TestSharper:
             target_edge_length=0.1,
         )
         report = build_report(solve_case(spec, FLAT, phi_zero), sharper=True)
-        assert report.passed  # plain reciprocal-sum comparison: equality
-        s = report.sharper
+        assert report["passed"]  # plain reciprocal-sum comparison: equality
+        s = report["sharper"]
         assert s["nonnegative_ok"]
         assert s["rhs"] > 0.03
         assert s["gap"] < -0.03
@@ -440,10 +455,24 @@ class TestSharper:
         for radius in (0.3, 1.0, 3.0):
             spec = DomainSpec(shape="disk", radius=radius, target_edge_length=0.1 * radius)
             report = build_report(solve_case(spec, FLAT, phi_zero), sharper=True)
-            assert report.sharper["passed"]
-            ratios.append(report.sharper["gap"] * report.lhs**2 / report.tol_budget)
+            assert report["sharper"]["passed"]
+            ratios.append(report["sharper"]["gap"] * report["lhs"]**2 / report["tol_budget"])
         assert -1.0 < ratios[0] < 0.0
         assert ratios == pytest.approx([ratios[0]] * 3, rel=1e-6)
+
+    def test_negative_correction_fails_however_large_the_gap(self, phi_zero, monkeypatch):
+        # Rayleigh integrals that make the annulus correction -1: the sharper
+        # gap is then the main slack plus 1, yet the block must fail on the
+        # sign of the correction alone
+        spec = DomainSpec(shape="ellipse", aspect=1.3, target_edge_length=0.2)
+        sol = solve_case(spec, FLAT, phi_zero, refinements=1)
+        integrals = iter([(1.0, 1.0), (2.0, 1.0), (1.0, 1.0)])  # A(r1, R), A(R, r2), B(0, R)
+        monkeypatch.setattr(checker, "ball_rayleigh_integrals", lambda *args: next(integrals))
+        s = build_report(sol, sharper=True)["sharper"]
+        assert s["rhs"] == pytest.approx(-1.0)
+        assert s["gap"] > 0
+        assert not s["nonnegative_ok"]
+        assert not s["passed"]
 
     def test_hyperbolic_rejected(self, phi_zero):
         with pytest.raises(CheckerError, match="flat"):
@@ -682,10 +711,11 @@ class TestMetamorphic:
             build_report(solve_case(m, space, phi_exp), sharper=sharper)
             for m in (mesh, _moved(mesh, turned))
         )
-        assert np.allclose(after.eigenvalues, before.eigenvalues, rtol=1e-12, atol=0.0)
-        assert abs(after.volume - before.volume) <= 1e-14 * before.volume
+        assert np.allclose(after["eigenvalues"], before["eigenvalues"], rtol=1e-12, atol=0.0)
+        assert abs(after["volume"] - before["volume"]) <= 1e-14 * before["volume"]
         if sharper:
-            assert abs(after.sharper["gap"] - before.sharper["gap"]) <= 1e-12 * before.mu1_ball
+            moved = abs(after["sharper"]["gap"] - before["sharper"]["gap"])
+            assert moved <= 1e-12 * before["mu1_ball"]
 
     @pytest.mark.parametrize("shift", [(0.3, -0.2), (-1.5, 2.0)])
     def test_translation_under_a_constant_weight(self, shift, phi_zero):
@@ -694,15 +724,15 @@ class TestMetamorphic:
             build_report(solve_case(m, FLAT, phi_zero))
             for m in (mesh, _moved(mesh, mesh.nodes + shift))
         )
-        assert np.allclose(after.eigenvalues, before.eigenvalues, rtol=1e-12, atol=0.0)
-        assert abs(after.volume - before.volume) <= 1e-14 * before.volume
+        assert np.allclose(after["eigenvalues"], before["eigenvalues"], rtol=1e-12, atol=0.0)
+        assert abs(after["volume"] - before["volume"]) <= 1e-14 * before["volume"]
 
     @pytest.mark.parametrize("spec", MIRROR_DOMAINS, ids=lambda s: s.shape)
     def test_mirror_symmetric_domain_centres_on_its_axis(self, spec, phi_exp):
         sol = solve_case(spec, FLAT, phi_exp)
         result = find_trial_center(sol.base_mesh, phi_exp, sol.ball_mode)
-        assert result.converged
-        assert abs(result.center[1]) <= 1e-6
+        assert result["converged"]
+        assert abs(result["center"][1]) <= 1e-6
 
 
 class TestConjectures:
@@ -713,7 +743,7 @@ class TestConjectures:
             target_edge_length=0.08,
         )
         report = build_report(solve_case(square, FLAT, phi_zero, conjecture=True))
-        c = report.conjecture
+        c = report["conjecture"]
         assert c["verdict"] == "conjecture-consistent"
         assert not c["escalated"]
         assert abs(c["lhs"] - SQUARE_SUM_LHS) / SQUARE_SUM_LHS < 5e-3
@@ -726,7 +756,7 @@ class TestConjectures:
     def test_ball_equality_n_terms(self, phi_zero):
         sol = solve_case(ShellSpec(0.0, 1.0), FLAT, phi_zero, dimension=3, conjecture=True)
         report = build_report(sol)
-        c = report.conjecture
+        c = report["conjecture"]
         assert c["verdict"] == "conjecture-consistent"
         assert abs(c["gap"]) <= c["tol_budget"]
 
@@ -739,10 +769,10 @@ class TestConjectures:
             target_edge_length=0.15,
         )
         report = build_report(solve_case(spec, FLAT, phi_exp, conjecture=True))
-        c = report.conjecture
+        c = report["conjecture"]
         assert c["escalated"]
         assert c["verdict"] == "counterexample-candidate"
-        assert report.notes  # escalation is recorded on the report
+        assert report["notes"]  # escalation is recorded on the report
 
     def test_escalation_factorises_one_level_per_solve(self, phi_exp, monkeypatch):
         # every factorisation, ours and any inside ARPACK's shift-invert:
@@ -763,7 +793,7 @@ class TestConjectures:
                 return splu(A, *args, **kwargs)
             monkeypatch.setattr(module, "splu", spy)
         report = build_report(solve_case(spec, FLAT, phi_exp, conjecture=True))
-        assert report.conjecture["escalated"]
+        assert report["conjecture"]["escalated"]
         levels = [generate(spec)]
         for _ in range(3):
             levels.append(refine(levels[-1]))
@@ -783,13 +813,13 @@ class TestConjectures:
     def test_block_attached_when_solved_for_it(self, phi_exp, domain, dimension, conjecture):
         sol = solve_case(domain, FLAT, phi_exp, dimension, conjecture=conjecture)
         report = build_report(sol)
-        assert len(report.eigenvalues) == dimension - 1 + conjecture
-        assert (report.conjecture is not None) == conjecture
+        assert len(report["eigenvalues"]) == dimension - 1 + conjecture
+        assert (report["conjecture"] is not None) == conjecture
         # the main fields are the one comparison over n - 1 terms
         main = checker._comparison(sol, dimension - 1)
-        assert {key: getattr(report, key) for key in main} == main
+        assert {key: report[key] for key in main} == main
         if conjecture:
-            block = report.conjecture
+            block = report["conjecture"]
             assert block["passed"] == (block["gap"] >= -block["tol_budget"])
             assert block["verdict"] == (
                 "conjecture-consistent" if block["passed"] else "counterexample-candidate"
@@ -798,7 +828,7 @@ class TestConjectures:
     def test_ellipse_margin_positive(self, phi_zero):
         spec = DomainSpec(shape="ellipse", aspect=1.4, target_edge_length=0.12)
         report = build_report(solve_case(spec, FLAT, phi_zero, conjecture=True))
-        c = report.conjecture
+        c = report["conjecture"]
         assert c["verdict"] == "conjecture-consistent"
         assert c["gap"] > c["tol_budget"]
 
@@ -918,8 +948,8 @@ class TestTrialCenter:
         spec = DomainSpec(shape="ellipse", aspect=1.3, target_edge_length=0.12)
         mode = shoot_first_mode(BallSpec(1.0, 2, FLAT), phi_lin)
         result = find_trial_center(spec, phi_lin, mode)
-        assert result.converged
-        assert math.hypot(*result.center) < 1e-8  # twofold symmetry pins it
+        assert result["converged"]
+        assert math.hypot(*result["center"]) < 1e-8  # twofold symmetry pins it
 
     def test_translated_disk_unweighted_recovers_disk_center(self, flat_profile, phi_zero):
         spec = DomainSpec(
@@ -927,10 +957,10 @@ class TestTrialCenter:
             target_edge_length=0.1,
         )
         result = find_trial_center(spec, phi_zero, flat_profile)
-        assert result.converged
-        assert abs(result.center[0] - 0.3) < 1e-6
-        assert abs(result.center[1]) < 1e-10
-        assert not result.escaped_hull
+        assert result["converged"]
+        assert abs(result["center"][0] - 0.3) < 1e-6
+        assert abs(result["center"][1]) < 1e-10
+        assert not result["escaped_hull"]
 
     def test_offset_ellipse_weighted_matches_grid_search(self):
         phi = make_weight("linear-decreasing", (0.0, 0.3), 50.0)
@@ -950,8 +980,8 @@ class TestTrialCenter:
         radius, _ = match_ball_radius(FLAT, 2, phi, volume)
         mode = shoot_first_mode(BallSpec(radius, 2, FLAT), phi)
         result = find_trial_center(mesh, phi, mode)
-        assert result.converged
-        assert result.iterations <= 3
+        assert result["converged"]
+        assert result["iterations"] <= 3
 
         # independent coarse search: centroid-rule field on the same mesh
         pts = mesh.nodes[mesh.triangles]
@@ -970,8 +1000,8 @@ class TestTrialCenter:
         grid = np.linspace(0.1, 0.7, 61)
         vals = [(field_norm(ox, 0.0), ox) for ox in grid]
         best_ox = min(vals)[1]
-        assert abs(result.center[0] - best_ox) < 0.02  # two grid steps
-        assert abs(result.center[1]) < 1e-6
+        assert abs(result["center"][0] - best_ox) < 0.02  # two grid steps
+        assert abs(result["center"][1]) < 1e-6
 
     def test_zero_iterations_reports_field_at_start(self, flat_profile, phi_zero):
         spec = DomainSpec(
@@ -980,8 +1010,8 @@ class TestTrialCenter:
         )
         probe = find_trial_center(spec, phi_zero, flat_profile, start=(0.0, 0.0),
                                   max_iterations=0)
-        assert not probe.converged
-        assert probe.residual > 1e-3  # off-center start sees a real field
+        assert not probe["converged"]
+        assert probe["residual"] > 1e-3  # off-center start sees a real field
 
     def test_step_across_the_hull_is_cut(self, flat_profile, phi_zero):
         # a thin ellipse searched from near its right tip: a Newton step
@@ -991,15 +1021,15 @@ class TestTrialCenter:
             target_edge_length=0.05,
         )
         result = find_trial_center(spec, phi_zero, flat_profile, start=(2.4, 0.0))
-        assert result.converged and result.escaped_hull
-        assert result.iterations == 3
-        assert math.hypot(result.center[0] - 0.5, result.center[1]) < 1e-8
+        assert result["converged"] and result["escaped_hull"]
+        assert result["iterations"] == 3
+        assert math.hypot(result["center"][0] - 0.5, result["center"][1]) < 1e-8
         mesh = generate(spec)
         eqs = hull_equations(mesh.nodes[mesh.boundary_nodes])
-        assert np.all(eqs[:, :2] @ result.center + eqs[:, 2] <= 1e-10)
+        assert np.all(eqs[:, :2] @ result["center"] + eqs[:, 2] <= 1e-10)
 
     def test_outside_start_falls_back_to_centroid(self, flat_profile, phi_zero):
         spec = DomainSpec(shape="disk", radius=1.0, target_edge_length=0.15)
         result = find_trial_center(spec, phi_zero, flat_profile, start=(5.0, 5.0))
-        assert result.converged
-        assert math.hypot(*result.center) < 1e-7
+        assert result["converged"]
+        assert math.hypot(*result["center"]) < 1e-7

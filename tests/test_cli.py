@@ -16,7 +16,6 @@ import os
 import subprocess
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -447,7 +446,7 @@ class TestRun:
             "lemma23": check_lemma_monotone(sol.ball_mode),
         }
         for key, result in results.items():
-            assert record[key] == json.loads(json.dumps(asdict(result))), key
+            assert record[key] == json.loads(json.dumps(result)), key
 
     def test_summary_table_shape(self, run_dir):
         _code, out = run_dir
@@ -523,7 +522,7 @@ class TestRun:
             # the check reports a fail and nothing else changes: the rule
             # reads ``passed``, not ``converged``
             def failing(*args, _fn=getattr(cli, patched)):
-                return replace(_fn(*args), passed=False)
+                return {**_fn(*args), "passed": False}
 
             monkeypatch.setattr(cli, patched, failing)
         out = tmp_path / "out"

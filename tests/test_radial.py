@@ -271,7 +271,7 @@ def test_monotonicity_check_passes_on_real_profiles():
     for space, n, phi in cases:
         sol = shoot_first_mode(BallSpec(1.0, n, space), phi)
         report = check_lemma_monotone(sol)
-        assert report.passed, (space, n, report.worst_increase, report.min_fprime)
+        assert report["passed"], (space, n, report["worst_increase"], report["min_fprime"])
 
 
 def test_monotonicity_check_flags_synthetic_bump():
@@ -285,8 +285,8 @@ def test_monotonicity_check_flags_synthetic_bump():
             return t + 0.2 * np.exp(-((t - 2.0) ** 2) / 0.01), np.ones_like(t)
 
     report = check_lemma_monotone(BumpedProfile())
-    assert not report.passed
-    lo, hi = report.worst_interval
+    assert not report["passed"]
+    lo, hi = report["worst_interval"]
     assert 1.5 < lo < hi < 2.1  # the injected bump's rising flank
 
 
@@ -328,6 +328,11 @@ def test_shell_spec_validation():
         ShellSpec(1.0, 0.5)
     with pytest.raises(ValueError):
         ShellSpec(-0.1, 1.0)
+
+
+def test_shell_spec_record_tag():
+    assert ShellSpec(0.0, 1.25).describe() == "ball(radius=1.25)"
+    assert ShellSpec(0.5, 1.0).describe() == "shell(0.5, 1)"
 
 
 def test_eigenpairs_match_scipy_on_the_full_pencil():
