@@ -30,6 +30,8 @@ import contextlib
 import copy
 import ctypes
 import importlib
+import importlib.util
+import itertools
 import json
 import math
 import os
@@ -219,14 +221,31 @@ _TOLERANCES = {
 }
 
 
+# numpy submodules that scipy binds but the lab never runs: the
+# ``clone_module`` of scipy's vendored ``array_api_compat`` reads every public
+# numpy name, and numpy imports a submodule when its name is first read.
+# ``ma``, ``random`` and ``polynomial`` are read too, but the batch uses them.
+_DEFERRED = ("numpy.f2py", "numpy.testing")
+
+
 def _load_fem() -> None:
     """Import the FEM solver, and with it scipy's sparse linear algebra.
 
     Validation calls this for every meshed case, so forked pool workers
     inherit the module.  With ``OPENBLAS_NUM_THREADS=1`` for the import,
     scipy's OpenBLAS starts no worker thread to spin-wait ~0.1 s of CPU into
-    the batch, which runs BLAS single-threaded anyway.
+    the batch, which runs BLAS single-threaded anyway.  Each module of
+    ``_DEFERRED`` not yet imported is first bound as a lazy module, so scipy
+    binds it without running it; its first attribute access imports it.
     """
+    for name in _DEFERRED:
+        spec = None if name in sys.modules else importlib.util.find_spec(name)
+        if spec is None:
+            continue
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        setattr(np, name.rpartition(".")[2], module)
     old = os.environ.get("OPENBLAS_NUM_THREADS")
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
     try:
@@ -391,10 +410,7 @@ def _run_case(case: dict) -> dict:
     metric = s_kappa(ts, space)
     # at the centre f/S takes its limit T'(0)/C(0) = T'(0)
     ratio = np.divide(values, metric, out=derivs.copy(), where=metric > 0.0)
-    record["profile_data"] = [
-        (float(t), float(v), float(d), float(r))
-        for t, v, d, r in zip(ts, values, derivs, ratio)
-    ]
+    record["profile_data"] = np.column_stack((ts, values, derivs, ratio)).tolist()
 
     if failed:
         record["status"] = "fail"
@@ -518,9 +534,10 @@ def _write_profiles(records: list[dict], out: Path) -> None:
         rows = record.get("profile_data")
         if not rows:
             continue
-        lines = ["t,T,Tprime,f_over_S\n"]
-        lines.extend("%.17g,%.17g,%.17g,%.17g\n" % tuple(row) for row in rows)
-        (plots / f"{record['id']}_profile.csv").write_text("".join(lines))
+        # one format string for the whole table: per row, the % costs more
+        flat = tuple(itertools.chain.from_iterable(rows))
+        body = "%.17g,%.17g,%.17g,%.17g\n" * len(rows) % flat
+        (plots / f"{record['id']}_profile.csv").write_text("t,T,Tprime,f_over_S\n" + body)
 
 
 def _execute(cases: list[dict], out: Path, jobs: int) -> list[dict]:

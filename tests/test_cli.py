@@ -726,6 +726,108 @@ def test_meshed_validation_loads_fem_single_threaded(tmp_path, validate):
     assert all(threads == 1 for threads in result["started"])
 
 
+# a module of each deferred package that runs only when the package loads
+DEFERRED_BODIES = ("numpy.f2py.crackfortran", "numpy.testing._private.utils")
+
+DEFERRED_RUN = f"""
+import json, sys
+from wittenlab import cli
+
+def loaded():
+    return [m for m in {DEFERRED_BODIES!r} if m in sys.modules]
+
+def probed(case, _execute=cli._execute_case):
+    return dict(_execute(case), deferred=loaded())
+
+cli._execute_case = probed  # the pool's workers look it up by name
+entry, cfg = sys.argv[1], sys.argv[2]
+if entry == "validate_run_config":
+    with open(cfg) as fh:
+        cli.validate_run_config(json.load(fh))
+else:
+    getattr(cli, entry)(cfg, sys.argv[3], jobs=int(sys.argv[4]))
+front = loaded()
+
+import numpy as np
+np.testing.assert_allclose(1.0, 1.0)
+from numpy.testing import assert_array_equal
+assert_array_equal([1, 2], [1, 2])
+import numpy.f2py.crackfortran
+print(json.dumps({{"front": front, "after_use": loaded()}}))
+"""
+
+
+@pytest.mark.parametrize("entry,jobs", [("validate_run_config", 1), ("run", 1), ("sweep", 2)])
+def test_meshed_start_up_defers_f2py_and_testing(tmp_path, entry, jobs):
+    # scipy binds numpy.f2py and numpy.testing while the FEM solver loads;
+    # bound as lazy modules, neither runs in the front end or in a worker,
+    # and each loads for real at its first use after the run
+    if entry == "sweep":
+        payload = {
+            "schema": 1,
+            "base_case": disk_case(),
+            "sweep": {"parameters": [{"path": "domain.radius", "values": [1.0, 1.5]}]},
+        }
+    else:
+        payload = {"schema": 1, "cases": [disk_case()]}
+    out = tmp_path / "out"
+    result = fresh_python(DEFERRED_RUN, entry, write_config(tmp_path, payload), str(out), str(jobs))
+    assert json.loads(result.splitlines()[-1]) == {
+        "front": [], "after_use": list(DEFERRED_BODIES)
+    }
+    if entry != "validate_run_config":
+        records = [json.loads(line) for line in (out / "reports.jsonl").open()]
+        assert len(records) == (2 if entry == "sweep" else 1)
+        assert all(r["status"] == "pass" and r["deferred"] == [] for r in records)
+
+
+PRELOADED_TESTING = """
+import json, sys
+import numpy, numpy.testing
+from wittenlab import cli
+
+before = numpy.testing
+with open(sys.argv[1]) as fh:
+    cli.validate_run_config(json.load(fh))
+print(json.dumps([sys.modules["numpy.testing"] is before, numpy.testing is before]))
+"""
+
+
+def test_meshed_validation_keeps_an_imported_numpy_testing(tmp_path):
+    cfg = write_config(tmp_path, {"schema": 1, "cases": [disk_case()]})
+    assert json.loads(fresh_python(PRELOADED_TESTING, cfg)) == [True, True]
+
+
+NO_F2PY_SPEC = f"""
+import importlib.util, json, sys
+from wittenlab import cli
+
+find_spec = importlib.util.find_spec
+asked = []
+
+def without_f2py(name, *args):
+    asked.append(name)
+    return None if name == "numpy.f2py" else find_spec(name, *args)
+
+importlib.util.find_spec = without_f2py  # as in a numpy built without f2py
+cli._load_fem()
+print(json.dumps({{
+    "asked": "numpy.f2py" in asked,
+    "fem": "wittenlab.fem" in sys.modules,
+    # whatever numpy.f2py scipy left is the real module, not a lazy one
+    "f2py_real": ("numpy.f2py" in sys.modules) == ("numpy.f2py.crackfortran" in sys.modules),
+    "testing_deferred": "numpy.testing" in sys.modules
+        and "numpy.testing._private.utils" not in sys.modules,
+}}))
+"""
+
+
+def test_load_fem_skips_a_module_without_a_spec():
+    assert json.loads(fresh_python(NO_F2PY_SPEC)) == {
+        "asked": True, "fem": True, "f2py_real": True, "testing_deferred": True
+    }
+
+
 def openblas_api() -> list:
     """``(getter, setter)`` of every loaded OpenBLAS that exports a getter."""
     try:
