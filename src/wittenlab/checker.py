@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import QUAD_WEIGHTS, DomainSpec, Mesh, _rule_points, generate, refine
+from .mesh import QUAD_BARY, QUAD_WEIGHTS, DomainSpec, Mesh, generate, refine
 from .radial import (
     DEFAULT_OPTIONS,
     RadialSolution,
@@ -551,7 +551,7 @@ def find_trial_center(
     """
     mesh = _mesh_for(domain)
     p = mesh.nodes[mesh.triangles]
-    xq = _rule_points(p).reshape(-1, 2)
+    xq = np.einsum("qi,...id->q...d", QUAD_BARY, p).reshape(-1, 2)
     wq = (QUAD_WEIGHTS[:, None] * mesh.signed_areas()[None, :]).reshape(-1)
     density = wq * np.exp(-phi.value(np.hypot(xq[:, 0], xq[:, 1])))
 

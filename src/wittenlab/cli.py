@@ -51,7 +51,7 @@ from .weights import FAMILIES, make_weight
 SCHEMA_VERSION = 1
 CHECK_NAMES = ("main", "sharper", "conjecture", "lemma23", "center")
 SPACE_NAMES = ("euclidean", "hyperbolic")
-PROFILE_SAMPLES = 400
+PROFILE_ROWS = 400
 
 EXIT_PASS = 0
 EXIT_ERROR = 1
@@ -301,17 +301,14 @@ def validate_case(case: dict, where: str, fallback_id: str) -> dict:
     )
 
     checks = case.get("checks", ["main"])
-    seen = []
     for i, name in enumerate(checks):
         if name not in CHECK_NAMES:
             raise ConfigError(
                 f"{where}.checks[{i}]: {name!r} is not one of {CHECK_NAMES}"
             )
-        if name not in seen:
-            seen.append(name)
-    if not seen:
+    norm["checks"] = [name for name in CHECK_NAMES if name in checks]
+    if not norm["checks"]:
         raise ConfigError(f"{where}.checks: at least one check is required")
-    norm["checks"] = sorted(seen, key=CHECK_NAMES.index)
 
     norm["domain"] = domain = _build_domain(case["domain"], mesh_size, f"{where}.domain")
     norm["weight"] = _build_weight(case["weight"], f"{where}.weight")
@@ -356,10 +353,15 @@ def validate_case(case: dict, where: str, fallback_id: str) -> dict:
     return norm
 
 
-def validate_run_config(cfg: dict) -> list[dict]:
-    _require_keys(cfg, "config", {"schema": (int,), "cases": (list,)}, ("schema", "cases"))
+def _require_config(cfg: dict, keys: dict) -> None:
+    """Check a config's top-level ``keys``, all required, and its ``schema``."""
+    _require_keys(cfg, "config", {"schema": (int,), **keys}, ("schema", *keys))
     if cfg["schema"] != SCHEMA_VERSION:
         raise ConfigError(f"config.schema: expected {SCHEMA_VERSION}")
+
+
+def validate_run_config(cfg: dict) -> list[dict]:
+    _require_config(cfg, {"cases": (list,)})
     if not cfg["cases"]:
         raise ConfigError("config.cases: must not be empty")
     cases = [
@@ -405,7 +407,7 @@ def _run_case(case: dict) -> dict:
     blocks = {**report, **record, "main": report}
     failed = [name for name in checks if not blocks[name]["passed"]]
 
-    ts = np.linspace(0.0, radius, PROFILE_SAMPLES)
+    ts = np.linspace(0.0, radius, PROFILE_ROWS)
     values, derivs = mode.profile(ts)
     metric = s_kappa(ts, space)
     # at the centre f/S takes its limit T'(0)/C(0) = T'(0)
@@ -451,13 +453,19 @@ def _single_threaded_blas():
     """
     try:
         with open("/proc/self/maps") as fh:
-            paths = sorted({ln.split()[-1] for ln in fh if "openblas" in ln.lower()})
+            # the path is the sixth field, and may hold spaces
+            paths = sorted(
+                {ln.split(maxsplit=5)[5].rstrip("\n") for ln in fh if "openblas" in ln.lower()}
+            )
     except OSError:
         paths = []
     restore = []
     try:
         for path in paths:
-            lib = ctypes.CDLL(path)
+            try:
+                lib = ctypes.CDLL(path)
+            except OSError:  # a file gone since, its mapping marked " (deleted)"
+                continue
             name = next((n for n in _OPENBLAS_GETTERS if hasattr(lib, n)), None)
             if name is not None:
                 setter = getattr(lib, name.replace("_get_", "_set_"))
@@ -579,49 +587,30 @@ def _resolve_path(case: dict, path: str, where: str):
     and final segment, a list index made non-negative, so the caller can assign."""
     segments = path.split(".")
     node = case
-    for depth, seg in enumerate(segments[:-1]):
+    for depth, seg in enumerate(segments):
+        holder, key = node, seg
         if isinstance(node, list):
-            try:
-                node = node[int(seg)]
-            except (ValueError, IndexError):
-                raise ConfigError(
-                    f"{where}: segment {seg!r} does not index the list"
-                ) from None
-        elif isinstance(node, dict) and seg in node:
-            node = node[seg]
+            with contextlib.suppress(ValueError):
+                key = int(seg)
+            fields = range(-len(node), len(node))
         else:
+            fields = node if isinstance(node, dict) else ()
+        if key not in fields:
             raise ConfigError(
-                f"{where}: {'.'.join(segments[: depth + 1])!r} does not exist "
-                "in base_case"
+                f"{where}: {'.'.join(segments[: depth + 1])!r} does not address an "
+                "existing field"
             )
-    last = segments[-1]
-    if isinstance(node, list):
-        try:
-            index = int(last)
-        except ValueError:
-            raise ConfigError(f"{where}: {last!r} cannot index a list") from None
-        if not -len(node) <= index < len(node):
-            raise ConfigError(f"{where}: index {index} out of range")
-        return node, index % len(node)
-    if isinstance(node, dict) and last in node:
-        return node, last
-    raise ConfigError(f"{where}: {path!r} does not address an existing field")
+        node = node[key]
+    return holder, key % len(holder) if isinstance(holder, list) else key
 
 
 def validate_sweep_config(cfg: dict):
-    _require_keys(
-        cfg,
-        "config",
-        {"schema": (int,), "base_case": (dict,), "sweep": (dict,)},
-        ("schema", "base_case", "sweep"),
-    )
-    if cfg["schema"] != SCHEMA_VERSION:
-        raise ConfigError(f"config.schema: expected {SCHEMA_VERSION}")
+    _require_config(cfg, {"base_case": (dict,), "sweep": (dict,)})
     _require_keys(cfg["sweep"], "sweep", {"parameters": (list,)}, ("parameters",))
     params = cfg["sweep"]["parameters"]
     if not 1 <= len(params) <= 2:
         raise ConfigError("sweep.parameters: expected one or two parameters")
-    axes, targets = [], []
+    paths, axes, targets = [], [], []
     for i, param in enumerate(params):
         where = f"sweep.parameters[{i}]"
         _require_keys(param, where, {"path": (str,), "values": (list,)}, ("path", "values"))
@@ -630,49 +619,31 @@ def validate_sweep_config(cfg: dict):
         for j, value in enumerate(param["values"]):
             _as_float(value, f"{where}.values[{j}]")
         targets.append(_resolve_path(cfg["base_case"], param["path"], f"{where}.path"))
+        paths.append(param["path"])
         # written as given, so an integer field sweeps over integers
-        axes.append((param["path"], param["values"]))
+        axes.append(param["values"])
     # by holder, not path: weight.params.1 and weight.params.-1 are one field
     if len({(id(holder), key) for holder, key in targets}) < len(targets):
         raise ConfigError("sweep.parameters: the two parameters address one field")
     base_id = cfg["base_case"].get("id", "sweep")
 
     grid = []
-    combos = (
-        [(a,) for a in axes[0][1]]
-        if len(axes) == 1
-        else [(a, b) for a in axes[0][1] for b in axes[1][1]]
-    )
-    for combo in combos:
+    for combo in itertools.product(*axes):
+        params = dict(zip(paths, combo))
         raw = copy.deepcopy(cfg["base_case"])
-        suffix = []
-        for (path, _values), value in zip(axes, combo):
+        for path, value in params.items():
             holder, key = _resolve_path(raw, path, "sweep")
             holder[key] = value
-            suffix.append(f"{path.replace('.', '_')}={value:.6g}")
-        raw["id"] = base_id + "--" + "--".join(suffix)
-        grid.append(
-            (
-                validate_case(raw, "base_case", raw["id"]),
-                {path: value for (path, _values), value in zip(axes, combo)},
-            )
+        raw["id"] = base_id + "--" + "--".join(
+            f"{path.replace('.', '_')}={value:.6g}" for path, value in params.items()
         )
+        grid.append((validate_case(raw, "base_case", raw["id"]), params))
     ids = [case["id"] for case, _params in grid]
     if len(set(ids)) != len(ids):
         raise ConfigError(
             "sweep.parameters: grid values collide after formatting; ids not unique"
         )
-    return [path for path, _values in axes], grid
-
-
-def _margin(record: dict):
-    """Sweep ordering key: conjecture margin when present, else the plain gap."""
-    if record["status"] == "error":
-        return None
-    rep = record["report"]
-    if rep.get("conjecture"):
-        return rep["conjecture"]["gap"]
-    return rep["gap"]
+    return paths, grid
 
 
 def sweep(config_path: str, out_dir: str, jobs: int = 1, verbose: bool = False) -> int:
@@ -685,20 +656,18 @@ def sweep(config_path: str, out_dir: str, jobs: int = 1, verbose: bool = False) 
     best = None
     for record in records:
         params = params_by_id[record["id"]]
-        if record["status"] == "error":
-            row = [record["id"], *(_fmt(params[p]) for p in paths), "", "", "", "error"]
-            lines.append(",".join(row))
-            continue
-        rep = record["report"]
+        # an error record has no report, and its row no gaps
+        rep = record.get("report", {})
         sharper_gap = rep["sharper"]["gap"] if rep.get("sharper") else None
-        margin = _margin(record)
         conj = rep["conjecture"]["gap"] if rep.get("conjecture") else None
+        # the ordering key: the conjecture margin when present, else the main gap
+        margin = rep.get("gap") if conj is None else conj
         lines.append(
             ",".join(
                 [
                     record["id"],
                     *(_fmt(params[p]) for p in paths),
-                    _fmt(rep["gap"]),
+                    _fmt(rep.get("gap")),
                     _fmt(sharper_gap),
                     _fmt(conj),
                     record["status"],
@@ -714,7 +683,7 @@ def sweep(config_path: str, out_dir: str, jobs: int = 1, verbose: bool = False) 
         "errors": sum(r["status"] == "error" for r in records),
         "fails": sum(r["status"] == "fail" for r in records),
         "margin_kind": "conjecture" if any(
-            r["status"] != "error" and r["report"].get("conjecture") for r in records
+            r.get("report", {}).get("conjecture") for r in records
         ) else "main-gap",
         "minimal_margin": None
         if best is None

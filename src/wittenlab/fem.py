@@ -176,7 +176,6 @@ class SpectrumResult:
     zero_mode_value: float = 0.0
     zero_mode_spread: float = 0.0
     residuals: np.ndarray = field(default=None, repr=False)
-    dimension: int = 0
     factor: object = field(default=None, repr=False)
 
 
@@ -392,6 +391,5 @@ def solve_lowest(
         zero_mode_value=float(zero),
         zero_mode_spread=spread,
         residuals=residuals,
-        dimension=dim,
         factor=shifted if coarse is None else None,
     )

@@ -180,21 +180,6 @@ QUAD_BARY = np.array(
 QUAD_WEIGHTS = np.array([_W1, _W1, _W1, _W2, _W2, _W2])
 
 
-def _rule_points(corners: np.ndarray) -> np.ndarray:
-    """The six rule points of each triangle ``corners[..., 3, 2]``: ``(6, ..., 2)``.
-
-    Three scaled adds per point, bit for bit the einsum
-    ``"qi,...id->q...d"`` with ``QUAD_BARY`` and at less than half its cost.
-    """
-    c0, c1, c2 = corners[..., 0, :], corners[..., 1, :], corners[..., 2, :]
-    points = np.empty((len(QUAD_BARY),) + c0.shape)
-    for x, (w0, w1, w2) in zip(points, QUAD_BARY):
-        np.multiply(w0, c0, out=x)
-        x += w1 * c1
-        x += w2 * c2
-    return points
-
-
 @dataclass
 class Mesh:
     """Conforming triangulation with positively oriented triangles.

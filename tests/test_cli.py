@@ -481,7 +481,7 @@ class TestRun:
         for cid in ("ball3", "disk-equality"):
             body = (out / "plots" / f"{cid}_profile.csv").read_text().splitlines()
             assert body[0] == "t,T,Tprime,f_over_S"
-            assert len(body) == cli.PROFILE_SAMPLES + 1
+            assert len(body) == cli.PROFILE_ROWS + 1
             first = [float(x) for x in body[1].split(",")]
             last = [float(x) for x in body[-1].split(",")]
             assert first[0] < last[0]
@@ -685,7 +685,7 @@ from wittenlab import cli
 
 def openblas():
     with open("/proc/self/maps") as fh:
-        paths = sorted({{ln.split()[-1] for ln in fh if "openblas" in ln.lower()}})
+        paths = sorted({{ln.split(maxsplit=5)[5].rstrip("\\n") for ln in fh if "openblas" in ln.lower()}})
     threads = {{}}
     for path in paths:
         lib = ctypes.CDLL(path)
@@ -832,7 +832,9 @@ def openblas_api() -> list:
     """``(getter, setter)`` of every loaded OpenBLAS that exports a getter."""
     try:
         with open("/proc/self/maps") as fh:
-            paths = sorted({ln.split()[-1] for ln in fh if "openblas" in ln.lower()})
+            paths = sorted(
+                {ln.split(maxsplit=5)[5].rstrip("\n") for ln in fh if "openblas" in ln.lower()}
+            )
     except OSError:
         return []
     api = []
@@ -891,6 +893,35 @@ class TestSingleThreadedBlas:
             {"id": "b", "threads": [1] * two_threads},
         ]
         assert openblas_threads() == [2] * two_threads
+
+
+SPACED_OPENBLAS = f"""
+import ctypes, json, os, shutil, sys
+from wittenlab import cli
+
+copy = shutil.copytree(sys.argv[1], sys.argv[2])
+name = next(n for n in os.listdir(copy) if "openblas" in n)
+lib = ctypes.CDLL(os.path.join(copy, name))
+getter = next(n for n in {OPENBLAS_GETTERS!r} if hasattr(lib, n))
+get, set_ = getattr(lib, getter), getattr(lib, getter.replace("_get_", "_set_"))
+set_(2)
+if sys.argv[3] == "unlinked":
+    os.remove(os.path.join(copy, name))
+with cli._single_threaded_blas():
+    inside = get()
+print(json.dumps([inside, get()]))
+"""
+
+
+@pytest.mark.parametrize("state, inside", [("linked", 1), ("unlinked", 2)])
+def test_blas_pin_reads_a_library_path_with_a_space(tmp_path, state, inside):
+    # a copy of numpy's OpenBLAS under "with space" is pinned with the rest;
+    # once unlinked, its mapping reads "... (deleted)" and the pin skips it
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    if not any("openblas" in lib.name for lib in libs.glob("*")):
+        pytest.skip("numpy ships no OpenBLAS in numpy.libs")
+    out = fresh_python(SPACED_OPENBLAS, str(libs), str(tmp_path / "with space"), state)
+    assert json.loads(out) == [inside, 2]
 
 
 @pytest.mark.parametrize("jobs,workers", [(64, 3), (2, 2)])
@@ -1164,6 +1195,48 @@ class TestSweep:
         )
         assert code == 1
         assert "does not address an existing field" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "path, prefix",
+        [
+            ("domian", "domian"),
+            ("domain.apsect.x", "domain.apsect"),
+            ("weight.params.2", "weight.params.2"),
+            ("weight.params.-3.x", "weight.params.-3"),
+            ("weight.params.one", "weight.params.one"),
+            ("weight.params.0.x", "weight.params.0.x"),
+            ("weight.family.x", "weight.family.x"),
+        ],
+    )
+    def test_path_failure_names_its_failing_prefix(self, tmp_path, capsys, path, prefix):
+        cfg = self.sweep_config()
+        cfg["sweep"]["parameters"][0]["path"] = path
+        code = cli.main(
+            ["sweep", write_config(tmp_path, cfg), "--out", str(tmp_path / "o")]
+        )
+        assert code == 1
+        assert capsys.readouterr().err.startswith(
+            f"config error: sweep.parameters[0].path: {prefix!r} does not address an "
+            "existing field"
+        )
+
+    def test_error_member_rows(self, tmp_path):
+        # a shell beyond the weight's cap is refused by the solve, not by
+        # validation: that member's record is an error, its row has no gaps
+        cfg = self.sweep_config()
+        cfg["base_case"].update(id="fam", checks=["main", "sharper"])
+        cfg["base_case"]["weight"]["domain_cap"] = 2.0
+        cfg["sweep"]["parameters"] = [{"path": "domain.outer_radius", "values": [1.0, 3.0]}]
+        out = tmp_path / "out"
+        assert cli.main(["sweep", write_config(tmp_path, cfg), "--out", str(out)]) == 1
+        rows = (out / "sweep.csv").read_text().splitlines()
+        assert rows[1].startswith("fam--domain_outer_radius=1,1,") and rows[1].endswith(",pass")
+        assert rows[2:] == ["fam--domain_outer_radius=3,3,,,,error"]
+        summary = json.loads((out / "sweep_summary.json").read_text())
+        assert summary["errors"] == 1
+        assert summary["margin_kind"] == "main-gap"
+        assert summary["minimal_margin"]["case_id"] == "fam--domain_outer_radius=1"
+        assert summary["minimal_margin"]["parameters"] == {"domain.outer_radius": 1.0}
 
     @pytest.mark.parametrize(
         "first, second",

@@ -145,14 +145,6 @@ class TestAssembly:
                 # one entry per node and two per edge
                 assert got.nnz == len(mesh.nodes) + 2 * len(carried.edge_table[0])
 
-    def test_rule_points_match_einsum(self):
-        mesh = refine(generate(DomainSpec(shape="ellipse", aspect=1.4, target_edge_length=0.1)))
-        p = mesh.nodes[mesh.triangles]
-        # (M, 3, 2) as the trial-centre field passes it, and with a leading stack axis
-        for corners in (p, np.stack([p, p[:, ::-1] + 0.25, 0.5 * p])):
-            want = np.einsum("qi,...id->q...d", msh.QUAD_BARY, corners)
-            assert np.array_equal(msh._rule_points(corners), want)
-
 
 class TestSpectra:
     def test_square_separable_spectrum(self, phi_zero):
@@ -218,10 +210,9 @@ class TestSpectra:
         assert abs(res.zero_mode_value) < 1e-9
         assert res.zero_mode_spread < 1e-10
         assert np.max(res.residuals) <= fem.RESIDUAL_TOL
-        assert res.dimension == len(mesh.nodes)
-        assert res.modes.shape == (res.dimension, 3)
+        assert res.modes.shape == (len(mesh.nodes), 3)
         # modes are mass-orthogonal to constants
-        m_total = assemble(mesh, FLAT, phi_zero).mass @ np.ones(res.dimension)
+        m_total = assemble(mesh, FLAT, phi_zero).mass @ np.ones(len(mesh.nodes))
         assert np.max(np.abs(res.modes.T @ m_total)) < 1e-8
 
     @pytest.mark.parametrize(
