@@ -8,6 +8,28 @@ volume.  All public entry points are pure functions over immutable inputs;
 parallel callers never share mutable state.
 """
 
+import contextlib
+import os
+import sys
+
+
+@contextlib.contextmanager
+def _one_openblas_thread():
+    """Run the body with ``OPENBLAS_NUM_THREADS=1``: an OpenBLAS it loads starts no worker thread."""
+    old = os.environ.get("OPENBLAS_NUM_THREADS")
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        yield
+    finally:
+        os.environ.pop("OPENBLAS_NUM_THREADS", None)
+        if old is not None:
+            os.environ["OPENBLAS_NUM_THREADS"] = old
+
+
+if "numpy" not in sys.modules:
+    with _one_openblas_thread():
+        import numpy  # noqa: F401
+
 from .spaceform import (
     EUCLIDEAN,
     HYPERBOLIC,

@@ -34,7 +34,6 @@ import importlib.util
 import itertools
 import json
 import math
-import os
 import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -42,6 +41,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import _one_openblas_thread
 from .checker import build_report, find_trial_center, solve_case
 from .mesh import SHAPE_FIELDS, DomainSpec, MeshInvariantError, generate, load as load_mesh
 from .radial import ShellSpec, ShootingOptions, check_lemma_monotone
@@ -232,9 +232,9 @@ def _load_fem() -> None:
     """Import the FEM solver, and with it scipy's sparse linear algebra.
 
     Validation calls this for every meshed case, so forked pool workers
-    inherit the module.  With ``OPENBLAS_NUM_THREADS=1`` for the import,
-    scipy's OpenBLAS starts no worker thread to spin-wait ~0.1 s of CPU into
-    the batch, which runs BLAS single-threaded anyway.  Each module of
+    inherit the module.  It imports under ``_one_openblas_thread``, the
+    import-time pin that covers the OpenBLAS copies wittenlab loads first
+    (numpy's in the package's ``__init__``, scipy's here).  Each module of
     ``_DEFERRED`` not yet imported is first bound as a lazy module, so scipy
     binds it without running it; its first attribute access imports it.
     """
@@ -246,15 +246,8 @@ def _load_fem() -> None:
         module = sys.modules[name] = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
         setattr(np, name.rpartition(".")[2], module)
-    old = os.environ.get("OPENBLAS_NUM_THREADS")
-    os.environ["OPENBLAS_NUM_THREADS"] = "1"
-    try:
+    with _one_openblas_thread():
         importlib.import_module(".fem", __package__)
-    finally:
-        if old is None:
-            del os.environ["OPENBLAS_NUM_THREADS"]
-        else:
-            os.environ["OPENBLAS_NUM_THREADS"] = old
 
 
 def validate_case(case: dict, where: str, fallback_id: str) -> dict:
@@ -445,10 +438,11 @@ _OPENBLAS_GETTERS = (
 def _single_threaded_blas():
     """Run the body with every loaded OpenBLAS set to one thread.
 
-    The solves call BLAS on blocks far too small to gain from threads, and
-    an idle OpenBLAS thread spin-waits between calls, so with more than one
-    solving process the spinning threads take the pool's CPUs.  Forked pool
-    workers inherit the setting; each old thread count comes back on exit.
+    This batch pin covers the OpenBLAS copies the caller loaded before
+    wittenlab, which the import-time pin (``_one_openblas_thread``) never saw.
+    The solves call BLAS on blocks too small to gain from threads, and an
+    idle OpenBLAS thread spin-waits between calls, taking a pool's CPUs.
+    Forked workers inherit the pin; the old counts come back on exit.
     Without OpenBLAS (or without ``/proc``) this does nothing.
     """
     try:

@@ -679,9 +679,9 @@ def test_cli_import_leaves_scipy_integrate_unloaded(tmp_path):
     ]
 
 
-MESHED_VALIDATION = f"""
-import ctypes, json, os, sys
-from wittenlab import cli
+# ``openblas()``: the thread count of each loaded OpenBLAS, by path
+OPENBLAS_READER = f"""
+import ctypes
 
 def openblas():
     with open("/proc/self/maps") as fh:
@@ -692,7 +692,12 @@ def openblas():
         getter = next((n for n in {OPENBLAS_GETTERS!r} if hasattr(lib, n)), None)
         threads[path] = getattr(lib, getter)() if getter else None
     return threads
+"""
 
+MESHED_VALIDATION = f"""
+import json, os, sys
+from wittenlab import cli
+{OPENBLAS_READER}
 before, tasks = openblas(), len(os.listdir("/proc/self/task"))
 env = os.environ.get("OPENBLAS_NUM_THREADS")
 with open(sys.argv[2]) as fh:
@@ -724,6 +729,66 @@ def test_meshed_validation_loads_fem_single_threaded(tmp_path, validate):
     assert result["fem"] and result["env_restored"]
     assert result["new_threads"] == 0
     assert all(threads == 1 for threads in result["started"])
+
+
+ONE_TASK = """
+import json, os, sys
+if sys.argv[1] == "unset":
+    os.environ.pop("OPENBLAS_NUM_THREADS", None)
+else:
+    os.environ["OPENBLAS_NUM_THREADS"] = sys.argv[1]
+from wittenlab import cli
+
+result = {
+    "numpy": "numpy" in sys.modules,
+    "tasks": len(os.listdir("/proc/self/task")),
+    "env": os.environ.get("OPENBLAS_NUM_THREADS", "unset"),
+}
+if len(sys.argv) > 2:
+    result["exit"] = cli.main(["run", sys.argv[2], "--out", sys.argv[3]])
+    result["tasks_after_run"] = len(os.listdir("/proc/self/task"))
+print(json.dumps(result))
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").exists(), reason="reads /proc")
+@pytest.mark.parametrize("env", ["unset", "3"])
+def test_import_starts_no_openblas_thread(env):
+    # numpy loads under OPENBLAS_NUM_THREADS=1, so its OpenBLAS starts no
+    # worker thread to spin-wait ~0.13 s of CPU into the set-up and the
+    # batch; the variable reads as before the import, unset or not
+    result = json.loads(fresh_python(ONE_TASK, env))
+    assert result == {"numpy": True, "tasks": 1, "env": env}
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").exists(), reason="reads /proc")
+def test_serial_radial_run_keeps_one_task(tmp_path):
+    cfg = write_config(tmp_path, {"schema": 1, "cases": [shell_case()]})
+    out = fresh_python(ONE_TASK, "unset", cfg, str(tmp_path / "out")).splitlines()[-1]
+    result = json.loads(out)
+    assert (result["tasks"], result["exit"], result["tasks_after_run"]) == (1, 0, 1)
+
+
+NUMPY_FIRST = f"""
+import json, os
+os.environ["OPENBLAS_NUM_THREADS"] = "2"
+import numpy
+{OPENBLAS_READER}
+before, tasks = openblas(), len(os.listdir("/proc/self/task"))
+from wittenlab import cli
+print(json.dumps([before, openblas(), tasks, len(os.listdir("/proc/self/task"))]))
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/maps").exists(), reason="reads /proc")
+def test_numpy_imported_first_keeps_its_threads():
+    # the import-time pin only covers a numpy that wittenlab loads; a caller's
+    # numpy keeps its count and threads, and each batch pins it instead
+    before, after, tasks, tasks_after = json.loads(fresh_python(NUMPY_FIRST))
+    if not before:
+        pytest.skip("numpy loaded no OpenBLAS")
+    assert after == before
+    assert tasks_after == tasks
 
 
 # a module of each deferred package that runs only when the package loads
