@@ -30,8 +30,7 @@ from __future__ import annotations
 
 import functools
 import math
-import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -42,7 +41,7 @@ from .spaceform import (
 from .weights import WeightFunction
 
 _SERIES_BELOW = 0.1  # hyperbolic corrections switch to their series below
-PROFILE_SAMPLES = 2048  # check-grid points per piece: zeros, residuals, monotone mode
+PROFILE_SAMPLES = 2048  # check-grid points per piece: zeros and residuals
 MONOTONE_GRID_POINTS = 2000  # the grid of check_lemma_monotone
 
 
@@ -64,15 +63,6 @@ class ShootingOptions:
     rtol: float = 1e-10
     atol: float = 1e-12
     residual_tol: float = 1e-10
-
-    def tightened(self, factor: float = 10.0) -> "ShootingOptions":
-        """Stricter copy used by the counterexample protocol."""
-        return replace(
-            self,
-            rtol=self.rtol / factor,
-            atol=self.atol / factor,
-            residual_tol=self.residual_tol / factor,
-        )
 
 
 DEFAULT_OPTIONS = ShootingOptions()
@@ -115,7 +105,6 @@ class RadialSolution:
     ball: BallSpec
     phi: WeightFunction
     residual: float
-    first_mode_monotone: bool
     degree: int
     tail: float
     nodes: np.ndarray = field(repr=False)
@@ -343,16 +332,6 @@ def _solve_degree(
                 f"Neumann residual {residual:.3g} above {options.residual_tol:.3g} "
                 f"(l={l}, which={k + 1})"
             )
-        monotone = True
-        if l == 1 and k == 0 and inner == 0.0:
-            monotone = bool(np.all(derivs[k, :-1] > 0.0))
-            if not monotone:
-                warnings.warn(
-                    "first-mode radial derivative changes sign inside the ball, so the "
-                    "profile is not monotone; the lemma23 check reports where",
-                    RuntimeWarning,
-                    stacklevel=3,
-                )
         solutions.append(RadialSolution(
             mu=float(w.real[order[k]]),
             mode_degree=l,
@@ -360,7 +339,6 @@ def _solve_degree(
             ball=BallSpec(outer, n, space),
             phi=phi,
             residual=residual,
-            first_mode_monotone=monotone,
             degree=N,
             tail=float(tail[k] / size[k]),
             nodes=nodes,

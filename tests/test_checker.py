@@ -13,6 +13,7 @@ pointwise reciprocal bound behind the trial-function argument is
 property-tested.
 """
 
+import dataclasses
 import importlib
 import json
 import math
@@ -759,6 +760,22 @@ class TestConjectures:
         c = report["conjecture"]
         assert c["verdict"] == "conjecture-consistent"
         assert abs(c["gap"]) <= c["tol_budget"]
+
+    def test_radial_negative_margin_is_labelled_without_a_resolve(self, phi_zero, monkeypatch):
+        # eigenvalues 1% high push the n-term gap far below the radial budget;
+        # a finer radial solve could not lift it, so none runs and the scaled
+        # values are the ones the block reports
+        sol = solve_case(ShellSpec(0.0, 1.0), FLAT, phi_zero, dimension=3, conjecture=True)
+        sol = dataclasses.replace(sol, eigenvalues=sol.eigenvalues * 1.01)
+        spy = mock.Mock(wraps=checker.solve_case)
+        monkeypatch.setattr(checker, "solve_case", spy)
+        report = build_report(sol)
+        c = report["conjecture"]
+        assert spy.call_count == 0
+        assert c["verdict"] == "counterexample-candidate"
+        assert not c["escalated"]
+        assert c["eigenvalues"] == [float(v) for v in sol.eigenvalues]
+        assert not report["notes"]
 
     def test_offset_weighted_disk_escalates_and_flags(self, phi_exp):
         # the n-term sum inherits the off-anchor deficit, so this is the

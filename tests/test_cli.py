@@ -12,6 +12,7 @@ OpenBLAS's own thread-count getter.
 
 import ctypes
 import json
+import math
 import os
 import subprocess
 import sys
@@ -111,6 +112,56 @@ FOREIGN_FIELDS = [
 
 def domain_with(shape: str, **extra) -> dict:
     return {"shape": shape, **{k: DOMAIN_VALUES[k] for k in DOMAIN_NEEDS[shape]}, **extra}
+
+
+def one_case(**fragment) -> dict:
+    """A run config of one disk case with ``fragment`` over its keys; a
+    ``None`` value drops the key."""
+    case = {k: v for k, v in disk_case(**fragment).items() if v is not None}
+    return {"schema": 1, "cases": [case]}
+
+
+# the run, sweep and file-level ConfigError raises that no other test
+# reaches: (command, config payload, the exact message after "config error: ")
+CONFIG_ERRORS = [
+    ("run", one_case(domain=[1.0]), "cases[0].domain: wrong type"),
+    ("run", one_case(space=None), "cases[0].space: missing required key"),
+    ("run", one_case(weight={"family": "constant", "params": ["0"]}),
+     "cases[0].weight.params[0]: expected a number"),
+    ("run", one_case(domain={"shape": "disk", "radius": math.inf}),
+     "cases[0].domain.radius: must be finite"),
+    ("run", one_case(domain={"shape": "translated-disk", "radius": 1.0, "center": [0.5]}),
+     "cases[0].domain.center: expected [x, y]"),
+    ("run", one_case(domain={"shape": "mesh-file"}), "cases[0].domain.path: missing required key"),
+    ("run", one_case(domain={"shape": "shell", "inner_radius": 0.0}, dimension=3, mesh_size=None),
+     "cases[0].domain.outer_radius: missing required key"),
+    ("run", one_case(domain={"shape": "perturbed-disk", "radius": 1.0, "perturbation": [[2]]}),
+     "cases[0].domain.perturbation[0]: expected [mode, amplitude]"),
+    ("run", one_case(domain={"shape": "ellipse", "semi_axis_x": 1.0, "semi_axis_y": 0.0}),
+     "cases[0].domain: ellipse semi-axes must be positive"),
+    ("run", one_case(weight={"family": "gaussian", "params": [0.0]}),
+     "cases[0].weight.family: 'gaussian' is not one of ('constant', 'linear-decreasing', "
+     "'exponential-decay', 'tabulated-spline')"),
+    ("run", one_case(id=""), "cases[0].id: must be a non-empty string"),
+    ("run", one_case(space="spherical"),
+     "cases[0].space: expected one of ('euclidean', 'hyperbolic')"),
+    ("run", one_case(refinement_levels=0), "cases[0].refinement_levels: must be >= 1"),
+    ("run", one_case(tolerances={"residual_tol": 0.0}),
+     "cases[0].tolerances.residual_tol: must be positive"),
+    ("run", one_case(checks=[]), "cases[0].checks: at least one check is required"),
+    ("run", one_case(domain={"shape": "shell", "outer_radius": 1.0}, dimension=1, mesh_size=None),
+     "cases[0].dimension: must be >= 2"),
+    ("run", one_case(dimension=3), "cases[0].dimension: meshed domains are two-dimensional"),
+    ("run", one_case(space="hyperbolic", domain={"shape": "disk", "radius": 0.5},
+                     checks=["main", "center"], mesh_size=0.3),
+     "cases[0].checks: the center search is euclidean-only"),
+    ("sweep", {"schema": 1, "base_case": shell_case(), "sweep": {"parameters": [
+        {"path": "domain.outer_radius", "values": [1.0000001, 1.0000002]}]}},
+     "sweep.parameters: grid values collide after formatting; ids not unique"),
+    ("run", {"schema": 1, "cases": ["disk"]}, "cases[0]: expected an object"),
+    ("run", [one_case()], "config: top level must be an object"),
+    ("run", None, "config: [Errno 2] No such file or directory: '{path}'"),
+]
 
 
 class TestValidation:
@@ -357,6 +408,19 @@ class TestValidation:
         code = cli.main(["run", str(path), "--out", str(tmp_path / "o")])
         assert code == 1
         assert "invalid JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, payload, message", CONFIG_ERRORS,
+                             ids=[m.removeprefix("cases[0].") for _c, _p, m in CONFIG_ERRORS])
+    def test_config_error_message(self, tmp_path, capsys, command, payload, message):
+        # the whole stderr line, pointer and reason; a payload of None is a
+        # config file that does not exist
+        path = tmp_path / "config.json"
+        if payload is not None:
+            path.write_text(json.dumps(payload))
+        out = tmp_path / "o"
+        assert cli.main([command, str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"config error: {message.format(path=path)}\n"
+        assert not out.exists()
 
 
 OFFSET_DISK = {"shape": "translated-disk", "radius": 0.8, "center": [0.5, 0.0]}
@@ -1371,3 +1435,56 @@ class TestSweep:
         code = cli.main(["sweep", write_config(tmp_path, cfg), "--out", str(out)])
         assert code == 1
         assert not (out / "sweep.csv").exists()
+
+
+class TestErrorRecords:
+    """The output of a run or sweep whose records are errors.  A shell past
+    its weight's cap is refused by the solve, not by validation."""
+
+    BEYOND_CAP = {
+        "id": "beyond",
+        "space": "euclidean",
+        "dimension": 3,
+        "domain": {"shape": "shell", "inner_radius": 0.0, "outer_radius": 3.0},
+        "weight": {"family": "constant", "params": [0.0], "domain_cap": 2.0},
+    }
+
+    def sweep_all_errors(self, tmp_path, capsys, *flags):
+        cfg = {
+            "schema": 1,
+            "base_case": self.BEYOND_CAP,
+            "sweep": {"parameters": [{"path": "domain.outer_radius", "values": [3.0, 4.0]}]},
+        }
+        out = tmp_path / "out"
+        code = cli.main(["sweep", write_config(tmp_path, cfg), "--out", str(out), *flags])
+        return code, out, capsys.readouterr().out.splitlines()
+
+    def test_sweep_with_every_member_an_error(self, tmp_path, capsys):
+        code, out, lines = self.sweep_all_errors(tmp_path, capsys)
+        assert code == 1
+        summary = json.loads((out / "sweep_summary.json").read_text())
+        assert summary["errors"] == 2
+        assert summary["margin_kind"] == "main-gap"
+        assert summary["minimal_margin"] is None
+        assert lines == [f"2 case(s); no margins computed -> {out}"]
+
+    def test_verbose_sweep_names_each_error_member(self, tmp_path, capsys):
+        code, out, lines = self.sweep_all_errors(tmp_path, capsys, "--verbose")
+        assert code == 1
+        assert lines == [
+            "beyond--domain_outer_radius=3: error",
+            "beyond--domain_outer_radius=4: error",
+            f"2 case(s); no margins computed -> {out}",
+        ]
+
+    def test_verbose_run_prints_the_error(self, tmp_path, capsys):
+        cfg = {"schema": 1, "cases": [self.BEYOND_CAP]}
+        out = tmp_path / "out"
+        assert cli.main(["run", write_config(tmp_path, cfg), "--out", str(out), "--verbose"]) == 1
+        record = json.loads((out / "reports.jsonl").read_text())
+        assert record["status"] == "error"
+        assert record["error"] == "ValueError: outer radius 3 exceeds the weight cap 2"
+        assert capsys.readouterr().out.splitlines() == [
+            f"beyond: error ({record['error']})",
+            f"1 case(s): 0 pass, 0 fail, 1 error -> {out}",
+        ]

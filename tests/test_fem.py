@@ -250,6 +250,24 @@ class TestSpectra:
         with pytest.raises(EigsolveError, match="refine"):
             solve_lowest(forms, count=2)
 
+    @pytest.mark.parametrize("refinements", [1, 2])
+    def test_disconnected_mesh_refused_by_the_base_solve(self, phi_zero, refinements):
+        # a disk beside an annulus has Euler characteristic 1 + 0, so
+        # mesh.validate lets it through; its second zero eigenvalue trips a
+        # constant-mode check of solve_lowest.  Which check fires depends on
+        # the sign of round-off, so only the class is matched
+        disk = generate(DomainSpec(shape="disk", radius=0.5, target_edge_length=0.2))
+        ring = generate(DomainSpec(
+            shape="annulus", inner_radius=1.0, outer_radius=1.5, target_edge_length=0.2
+        ))
+        mesh = Mesh(
+            nodes=np.vstack([disk.nodes, ring.nodes]),
+            triangles=np.vstack([disk.triangles, ring.triangles + len(disk.nodes)]),
+        )
+        msh.validate(mesh)
+        with pytest.raises(EigsolveError):
+            solve_case(mesh, FLAT, phi_zero, refinements=refinements)
+
     def test_translated_disk_same_spectrum_without_weight(self, phi_zero):
         # with phi constant the problem is translation invariant
         a = generate(DomainSpec(shape="disk", radius=1.0, target_edge_length=0.08))
