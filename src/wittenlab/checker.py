@@ -33,10 +33,10 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .mesh import QUAD_BARY, QUAD_WEIGHTS, DomainSpec, Mesh, generate, refine
 from .radial import (
     DEFAULT_OPTIONS,
     RadialSolution,
@@ -49,6 +49,9 @@ from .radial import (
 from .spaceform import BallSpec, SpaceForm, s_kappa, unit_sphere_area, weighted_annulus_volume
 from .spaceform import _chebyshev_integrals
 from .weights import WeightFunction
+
+if TYPE_CHECKING:
+    from .mesh import Mesh
 
 # Budget of radial eigenvalues.  The collocation solver resolves them to
 # ~1e-11 (its tail and Neumann residual are reported per record), but the
@@ -145,6 +148,8 @@ def match_ball_radius(
 
 
 def _mesh_for(domain) -> Mesh:
+    from .mesh import DomainSpec, Mesh, generate
+
     if isinstance(domain, Mesh):
         return domain
     if isinstance(domain, DomainSpec):
@@ -211,8 +216,10 @@ def solve_case(
             space, n, phi, shell.inner_radius, shell.outer_radius
         )
     else:
-        # scipy's sparse linear algebra loads with the first meshed case
+        # the mesher, and with the FEM solver scipy's sparse linear algebra,
+        # load with the first meshed case
         from . import fem
+        from .mesh import refine
 
         if dimension not in (None, 2):
             raise ValueError("meshed domains are two-dimensional")
@@ -550,6 +557,8 @@ def find_trial_center(
     the search converges; without convergence ``iterations`` is
     ``max_iterations``.
     """
+    from .mesh import QUAD_BARY, QUAD_WEIGHTS
+
     mesh = _mesh_for(domain)
     p = mesh.nodes[mesh.triangles]
     xq = np.einsum("qi,...id->q...d", QUAD_BARY, p).reshape(-1, 2)

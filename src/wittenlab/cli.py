@@ -21,11 +21,16 @@ or configuration error.
 
 Outputs are deterministic: records are sorted by case id, JSON is dumped
 with sorted keys, and CSV floats are printed with ``%.17g``.
+
+A run imports only what it uses.  A radial run (balls and shells) loads
+numpy and the package's own modules, ``mesh`` and ``fem`` excepted.  A
+meshed case also loads ``mesh``, ``fem`` and scipy, at validation; a batch
+with ``--jobs`` above 1 also loads the process pool, when it starts; and
+:func:`main` also loads ``argparse``.
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import copy
 import ctypes
@@ -36,17 +41,19 @@ import json
 import math
 import re
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import _one_openblas_thread
 from .checker import build_report, find_trial_center, solve_case
-from .mesh import SHAPE_FIELDS, DomainSpec, MeshInvariantError, generate, load as load_mesh
 from .radial import ShellSpec, ShootingOptions, check_lemma_monotone
 from .spaceform import SpaceForm, s_kappa
 from .weights import FAMILIES, make_weight
+
+if TYPE_CHECKING:
+    import argparse
 
 SCHEMA_VERSION = 1
 CHECK_NAMES = ("main", "sharper", "conjecture", "lemma23", "center")
@@ -110,12 +117,7 @@ _DOMAIN_KEYS = {
     "path": (str,),
 }
 
-# the fields each domain shape takes besides ``shape``
-_SHAPE_FIELDS = {
-    **SHAPE_FIELDS,
-    "shell": ("inner_radius", "outer_radius"),
-    "mesh-file": ("path",),
-}
+_SHELL_FIELDS = ("inner_radius", "outer_radius")
 
 
 def _point(value, where: str) -> tuple[float, float]:
@@ -128,16 +130,24 @@ def _build_domain(domain: dict, mesh_size: float, where: str):
     """Construct the solver-side domain object, raising pointered errors."""
     _require_keys(domain, where, _DOMAIN_KEYS, ("shape",))
     shape = domain["shape"]
-    if shape not in _SHAPE_FIELDS:
-        raise ConfigError(f"{where}.shape: {shape!r} is not one of {tuple(_SHAPE_FIELDS)}")
+    fields = _SHELL_FIELDS
+    if shape != "shell":
+        # every other shape is meshed: its fields and its domain object come
+        # from the mesher, which a radial case never loads
+        from . import mesh
+
+        shapes = {**mesh.SHAPE_FIELDS, "shell": _SHELL_FIELDS, "mesh-file": ("path",)}
+        if shape not in shapes:
+            raise ConfigError(f"{where}.shape: {shape!r} is not one of {tuple(shapes)}")
+        fields = shapes[shape]
     for key in domain:
-        if key != "shape" and key not in _SHAPE_FIELDS[shape]:
+        if key != "shape" and key not in fields:
             raise ConfigError(f"{where}.{key}: not a {shape} field")
     if shape == "mesh-file":
         if "path" not in domain:
             raise ConfigError(f"{where}.path: missing required key")
         try:
-            return load_mesh(domain["path"])
+            return mesh.load(domain["path"])
         except Exception as exc:
             raise ConfigError(f"{where}.path: {exc}") from None
     kwargs = {"shape": shape, "target_edge_length": mesh_size}
@@ -170,7 +180,7 @@ def _build_domain(domain: dict, mesh_size: float, where: str):
             modes.append((int(mode), _as_float(pair[1], at)))
         kwargs["perturbation"] = tuple(modes)
     try:
-        return DomainSpec(**kwargs)
+        return mesh.DomainSpec(**kwargs)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"{where}: {exc}") from None
 
@@ -321,11 +331,13 @@ def validate_case(case: dict, where: str, fallback_id: str) -> dict:
     elif dimension not in (None, 2):
         raise ConfigError(f"{where}.dimension: meshed domains are two-dimensional")
     else:
+        from . import mesh
+
         _load_fem()
-        if isinstance(domain, DomainSpec):
+        if isinstance(domain, mesh.DomainSpec):
             try:
-                norm["domain"] = generate(domain)
-            except MeshInvariantError as exc:
+                norm["domain"] = mesh.generate(domain)
+            except mesh.MeshInvariantError as exc:
                 raise ConfigError(f"{where}.domain: {exc}") from None
     norm["dimension"] = dimension if dimension is not None else 2
 
@@ -476,6 +488,8 @@ def _execute_batch(cases: list[dict], jobs: int) -> list[dict]:
         if jobs <= 1 or len(cases) == 1:
             records = [_execute_case(case) for case in cases]
         else:
+            from concurrent.futures import ProcessPoolExecutor
+
             # a fork pool starts every worker at once, so start no idle ones
             with ProcessPoolExecutor(max_workers=min(jobs, len(cases))) as pool:
                 records = list(pool.map(_execute_case, cases))
@@ -716,6 +730,8 @@ def _load_json(path: str) -> dict:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="wittenlab",
         description="Weighted Neumann eigenvalue comparisons against matched balls.",

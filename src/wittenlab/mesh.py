@@ -601,6 +601,23 @@ def refine(mesh: Mesh) -> Mesh:
     return out
 
 
+def _component_count(nodes: int, edges: np.ndarray) -> int:
+    """Connected components of the graph on ``nodes`` nodes with ``edges``.
+
+    Each round hooks the higher of every edge's two roots to the lower,
+    then points every node at its root, until no edge joins two roots.
+    """
+    label = np.arange(nodes)
+    while True:
+        a, b = label[edges[:, 0]], label[edges[:, 1]]
+        if np.array_equal(a, b):
+            return int(np.count_nonzero(label == np.arange(nodes)))
+        np.minimum.at(label, np.maximum(a, b), np.minimum(a, b))
+        up = label[label]
+        while not np.array_equal(up, label):
+            label, up = up, up[up]
+
+
 def save(mesh: Mesh, path) -> None:
     """Write the exchange format; floats use shortest round-trip decimals."""
     boundary = mesh.boundary_nodes
@@ -620,7 +637,9 @@ def load(path) -> Mesh:
 
     The file's boundary list comes from outside the program, so it must
     equal the boundary the triangles' edge table gives, which the mesh then
-    uses.  Loaded meshes carry no generating shape, so their tag is
+    uses.  It must also be one connected piece, which :func:`validate` does
+    not check: generated meshes and their refinements are connected by
+    construction.  Loaded meshes carry no generating shape, so their tag is
     ``"external"`` and refinement will not project their boundary midpoints.
     """
     with open(path, "r", encoding="ascii") as fh:
@@ -653,4 +672,7 @@ def load(path) -> Mesh:
     validate(mesh)
     if not np.array_equal(np.sort(boundary), mesh.boundary_nodes):
         raise MeshInvariantError("boundary node list disagrees with edge incidence")
+    pieces = _component_count(len(nodes), mesh.edge_table[0])
+    if pieces > 1:
+        raise MeshInvariantError(f"the triangles form {pieces} disconnected pieces")
     return mesh

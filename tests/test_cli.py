@@ -16,13 +16,14 @@ import math
 import os
 import subprocess
 import sys
+from concurrent import futures
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from wittenlab import checker, cli
+from wittenlab import checker, cli, mesh as msh
 from wittenlab.mesh import DomainSpec, generate, save
 from wittenlab.radial import check_lemma_monotone
 
@@ -223,6 +224,25 @@ class TestValidation:
         assert cli.main(["run", write_config(tmp_path, cfg), "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith(
             "config error: cases[0].domain.path: node with a non-finite coordinate"
+        )
+        assert not out.exists()
+
+    def test_disconnected_mesh_file_refused_at_validation(self, tmp_path, capsys):
+        # a disk beside an annulus: Euler characteristic 1 + 0, two pieces
+        disk = generate(DomainSpec(shape="disk", radius=0.5, target_edge_length=0.2))
+        ring = generate(DomainSpec(
+            shape="annulus", inner_radius=1.0, outer_radius=1.5, target_edge_length=0.2
+        ))
+        mesh_path = tmp_path / "two.mesh"
+        save(msh.Mesh(nodes=np.vstack([disk.nodes, ring.nodes]),
+                      triangles=np.vstack([disk.triangles, ring.triangles + len(disk.nodes)])),
+             str(mesh_path))
+        out = tmp_path / "o"
+        case = disk_case(domain={"shape": "mesh-file", "path": str(mesh_path)})
+        cfg = {"schema": 1, "cases": [case]}
+        assert cli.main(["run", write_config(tmp_path, cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(
+            "config error: cases[0].domain.path: the triangles form 2 disconnected pieces"
         )
         assert not out.exists()
 
@@ -634,8 +654,8 @@ class TestRun:
             loads.append(args)
             return load_mesh(*args)
 
-        load_mesh = cli.load_mesh
-        monkeypatch.setattr(cli, "load_mesh", spy)
+        load_mesh = msh.load
+        monkeypatch.setattr(msh, "load", spy)
         for jobs in (1, 2):
             loads.clear()
             out = tmp_path / f"j{jobs}"
@@ -710,18 +730,28 @@ def fresh_python(code: str, *args: str) -> str:
 
 SCIPY_MODULES = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
 
+# what a radial run never uses: the process pool, the argument parser, the
+# mesher and the FEM solver
+UNUSED_MODULES = ("concurrent.futures", "multiprocessing", "argparse", "wittenlab.mesh",
+                  "wittenlab.fem")
+LOADED_UNUSED = f"[m for m in {UNUSED_MODULES!r} if m in sys.modules]"
+
 RADIAL_RUN = f"""
 import json, sys
 from wittenlab import cli
 
 imported = {SCIPY_MODULES}
+unused = {{"import": {LOADED_UNUSED}}}
 
 def probed(case, _execute=cli._execute_case):
     return dict(_execute(case), scipy={SCIPY_MODULES})
 
 cli._execute_case = probed  # the pool's workers look it up by name
+serial = cli.run(sys.argv[1], sys.argv[2] + "-serial")
+unused["serial run"] = {LOADED_UNUSED}
 code = cli.main(["run", sys.argv[1], "--out", sys.argv[2], "--jobs", "2"])
-print(json.dumps({{"imported": imported, "exit": code, "ran": {SCIPY_MODULES}}}))
+print(json.dumps({{"imported": imported, "unused": unused, "exit": [serial, code],
+                  "ran": {SCIPY_MODULES}}}))
 """
 
 
@@ -730,13 +760,17 @@ def test_cli_import_leaves_scipy_integrate_unloaded(tmp_path):
     # and the DCTs, the natural spline, the radius match, the hull and the
     # radial eigensolve are written out in numpy; scipy's sparse linear
     # algebra comes with the FEM solver, which only a meshed case loads.
-    # So neither the import nor a run of two shells through a two-worker
-    # pool loads any scipy module, in the front end or in a worker.
+    # So neither the import nor a run of two shells, serial or through a
+    # two-worker pool, loads any scipy module, in the front end or in a
+    # worker.  The import and the serial run load neither the pool nor the
+    # argument parser nor the mesher nor the FEM solver either.
     cases = [shell_case(), shell_case(id="shell", domain={
         "shape": "shell", "inner_radius": 0.4, "outer_radius": 1.0})]
     cfg = write_config(tmp_path, {"schema": 1, "cases": cases})
     out = fresh_python(RADIAL_RUN, cfg, str(tmp_path / "out")).splitlines()[-1]
-    assert json.loads(out) == {"imported": [], "exit": 0, "ran": []}
+    assert json.loads(out) == {
+        "imported": [], "unused": {"import": [], "serial run": []}, "exit": [0, 0], "ran": []
+    }
     records = [json.loads(line) for line in (tmp_path / "out" / "reports.jsonl").open()]
     assert [(r["id"], r["status"], r["scipy"]) for r in records] == [
         ("ball3", "pass", []), ("shell", "pass", [])
@@ -1072,7 +1106,8 @@ def test_pool_workers_capped_at_case_count(monkeypatch, jobs, workers):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    # the batch imports the pool from concurrent.futures when it needs one
+    monkeypatch.setattr(futures, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(cli, "_execute_case", lambda case: {"id": case["id"]})
     records = cli._execute_batch([{"id": "c"}, {"id": "a"}, {"id": "b"}], jobs=jobs)
     assert asked == [workers]
@@ -1080,10 +1115,10 @@ def test_pool_workers_capped_at_case_count(monkeypatch, jobs, workers):
 
 
 def count_calls(monkeypatch, names):
-    """Count calls of ``names`` wherever the checker and the front end look
-    them up; the returned dict fills in as the calls happen."""
+    """Count calls of ``names`` wherever the checker, the front end and the
+    mesher look them up; the returned dict fills in as the calls happen."""
     counts = dict.fromkeys(names, 0)
-    for module in (checker, cli):
+    for module in (checker, cli, msh):
         for name in names:
             if not hasattr(module, name):
                 continue

@@ -610,6 +610,27 @@ class TestFileFormat:
         radii = np.hypot(*r.nodes[r.boundary_nodes].T)
         assert radii.min() < 1.0 - 1e-6  # chord midpoints stay put
 
+    def test_disconnected_mesh_refused(self, tmp_path):
+        # a disk beside an annulus has Euler characteristic 1 + 0, so
+        # validate lets it through; load counts the pieces
+        disk = generate(DomainSpec(shape="disk", radius=0.5, target_edge_length=0.2))
+        ring = generate(DomainSpec(
+            shape="annulus", inner_radius=1.0, outer_radius=1.5, target_edge_length=0.2
+        ))
+        m = Mesh(nodes=np.vstack([disk.nodes, ring.nodes]),
+                 triangles=np.vstack([disk.triangles, ring.triangles + len(disk.nodes)]))
+        validate(m)
+        p = tmp_path / "two.wslmesh"
+        save(m, p)
+        with pytest.raises(MeshInvariantError, match="2 disconnected pieces"):
+            load(p)
+
+    @pytest.mark.parametrize("edges, pieces", [
+        ([], 3), ([[0, 1]], 2), ([[2, 0], [1, 2]], 1), ([[2, 1], [1, 2], [0, 0]], 2),
+    ])
+    def test_component_count(self, edges, pieces):
+        assert msh._component_count(3, np.array(edges, dtype=int).reshape(-1, 2)) == pieces
+
     def test_header_rejected(self, tmp_path):
         p = tmp_path / "bad.wslmesh"
         p.write_text("WSLMESH 9\n0 0 0\n")
